@@ -5,6 +5,10 @@ present, pass, and keep its detail string exactly, so a change that skips
 or samples work it used to enumerate counts as a failure rather than a
 speed-up.  Extra checks are allowed and counted.
 
+Traced runs: the tracer must also observe the calls that the exhaustive
+checks make (OBSERVED_FLOORS), so a check that keeps its detail string but
+enumerates less is caught there.
+
 CLI workload: every invocation must exit 0 and print what the oracles below
 compute.  The oracles work on plain image tuples with their own cycle and
 inversion arithmetic and never import signdeloop.
@@ -122,6 +126,28 @@ EXPECTED: dict[str, dict[tuple[str, str], str]] = {
 }
 
 
+# Traced runs: calls the tracer must observe at least, because the
+# exhaustive checks make them.  cycle-roundtrip decomposes every permutation
+# of S_n; sign-agreement (n <= 6) extracts the sign of every permutation for
+# each of the four constructions; uniqueness (n <= 5) builds 16 natural
+# isomorphisms.  A check whose detail string cannot show sampling (such as
+# "order 2520" or "sign is multiplicative") is not covered here.
+OBSERVED_FLOORS: dict[str, dict[str, int]] = {
+    "verify-s5": {
+        "cycles.cycle_decompose": 120,
+        "deloopings.sign_from_delooping": 4 * 120,
+        "deloopings.natural_isomorphism": 16,
+    },
+    "verify-s7": {"cycles.cycle_decompose": 5040},
+    "verify-s4-census": {
+        "cycles.cycle_decompose": 24,
+        "deloopings.sign_from_delooping": 4 * 24,
+        "deloopings.natural_isomorphism": 16,
+        "deloopings.exhaustive_fixed_points": 1,
+    },
+}
+
+
 @dataclass
 class GateResult:
     attempted: int = 0
@@ -167,6 +193,18 @@ def verify_gate(expected: dict[tuple[str, str], str], checks: list[dict]) -> Gat
     for key in expected.keys() - seen:
         result.attempted += 1
         result.fail(f"{'/'.join(key)}: missing")
+    return result
+
+
+def trace_gate(floors: dict[str, int], totals: dict[str, dict]) -> GateResult:
+    """Gate a traced run's span totals: each boundary in `floors` must have
+    been called at least that often.  One operation per boundary."""
+    result = GateResult()
+    for boundary, floor in floors.items():
+        result.attempted += 1
+        calls = totals.get(boundary, {}).get("calls", 0)
+        if calls < floor:
+            result.fail(f"{boundary}: {calls} calls observed, exhaustive work makes {floor}")
     return result
 
 

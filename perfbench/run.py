@@ -1,24 +1,25 @@
 """signdeloop benchmark: end-to-end metrics, or per-layer metrics when traced.
 
-    python3 perfbench/run.py --workload verify-s5 --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload verify-s5 --seed 1 --seconds 30 --trace 0
 
 Run from the root of a source checkout; the package is imported from src/.
 Each repetition runs in a fresh interpreter, so every one pays the same cold
 start a user pays.  Workloads (see BENCHMARK.json for why each exists):
 
 * verify-s5, verify-s7 and verify-s4-census run run_verification(n, "all",
-  seed) (the last with exhaustive_fixed) in a worker process, at least twice
-  and again while another repetition still fits in --seconds;
+  seed) (the last with exhaustive_fixed) in a worker process;
 * cli-oneshot is a closed loop with one client: passes of the seeded command
   mix from gate.cli_pass, each command spawned as `python -m signdeloop.cli`.
 
-Every repetition goes through the correctness and coverage gate (gate.py);
-`attempted` and `failed` in the result count its operations (a check, or a
-CLI invocation).  With --trace 0 the result line carries the end-to-end
-metrics:
+A run makes a fixed number of repetitions (REPETITIONS, scaled by
+--seconds), each with its own seed derived from --seed, so a run covers the
+same inputs on every commit.  Every repetition goes through the correctness
+and coverage gate (gate.py); `attempted` and `failed` in the result count
+its operations (a check, or a CLI invocation).  With --trace 0 the result
+line carries the end-to-end metrics:
 
 * setup_s: median spawn-to-exit time of fresh interpreters importing
-  signdeloop and signdeloop.cli;
+  signdeloop and signdeloop.cli, spawned between the repetitions;
 * wall_s: median time of one repetition (a run_verification call timed in
   the worker, or one pass of the CLI mix);
 * latency_ms.p50: median spawn-to-exit time per invocation (a worker or a
@@ -49,7 +50,16 @@ from statistics import median
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
-from gate import EXPECTED, GateResult, cli_gate, cli_mix, cli_pass, verify_gate  # noqa: E402
+from gate import (  # noqa: E402
+    EXPECTED,
+    OBSERVED_FLOORS,
+    GateResult,
+    cli_gate,
+    cli_mix,
+    cli_pass,
+    trace_gate,
+    verify_gate,
+)
 from stats import tail_percentile  # noqa: E402
 
 ROOT = HERE.parent
@@ -64,8 +74,14 @@ VERIFY = {
 }
 WORKLOADS = (*VERIFY, "cli-oneshot")
 
-SETUP_SPAWNS = 9  # fresh-interpreter imports per run; setup_s is their median
-MIN_REPETITIONS = 2  # per run, whatever --seconds says
+SETUP_SPAWNS = 24  # fresh-interpreter imports per run; setup_s is their median
+# Repetitions per run at --seconds 30: on a 2-vCPU x86-64 VM a run measures
+# 20-45 s, about 30 s on average over the workloads.  The count depends only
+# on the workload and --seconds, so every run of one seed covers the same
+# inputs on any commit.
+REPETITIONS = {"verify-s5": 4, "verify-s7": 4, "verify-s4-census": 6, "cli-oneshot": 14}
+REFERENCE_SECONDS = 30
+MIN_REPETITIONS = 2
 TRACED_CLI_PASSES = 20  # in-process passes of the mix in a traced cli run
 TAIL = 90  # tail percentile shown when enough samples lie beyond it
 
@@ -82,7 +98,7 @@ TIMED_CHECKS = (
     "equivariance", "functor-laws", "label-independence",
 )
 # Boundaries recorded by count only (see spans.install).
-COUNTERS = ("quotients.relation_evals", "deloopings.census_masks", "verify.kernel_products")
+COUNTERS = ("quotients.relation_evals",)
 
 
 class Spawned:
@@ -170,18 +186,23 @@ def stamp(seed: int) -> dict:
     }
 
 
-def setup_probe(env) -> tuple[list[float], list[float]]:
+class SetupProbe:
     """Spawn-to-exit seconds of fresh interpreters importing signdeloop and
     signdeloop.cli, and the import time each measured inside itself."""
-    Spawned([sys.executable, "-c", IMPORT_PROBE], env)  # writes bytecode caches
-    totals, imports = [], []
-    for _ in range(SETUP_SPAWNS):
-        probe = Spawned([sys.executable, "-c", IMPORT_PROBE], env)
-        if probe.code != 0:
-            raise RuntimeError(f"import probe failed: {probe.output.strip()[-500:]}")
-        totals.append(probe.seconds)
-        imports.append(float(probe.output.split()[-1]))
-    return totals, imports
+
+    def __init__(self, env):
+        self.env = env
+        self.totals: list[float] = []
+        self.imports: list[float] = []
+        Spawned([sys.executable, "-c", IMPORT_PROBE], env)  # writes bytecode caches
+
+    def spawn(self, count: int) -> None:
+        for _ in range(count):
+            probe = Spawned([sys.executable, "-c", IMPORT_PROBE], self.env)
+            if probe.code != 0:
+                raise RuntimeError(f"import probe failed: {probe.output.strip()[-500:]}")
+            self.totals.append(probe.seconds)
+            self.imports.append(float(probe.output.split()[-1]))
 
 
 def spawn_worker(workload: str, seed: int, env, trace: bool = False, passes: int = 0) -> Spawned:
@@ -226,43 +247,50 @@ def spawn_cli_pass(batch, env, gate: GateResult) -> list[Spawned]:
 
 def rep_seed(seed: int, rep: int) -> int:
     """Verification seed of repetition `rep`.  The cost of a verification
-    depends on its seeded mutant mix, so repetitions draw fresh seeds and the
-    run's median averages over them."""
+    depends on its seeded mutant mix, so repetitions draw distinct seeds."""
     return seed * 1000 + rep
 
 
+def repetitions(workload: str, seconds: float) -> int:
+    return max(MIN_REPETITIONS, round(REPETITIONS[workload] * seconds / REFERENCE_SECONDS))
+
+
 def measure_e2e(workload: str, seed: int, seconds: float, env) -> tuple[dict, dict]:
-    """Repeat the workload MIN_REPETITIONS times, and again while another
-    repetition fits in `seconds`."""
+    """A fixed number of repetitions, with the set-up probes spread evenly
+    between them so that setup_s sees the same host as the workload."""
     gate = GateResult()
+    setup = SetupProbe(env)
+    reps = repetitions(workload, seconds)
     walls, cpus, latencies, rss = [], [], [], []
     rng = Random(seed)
-    start = time.perf_counter()
-    while True:
+    for rep in range(reps):
+        setup.spawn(SETUP_SPAWNS * (rep + 1) // reps - SETUP_SPAWNS * rep // reps)
         if workload == "cli-oneshot":
             runs = spawn_cli_pass(cli_pass(rng), env, gate)
             walls.append(sum(r.seconds for r in runs))
         else:
-            run = spawn_worker(workload, rep_seed(seed, len(walls)), env)
+            run = spawn_worker(workload, rep_seed(seed, rep), env)
             result = gate_worker(workload, run, gate)
-            walls.append(result["wall_s"] if result else run.seconds)
-            cpus.append(result["cpu_s"] if result else None)
             runs = [run]
+            if result:
+                walls.append(result["wall_s"])
+                cpus.append(result["cpu_s"])
         latencies += [r.seconds for r in runs]
         rss += [r.rss_mb for r in runs]
-        elapsed = time.perf_counter() - start
-        if len(walls) >= MIN_REPETITIONS and elapsed + median(walls) > seconds:
-            break
+    if not walls:
+        raise RuntimeError(f"no repetition of {workload} finished: {gate.problems[:3]}")
     metrics = {
+        "setup_s": median(setup.totals),
         "wall_s": median(walls),
         "latency_ms.p50": 1000 * median(latencies),
         "peak_rss_mb": max(rss),
     }
     p_tail = tail_percentile(latencies, TAIL)
     samples = {
-        "repetitions": len(walls),
+        "repetitions": reps,
         "walls_s": walls,
         "cpus_s": cpus,
+        "setup_samples_s": setup.totals,
         "latency_samples": len(latencies),
         f"latency_ms.p{TAIL}": None if p_tail is None else 1000 * p_tail,
     }
@@ -286,19 +314,21 @@ def _totals_metric(totals: dict, name: str) -> float:
     raise KeyError(name)
 
 
-def measure_traced(workload: str, seed: int, env, setup: tuple, names) -> tuple[dict, dict]:
+def measure_traced(workload: str, seed: int, env, names) -> tuple[dict, dict]:
     """One untraced and one traced repetition; the per-layer metrics `names`.
 
-    Layers a workload never enters read 0.  trace.unattributed_share is the
-    part of the untraced time that no layer record covers: for verify, the
-    runner's time outside its checks; for the CLI, per-invocation latency
-    beyond interpreter start, import and the command itself."""
+    Layers a workload never enters read 0.  The traced repetition also goes
+    through the trace gate (gate.OBSERVED_FLOORS).  trace.unattributed_share
+    is the part of the traced wall time spent in no wrapped function: for
+    verify, the checks' own code in verify.py and the runner; for the CLI,
+    the loop around run_command."""
     gate = GateResult()
-    totals, imports = setup
-    interpreter = median([t - i for t, i in zip(totals, imports)])
+    setup = SetupProbe(env)
+    setup.spawn(SETUP_SPAWNS)
+    interpreter = median([t - i for t, i in zip(setup.totals, setup.imports)])
     metrics = {
         "cli.interpreter_ms": 1000 * interpreter,
-        "cli.import_ms": 1000 * median(imports),
+        "cli.import_ms": 1000 * median(setup.imports),
         "cli.command_ms.p50": 0.0,
         "verify.cpu_s": 0.0,
         "verify.unattributed_s": 0.0,
@@ -307,33 +337,35 @@ def measure_traced(workload: str, seed: int, env, setup: tuple, names) -> tuple[
     }
     metrics.update({f"verify.{check}.s": 0.0 for check in TIMED_CHECKS})
     if workload == "cli-oneshot":
-        latency = median([r.seconds for r in spawn_cli_pass(cli_mix(seed, 1)[0], env, gate)])
         batch = [inv for passes in cli_mix(seed, TRACED_CLI_PASSES) for inv in passes]
+        floors = {"cli.run_command": len(batch)}
         plain, traced = (
             gate_worker(workload, spawn_worker(workload, seed, env, trace, TRACED_CLI_PASSES), gate, batch)
             for trace in (False, True)
         )
         if plain:
-            command = median([c["seconds"] for c in plain["commands"]])
-            metrics["cli.command_ms.p50"] = 1000 * command
-            accounted = interpreter + median(imports) + command
-            metrics["trace.unattributed_share"] = (latency - accounted) / latency
+            metrics["cli.command_ms.p50"] = 1000 * median([c["seconds"] for c in plain["commands"]])
     else:
+        floors = OBSERVED_FLOORS[workload]
         plain, traced = (
             gate_worker(workload, spawn_worker(workload, rep_seed(seed, 0), env, trace), gate)
             for trace in (False, True)
         )
         if plain:
-            checks = plain["checks"]
             for check in TIMED_CHECKS:
-                metrics[f"verify.{check}.s"] = sum(c["duration"] for c in checks if c["name"] == check)
-            unattributed = plain["wall_s"] - sum(c["duration"] for c in checks)
+                metrics[f"verify.{check}.s"] = sum(
+                    c["duration"] for c in plain["checks"] if c["name"] == check
+                )
             metrics["verify.cpu_s"] = plain["cpu_s"]
+    layer_totals = traced["totals"] if traced else {}
+    if traced:
+        gate.merge(trace_gate(floors, layer_totals))
+        unattributed = traced["wall_s"] - sum(t["self_s"] for t in layer_totals.values())
+        metrics["trace.unattributed_share"] = unattributed / traced["wall_s"]
+        if workload != "cli-oneshot":
             metrics["verify.unattributed_s"] = unattributed
-            metrics["trace.unattributed_share"] = unattributed / plain["wall_s"]
     if plain and traced:
         metrics["trace.overhead_ratio"] = traced["wall_s"] / plain["wall_s"]
-    layer_totals = traced["totals"] if traced else {}
     metrics["gate.extra_checks"] = gate.extra
     metrics["gate.fail_ratio"] = gate.failed / gate.attempted
     for name in names:
@@ -371,13 +403,11 @@ def main(argv=None) -> int:
     record = stamp(args.seed)
     record.update(workload=args.workload, seconds=args.seconds, trace=args.trace)
 
-    setup = setup_probe(env)
     if args.trace:
-        metrics, detail = measure_traced(args.workload, args.seed, env, setup, declared["per_layer"])
+        metrics, detail = measure_traced(args.workload, args.seed, env, declared["per_layer"])
         kind = "per_layer"
     else:
         metrics, detail = measure_e2e(args.workload, args.seed, args.seconds, env)
-        metrics["setup_s"] = median(setup[0])
         kind = "end_to_end"
     record["loadavg_end"] = read_loadavg()
     gate: GateResult = detail.pop("gate")
@@ -400,7 +430,7 @@ def main(argv=None) -> int:
           f"python={record['python']} numpy={record['numpy']} nproc={record['nproc']} "
           f"git={record['git_sha']} load={record['loadavg_start']} -> {record['loadavg_end']}")
     for key, value in detail.get("samples", {}).items():
-        if key not in ("walls_s", "cpus_s"):
+        if key not in ("walls_s", "cpus_s", "setup_samples_s"):
             print(f"# {key}: {value}")
     print(f"# gate: {gate.attempted} operations, {gate.failed} failed, {gate.extra} extra checks")
     for problem in gate.problems[:20]:

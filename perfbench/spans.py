@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import time
 from collections import Counter, defaultdict
 
@@ -161,39 +160,16 @@ def install(tracer: Tracer) -> None:
         "orientation_action",
         "natural_isomorphism",
         "alternating_kernel",
+        "exhaustive_fixed_points",
     ):
         span(deloopings, attr)
     original_sfd = deloopings.sign_from_delooping
     _rebind(modules, original_sfd, tracer.counter("deloopings.sign_from_delooping", original_sfd))
 
-    original_census = deloopings.exhaustive_fixed_points
-
-    def census(n, *args, **kwargs):
-        # The census scans every sign table on S_n: 2^(n!) masks per call.
-        tracer.counts["deloopings.census_masks"] += 1 << math.factorial(n)
-        return original_census(n, *args, **kwargs)
-
-    _rebind(
-        modules,
-        original_census,
-        tracer.span("deloopings.exhaustive_fixed_points", functools.wraps(original_census)(census)),
-    )
-
     for cname, ctor in list(deloopings.CONSTRUCTIONS.items()):
         traced = _traced_constructor(tracer, cname, ctor)
         deloopings.CONSTRUCTIONS[cname] = traced
         _rebind(modules, ctor, traced)
-
-    original_closure = verify.kernel_closure
-
-    def closure(n, *args, **kwargs):
-        result = original_closure(n, *args, **kwargs)
-        if n <= 7 and result[0]:
-            # Exhaustive range: every ordered pair of kernel elements is composed.
-            tracer.counts["verify.kernel_products"] += (math.factorial(n) // 2) ** 2
-        return result
-
-    _rebind(modules, original_closure, functools.wraps(original_closure)(closure))
 
     span(cli, "run_command")
 

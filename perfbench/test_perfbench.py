@@ -15,7 +15,16 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
-from gate import EXPECTED, Invocation, check_cli, cli_gate, cli_mix, verify_gate  # noqa: E402
+from gate import (  # noqa: E402
+    EXPECTED,
+    OBSERVED_FLOORS,
+    Invocation,
+    check_cli,
+    cli_gate,
+    cli_mix,
+    trace_gate,
+    verify_gate,
+)
 from spans import Tracer  # noqa: E402
 from stats import beyond, rank, tail_percentile  # noqa: E402
 
@@ -169,6 +178,15 @@ def test_gate_counts_extras_and_failures():
     assert result.failed == 2  # the failing check and the duplicate
 
 
+def test_trace_gate_flags_work_the_tracer_did_not_see():
+    floors = OBSERVED_FLOORS["verify-s7"]
+    result = trace_gate(floors, {"cycles.cycle_decompose": {"calls": 5040}})
+    assert (result.attempted, result.failed) == (len(floors), 0)
+    result = trace_gate(floors, {"cycles.cycle_decompose": {"calls": 1000}})
+    assert result.failed == 1 and "1000 calls observed" in result.problems[0]
+    assert trace_gate(floors, {}).failed == len(floors)
+
+
 # --------------------------------------------------------------------------
 # CLI oracles.
 
@@ -231,9 +249,18 @@ def test_traced_worker_reports_every_layer():
     )
     result = json.loads(out.stdout.strip().splitlines()[-1])
     layers = {name.split(".")[0] for name in result["totals"]}
-    assert {"finite", "perms", "cycles", "quotients", "deloopings", "verify"} <= layers
+    # verify's own figures come from the check durations, not from spans.
+    assert {"finite", "perms", "cycles", "quotients", "deloopings"} <= layers
     assert result["totals"]["deloopings.action.cartier"]["calls"] > 0
     assert all(c["passed"] for c in result["checks"])
+
+
+def test_repetitions_depend_only_on_workload_and_seconds():
+    import run
+
+    assert run.repetitions("verify-s7", run.REFERENCE_SECONDS) == run.REPETITIONS["verify-s7"]
+    assert run.repetitions("cli-oneshot", 2 * run.REFERENCE_SECONDS) == 2 * run.REPETITIONS["cli-oneshot"]
+    assert run.repetitions("verify-s7", 1) == run.MIN_REPETITIONS
 
 
 def test_refuses_to_run_without_sources(tmp_path):

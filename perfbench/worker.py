@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import io
 import json
-import resource
 import sys
 import time
 
@@ -79,7 +78,6 @@ def main() -> None:
         tracer = Tracer()
         install(tracer)
     result = run_verify(args) if args.mode == "verify" else run_cli(args)
-    result["rss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if tracer is not None:
         result["totals"] = tracer.totals()
         result["spans"] = tracer.table()
