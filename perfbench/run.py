@@ -27,6 +27,16 @@ line carries the end-to-end metrics:
   line, the p90 only when at least ten samples lie beyond it;
 * peak_rss_mb: largest maximum resident set size of any invocation.
 
+The three times are given at the host's nominal speed.  A shared host runs
+all code up to half again slower for seconds to minutes at a time, which
+spread the medians of whole runs of the same code by more than a quarter of
+their value.  So SPEED_PROBES runs of a speed probe (speed_probe.py: fixed
+work that never touches the package) are spread between the repetitions,
+each in a fresh interpreter, and every time is multiplied by
+PROBE_NOMINAL_S over their median.  A change to the package moves the
+repetitions and not the probes.  The raw times and every probe are printed
+above the result line and kept in perfbench/out/e2e.jsonl.
+
 With --trace 1 it carries the per-layer metrics from one untraced and one
 traced repetition.  The last line of stdout is the JSON result; the raw
 samples and run stamps are appended to perfbench/out/{e2e,trace}.jsonl.
@@ -66,6 +76,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
 WORKER = HERE / "worker.py"
+SPEED_PROBE = HERE / "speed_probe.py"
 
 VERIFY = {
     "verify-s5": ["--n", "5"],
@@ -74,12 +85,18 @@ VERIFY = {
 }
 WORKLOADS = (*VERIFY, "cli-oneshot")
 
-SETUP_SPAWNS = 24  # fresh-interpreter imports per run; setup_s is their median
-# Repetitions per run at --seconds 30: on a 2-vCPU x86-64 VM a run measures
-# 20-45 s, about 30 s on average over the workloads.  The count depends only
-# on the workload and --seconds, so every run of one seed covers the same
-# inputs on any commit.
-REPETITIONS = {"verify-s5": 4, "verify-s7": 4, "verify-s4-census": 6, "cli-oneshot": 14}
+SETUP_SPAWNS = 12  # fresh-interpreter imports per run; setup_s is their median
+SPEED_PROBES = 6  # speed probes per run; times are scaled by their median
+# Repetitions per run at --seconds 30: on a 2-vCPU x86-64 VM a run takes
+# 20-45 s with its probes, about 30 s on average over the workloads.  The
+# count depends only on the workload and --seconds, so every run of one seed
+# covers the same inputs on any commit.  verify-s5 runs more than its length
+# alone would need because the cost of one of its seeded mutant mixes varies
+# by up to a fifth.
+REPETITIONS = {"verify-s5": 5, "verify-s7": 4, "verify-s4-census": 5, "cli-oneshot": 8}
+# Seconds the speed probe takes on that VM at its usual speed; times are
+# reported as if the median probe had taken this long.
+PROBE_NOMINAL_S = 0.125
 REFERENCE_SECONDS = 30
 MIN_REPETITIONS = 2
 TRACED_CLI_PASSES = 20  # in-process passes of the mix in a traced cli run
@@ -205,6 +222,20 @@ class SetupProbe:
             self.imports.append(float(probe.output.split()[-1]))
 
 
+def speed_probe(env) -> float:
+    """Seconds the speed probe's fixed work took in a fresh interpreter."""
+    probe = Spawned([sys.executable, str(SPEED_PROBE)], env)
+    if probe.code != 0:
+        raise RuntimeError(f"speed probe failed: {probe.output.strip()[-500:]}")
+    return float(probe.output.split()[-1])
+
+
+def share(total: int, rep: int, reps: int) -> int:
+    """Probes of `total` to spawn before repetition `rep` of `reps`, so
+    that they spread evenly over the run."""
+    return total * (rep + 1) // reps - total * rep // reps
+
+
 def spawn_worker(workload: str, seed: int, env, trace: bool = False, passes: int = 0) -> Spawned:
     argv = [sys.executable, str(WORKER)]
     if workload == "cli-oneshot":
@@ -256,15 +287,17 @@ def repetitions(workload: str, seconds: float) -> int:
 
 
 def measure_e2e(workload: str, seed: int, seconds: float, env) -> tuple[dict, dict]:
-    """A fixed number of repetitions, with the set-up probes spread evenly
-    between them so that setup_s sees the same host as the workload."""
+    """A fixed number of repetitions, with the set-up and speed probes
+    spread evenly between them so that they see the same host as the
+    workload."""
     gate = GateResult()
     setup = SetupProbe(env)
     reps = repetitions(workload, seconds)
-    walls, cpus, latencies, rss = [], [], [], []
+    probes, walls, cpus, latencies, rss = [], [], [], [], []
     rng = Random(seed)
     for rep in range(reps):
-        setup.spawn(SETUP_SPAWNS * (rep + 1) // reps - SETUP_SPAWNS * rep // reps)
+        setup.spawn(share(SETUP_SPAWNS, rep, reps))
+        probes += [speed_probe(env) for _ in range(share(SPEED_PROBES, rep, reps))]
         if workload == "cli-oneshot":
             runs = spawn_cli_pass(cli_pass(rng), env, gate)
             walls.append(sum(r.seconds for r in runs))
@@ -279,20 +312,26 @@ def measure_e2e(workload: str, seed: int, seconds: float, env) -> tuple[dict, di
         rss += [r.rss_mb for r in runs]
     if not walls:
         raise RuntimeError(f"no repetition of {workload} finished: {gate.problems[:3]}")
+    scale = PROBE_NOMINAL_S / median(probes)
     metrics = {
-        "setup_s": median(setup.totals),
-        "wall_s": median(walls),
-        "latency_ms.p50": 1000 * median(latencies),
+        "setup_s": scale * median(setup.totals),
+        "wall_s": scale * median(walls),
+        "latency_ms.p50": scale * 1000 * median(latencies),
         "peak_rss_mb": max(rss),
     }
     p_tail = tail_percentile(latencies, TAIL)
     samples = {
         "repetitions": reps,
+        "latency_samples": len(latencies),
+        f"latency_ms.p{TAIL}": None if p_tail is None else scale * 1000 * p_tail,
+        "scale": scale,
+        "raw_setup_s": median(setup.totals),
+        "raw_wall_s": median(walls),
+        "raw_latency_ms.p50": 1000 * median(latencies),
+        "probes_s": probes,
         "walls_s": walls,
         "cpus_s": cpus,
         "setup_samples_s": setup.totals,
-        "latency_samples": len(latencies),
-        f"latency_ms.p{TAIL}": None if p_tail is None else 1000 * p_tail,
     }
     return metrics, {"gate": gate, "samples": samples}
 

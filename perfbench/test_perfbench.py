@@ -263,6 +263,22 @@ def test_repetitions_depend_only_on_workload_and_seconds():
     assert run.repetitions("verify-s7", 1) == run.MIN_REPETITIONS
 
 
+def test_probes_spread_evenly_over_the_repetitions():
+    import run
+
+    assert [run.share(8, rep, 3) for rep in range(3)] == [2, 3, 3]
+    assert sum(run.share(24, rep, 6) for rep in range(6)) == 24
+    assert [run.share(2, rep, 4) for rep in range(4)] == [0, 1, 0, 1]
+
+
+def test_speed_probe_reports_seconds():
+    out = subprocess.run(
+        [sys.executable, str(HERE / "speed_probe.py")],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert 0 < float(out.stdout.split()[-1]) < 10
+
+
 def test_refuses_to_run_without_sources(tmp_path):
     shutil.copytree(HERE, tmp_path / "perfbench", ignore=shutil.ignore_patterns("out", "__pycache__"))
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
