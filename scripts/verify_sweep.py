@@ -11,6 +11,7 @@ import json
 import sys
 from dataclasses import dataclass
 
+from signdeloop.deloopings import CONSTRUCTIONS
 from signdeloop.verify import run_verification
 
 
@@ -29,7 +30,7 @@ def parse_config(argv=None) -> SweepConfig:
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument(
         "--construction",
-        choices=["all", "fixed", "orbit", "simpson", "cartier"],
+        choices=["all", *CONSTRUCTIONS],
         default="all",
     )
     parser.add_argument("--seed", type=int, default=0)

@@ -21,6 +21,7 @@ from .cycles import (
 )
 from .deloopings import (
     CONSTRUCTIONS,
+    Construction,
     FixedPointElement,
     NaturalFamily,
     Orientation,
@@ -66,12 +67,10 @@ from .finite import (
     Bijection,
     LabeledSet,
     Subset,
-    compose_bijection,
     enumerate_bijections,
     extend,
     fin,
     identity,
-    invert_bijection,
     k_subsets,
     order_bijection,
     puncture,

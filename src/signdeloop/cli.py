@@ -15,6 +15,7 @@ import sys
 
 from .cycles import cycle_decompose
 from .deloopings import (
+    CONSTRUCTIONS,
     alternating_kernel,
     canonical_orientation,
     cartier_delooping,
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--construction",
-        choices=["all", "fixed", "orbit", "simpson", "cartier"],
+        choices=["all", *CONSTRUCTIONS],
         default="all",
     )
     p.add_argument("--exhaustive-fixed", action="store_true")

@@ -21,6 +21,10 @@ names the class of the construction's documented canonical representative
 over the given carrier.  Extracting a sign from any family asks whether the
 action of a permutation fixes the charted base point of the fiber over
 fin(n).
+
+Each construction is declared once, as a Construction record listing its
+elements, a representative per class, transport and classification; its
+family, class census and projection squares are all derived from that record.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import (
     ArityMismatch,
@@ -168,12 +172,12 @@ def simpson_class(f: Bijection) -> Label:
     return sign_inversions(f.then(h0.inverse())).fin2
 
 
-def simpson_representative(X: LabeledSet, n: int, label: Label) -> Bijection:
+def simpson_representative(X: LabeledSet, label: Label) -> Bijection:
     if label not in (0, 1):
         raise ContractError(f"class label must be 0 or 1, got {label!r}")
     rep = order_bijection(X)
     if label == 1:
-        rep = transposition(n, 0, 1).then(rep)
+        rep = transposition(len(X), 0, 1).then(rep)
     return rep
 
 
@@ -239,7 +243,8 @@ class TwoElementFamily:
 
     fiber(X) is a concrete 2-element labeled set; action(e) is a bijection
     fiber(domain e) = fiber(codomain e); base_point is the fiber label over
-    fin(arity) charted to +1.
+    fin(arity) charted to +1; construction is the record the family was
+    built from, None for mutants and hand-built families.
     """
 
     name: str
@@ -247,6 +252,7 @@ class TwoElementFamily:
     fiber: Callable[[LabeledSet], LabeledSet]
     action: Callable[[Bijection], Bijection]
     base_point: Label
+    construction: Construction | None = None
 
     def chart(self, label: Label) -> Sign:
         base_fiber = self.fiber(fin(self.arity))
@@ -266,86 +272,99 @@ def _require_set_arity(X: LabeledSet, n: int) -> None:
         raise ArityMismatch(f"expected a {n}-element set, got {len(X)} elements")
 
 
-def _class_family(name, n, representative, transport, classify) -> TwoElementFamily:
-    """Assemble a family from representative/transport/classify data.
+@dataclass(frozen=True)
+class Construction:
+    """One sign delooping: elements over each carrier modulo two classes.
 
-    The action transports a representative of each class along the bijection
-    and reads off the class of the result; Bijection construction validates
-    that the two classes land on distinct labels.
+    elements(X) enumerates every element over the carrier X;
+    representative(X, c) is an element of class c (class 0 holds the
+    canonical one); transport(e, x) pushes an element over e.domain to one
+    over e.codomain; classify(x) is the class label of x.
+
+    Calling a construction with n gives its family over n-element carriers.
+    The action transports a representative of each class along the
+    bijection and reads off the class of the result; Bijection construction
+    validates that the two classes land on distinct labels.
     """
 
-    def fiber(X: LabeledSet) -> LabeledSet:
-        _require_set_arity(X, n)
-        return CLASS_LABELS
+    name: str
+    elements: Callable[[LabeledSet], Iterable]
+    representative: Callable[[LabeledSet, Label], object]
+    transport: Callable[[Bijection, object], object]
+    classify: Callable[[object], Label]
 
-    def action(e: Bijection) -> Bijection:
-        _require_set_arity(e.domain, n)
-        _require_set_arity(e.codomain, n)
-        images = tuple(
-            classify(transport(e, representative(e.domain, c))) for c in (0, 1)
-        )
-        return Bijection(CLASS_LABELS, CLASS_LABELS, images)
+    def __call__(self, n: int) -> TwoElementFamily:
+        if n < 2:
+            raise ArityTooSmall(f"{self.name} family needs arity >= 2")
 
-    return TwoElementFamily(name, n, fiber, action, base_point=0)
+        def fiber(X: LabeledSet) -> LabeledSet:
+            _require_set_arity(X, n)
+            return CLASS_LABELS
 
+        def action(e: Bijection) -> Bijection:
+            _require_set_arity(e.domain, n)
+            _require_set_arity(e.codomain, n)
+            images = tuple(
+                self.classify(self.transport(e, self.representative(e.domain, c)))
+                for c in (0, 1)
+            )
+            return Bijection(CLASS_LABELS, CLASS_LABELS, images)
 
-def cartier_delooping(n: int) -> TwoElementFamily:
-    """Orientations modulo disagreement parity; sign-free by construction."""
-    if n < 2:
-        raise ArityTooSmall("cartier family needs arity >= 2")
-    return _class_family(
-        "cartier", n, orientation_representative, orientation_action, orientation_class
-    )
+        return TwoElementFamily(self.name, n, fiber, action, base_point=0, construction=self)
 
-
-def simpson_delooping(n: int, bound: int = 8) -> TwoElementFamily:
-    """Charts modulo even relative parity."""
-    if n < 2:
-        raise ArityTooSmall("simpson family needs arity >= 2")
-    if n > bound:
-        raise SizeGuard(f"simpson family enumerates n! charts; bound is {bound}")
-    return _class_family(
-        "simpson",
-        n,
-        lambda X, c: simpson_representative(X, n, c),
-        lambda e, f: f.then(e),
-        simpson_class,
-    )
+    def census(self, X: LabeledSet) -> list[int]:
+        """Class sizes over X, counted over every element."""
+        counts = [0, 0]
+        for x in self.elements(X):
+            counts[self.classify(x)] += 1
+        return counts
 
 
-def orbit_delooping(n: int, bound: int = 8) -> TwoElementFamily:
-    """(chart, sign) pairs modulo the twisted precomposition action."""
-    if n < 2:
-        raise ArityTooSmall("orbit family needs arity >= 2")
-    if n > bound:
-        raise SizeGuard(f"orbit family enumerates n! charts; bound is {bound}")
-    return _class_family(
-        "orbit",
-        n,
-        orbit_representative,
-        lambda e, pair: (pair[0].then(e), pair[1]),
-        lambda pair: orbit_class(*pair),
-    )
+def _charts(X: LabeledSet) -> tuple[Bijection, ...]:
+    return enumerate_bijections(fin(len(X)), X)
 
 
-def fixed_point_delooping(n: int) -> TwoElementFamily:
-    """Equivariant sign-valued functions on charts, via their reference form."""
-    if n < 2:
-        raise ArityTooSmall("fixed-point family needs arity >= 2")
-    return _class_family(
-        "fixed",
-        n,
-        lambda X, c: fixed_point_elements(X)[c],
-        lambda e, elem: elem.transport(e),
-        fixed_point_class,
-    )
+# Orientations modulo disagreement parity; sign-free by construction.
+cartier_delooping = Construction(
+    "cartier",
+    all_orientations,
+    orientation_representative,
+    orientation_action,
+    orientation_class,
+)
 
+# Charts modulo even relative parity.
+simpson_delooping = Construction(
+    "simpson",
+    _charts,
+    simpson_representative,
+    lambda e, f: f.then(e),
+    simpson_class,
+)
 
+# (chart, sign) pairs modulo the twisted precomposition action.
+orbit_delooping = Construction(
+    "orbit",
+    lambda X: ((h, s) for h in _charts(X) for s in (PLUS, MINUS)),
+    orbit_representative,
+    lambda e, pair: (pair[0].then(e), pair[1]),
+    lambda pair: orbit_class(*pair),
+)
+
+# Equivariant sign-valued functions on charts, in every reference form.
+fixed_point_delooping = Construction(
+    "fixed",
+    lambda X: (FixedPointElement(h, s) for h in _charts(X) for s in (PLUS, MINUS)),
+    lambda X, c: fixed_point_elements(X)[c],
+    lambda e, elem: elem.transport(e),
+    fixed_point_class,
+)
+
+# The benchmark's tracer swaps these values for plain wrapper functions, so
+# callers only call them with n and reach the record via family.construction.
 CONSTRUCTIONS: dict[str, Callable[[int], TwoElementFamily]] = {
-    "fixed": fixed_point_delooping,
-    "orbit": orbit_delooping,
-    "simpson": simpson_delooping,
-    "cartier": cartier_delooping,
+    c.name: c
+    for c in (fixed_point_delooping, orbit_delooping, simpson_delooping, cartier_delooping)
 }
 
 

@@ -179,15 +179,6 @@ def identity(X: LabeledSet) -> Bijection:
     return Bijection(X, X, X.elements)
 
 
-def compose_bijection(e: Bijection, f: Bijection) -> Bijection:
-    """Apply e, then f.  Requires e.codomain == f.domain."""
-    return e.then(f)
-
-
-def invert_bijection(e: Bijection) -> Bijection:
-    return e.inverse()
-
-
 def enumerate_bijections(
     A: LabeledSet, B: LabeledSet, bound: int = ENUMERATION_BOUND
 ) -> tuple[Bijection, ...]:

@@ -1,15 +1,19 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from signdeloop.cli import (
+    build_parser,
     format_permutation,
     parse_permutation,
     run_command,
 )
+from signdeloop.deloopings import CONSTRUCTIONS
 from signdeloop.errors import ContractError
 from signdeloop.finite import enumerate_bijections, fin, identity
 from signdeloop.perms import permutation
@@ -175,6 +179,32 @@ class TestCommands:
         ) == 0
         blob = json.loads(capsys.readouterr().out)
         assert len(blob["reports"]) == 2
+
+
+def load_verify_sweep():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_sweep.py"
+    spec = importlib.util.spec_from_file_location("verify_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestConstructionChoices:
+    def test_choices_follow_the_registry(self, monkeypatch, capsys):
+        sweep = load_verify_sweep()
+        parsers = (
+            lambda name: build_parser().parse_args(
+                ["verify", "--n", "2", "--construction", name]
+            ).construction,
+            lambda name: sweep.parse_config(["--construction", name]).construction,
+        )
+        monkeypatch.setitem(CONSTRUCTIONS, "mirror", CONSTRUCTIONS["cartier"])
+        for parse in parsers:
+            for name in ["all", *CONSTRUCTIONS]:
+                assert parse(name) == name
+            with pytest.raises(SystemExit):
+                parse("nope")
+        capsys.readouterr()
 
 
 class TestExitCodes:

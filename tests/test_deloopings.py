@@ -24,6 +24,7 @@ from signdeloop.finite import (
     identity,
     k_subsets,
     order_bijection,
+    random_bijection,
     swap_two,
     transposition_of_pair,
 )
@@ -166,9 +167,9 @@ class TestSimpson:
     def test_representatives(self):
         X = LabeledSet.of([4, 6, 9])
         for label in (0, 1):
-            assert simpson_class(simpson_representative(X, 3, label)) == label
+            assert simpson_class(simpson_representative(X, label)) == label
         with pytest.raises(ContractError):
-            simpson_representative(X, 3, 2)
+            simpson_representative(X, 2)
 
     def test_class_census(self):
         for n in range(2, 5):
@@ -274,11 +275,24 @@ class TestFamilies:
             with pytest.raises(ArityTooSmall):
                 build(1)
 
-    def test_size_guards(self):
-        with pytest.raises(SizeGuard):
-            simpson_delooping(9)
-        with pytest.raises(SizeGuard):
-            orbit_delooping(9)
+    def test_large_arity_signs(self):
+        # the action transports one representative per class, so no size
+        # guard applies; the oracle is (-1)^(n - #cycles)
+        n = 40
+        rng = Random(40)
+        for build in (simpson_delooping, orbit_delooping):
+            Q = build(n)
+            for _ in range(20):
+                e = random_bijection(rng, fin(n), fin(n))
+                cycles, seen = 0, set()
+                for start in range(n):
+                    if start not in seen:
+                        cycles += 1
+                        while start not in seen:
+                            seen.add(start)
+                            start = e.images[start]
+                expected = PLUS if (n - cycles) % 2 == 0 else MINUS
+                assert sign_from_delooping(Q, e) == expected
 
     def test_fiber_is_two_elements(self):
         for build in CONSTRUCTIONS.values():

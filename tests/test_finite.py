@@ -13,13 +13,11 @@ from signdeloop.finite import (
     Bijection,
     LabeledSet,
     Subset,
-    compose_bijection,
     disjoint_union,
     enumerate_bijections,
     extend,
     fin,
     identity,
-    invert_bijection,
     k_subsets,
     order_bijection,
     puncture,
@@ -72,14 +70,14 @@ class TestBijection:
 
     def test_compose_applies_left_first(self):
         # apply <0 1>, then <1 2>: 0->1->2, 1->0->0, 2->2->1
-        assert compose_bijection(tr(3, 0, 1), tr(3, 1, 2)).images == (2, 0, 1)
+        assert tr(3, 0, 1).then(tr(3, 1, 2)).images == (2, 0, 1)
 
     def test_transposition_squares_to_identity(self):
-        assert compose_bijection(tr(2, 0, 1), tr(2, 0, 1)) == identity(fin(2))
+        assert tr(2, 0, 1).then(tr(2, 0, 1)) == identity(fin(2))
 
     def test_invert(self):
         e = Bijection(fin(3), fin(3), (2, 0, 1))
-        assert invert_bijection(e).images == (1, 2, 0)
+        assert e.inverse().images == (1, 2, 0)
 
     def test_invalid_images(self):
         with pytest.raises(ContractError):

@@ -118,6 +118,13 @@ class TestRunVerification:
         assert "uniqueness" not in core_names  # needs all constructions
         assert all(r.passed for r in reports)
 
+    def test_quotient_naturality_in_every_report(self):
+        for n in (4, 5):
+            for report in run_verification(n)[1:]:
+                check = next(c for c in report.checks if c.name == "quotient-naturality")
+                assert check.passed, (report.construction, check.detail)
+                assert check.detail == "projection squares commute on 20 moves"
+
     def test_fixed_census_gating(self):
         with_census = run_verification(3, construction="fixed")
         names = [c.name for c in with_census[1].checks]
