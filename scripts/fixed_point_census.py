@@ -14,25 +14,17 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from signdeloop.deloopings import exhaustive_fixed_points
 from signdeloop.finite import enumerate_bijections, fin
 from signdeloop.perms import sign_inversions
 
 
-@dataclass(frozen=True)
-class CensusConfig:
-    min_n: int
-    max_n: int
-
-
-def parse_config(argv=None) -> CensusConfig:
+def parse_config(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--min-n", type=int, default=2)
     parser.add_argument("--max-n", type=int, default=4)
-    args = parser.parse_args(argv)
-    return CensusConfig(args.min_n, args.max_n)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:

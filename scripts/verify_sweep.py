@@ -9,22 +9,12 @@ Example:
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from signdeloop.deloopings import CONSTRUCTIONS
 from signdeloop.verify import run_verification
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    min_n: int
-    max_n: int
-    construction: str
-    seed: int
-    as_json: bool
-
-
-def parse_config(argv=None) -> SweepConfig:
+def parse_config(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--min-n", type=int, default=2)
     parser.add_argument("--max-n", type=int, default=6)
@@ -34,9 +24,8 @@ def parse_config(argv=None) -> SweepConfig:
         default="all",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", dest="as_json", action="store_true")
-    args = parser.parse_args(argv)
-    return SweepConfig(args.min_n, args.max_n, args.construction, args.seed, args.as_json)
+    parser.add_argument("--json", action="store_true")
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -58,7 +47,7 @@ def main(argv=None) -> int:
                     "seconds": round(report.duration, 3),
                 }
             )
-    if cfg.as_json:
+    if cfg.json:
         print(json.dumps({"passed": all_pass, "rows": rows}, indent=2))
     else:
         print(f"{'n':>3} {'construction':<12} {'checks':>6} {'time':>8}  status")

@@ -30,6 +30,15 @@ from .verify import run_verification
 
 _CYCLE_TOKEN = re.compile(r"\(([^()]*)\)")
 
+# The largest arity any command accepts, checked before anything of that
+# size is allocated.
+MAX_ARITY = 1024
+
+
+def _check_arity(n: int) -> None:
+    if n > MAX_ARITY:
+        raise ContractError(f"arity {n} exceeds the limit of {MAX_ARITY}")
+
 
 def parse_permutation(text: str, n: int | None = None) -> Bijection:
     """Parse either notation into a permutation of fin(n).
@@ -56,6 +65,7 @@ def parse_permutation(text: str, n: int | None = None) -> Bijection:
         if any(x < 0 for x in seen):
             raise ContractError("labels must be unsigned")
         size = n if n is not None else (max(seen) + 1 if seen else 0)
+        _check_arity(size)
         mapping = {x: x for x in range(size)}
         for cyc in cycles:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
@@ -65,6 +75,7 @@ def parse_permutation(text: str, n: int | None = None) -> Bijection:
         base = fin(size)
         return Bijection(base, base, tuple(mapping[x] for x in range(size)))
     images = tuple(int(tok) for tok in text.split(","))
+    _check_arity(len(images))
     if n is not None and n != len(images):
         raise ContractError(f"one-line form has {len(images)} entries, expected {n}")
     base = fin(len(images))
@@ -252,6 +263,8 @@ def run_command(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        if args.n is not None:
+            _check_arity(args.n)
         return _COMMANDS[args.command](args)
     except (ContractError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

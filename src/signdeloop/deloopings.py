@@ -371,7 +371,11 @@ CONSTRUCTIONS: dict[str, Callable[[int], TwoElementFamily]] = {
 # --------------------------------------------------------------------------
 # Exhaustive census of equivariant tables (the independent oracle).
 
-def exhaustive_fixed_points(n: int, bound: int = 4) -> list[dict[Bijection, Sign]]:
+# The census scans 2^(n!) masks: 2^24 at n = 4, 2^120 beyond.
+CENSUS_BOUND = 4
+
+
+def exhaustive_fixed_points(n: int) -> list[dict[Bijection, Sign]]:
     """Scan all 2^(n!) sign-valued tables on permutations and keep the ones
     fixed by every generator of the twisted action.
 
@@ -383,8 +387,8 @@ def exhaustive_fixed_points(n: int, bound: int = 4) -> list[dict[Bijection, Sign
     """
     import numpy as np
 
-    if n > bound:
-        raise SizeGuard(f"census scans 2^(n!) tables; bound is n <= {bound}")
+    if n > CENSUS_BOUND:
+        raise SizeGuard(f"census scans 2^(n!) tables; bound is n <= {CENSUS_BOUND}")
     base = fin(n)
     perms = enumerate_bijections(base, base)
     m = len(perms)
@@ -447,7 +451,7 @@ class RecognitionReport:
         return len(set(self.booleans)) == 1
 
 
-def check_recognition(Q: TwoElementFamily, bound: int = 6) -> RecognitionReport:
+def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
     """Decide, by exhaustion over fin(arity), whether a family deloops the sign.
 
     condition 3: some permutation acts non-trivially on the base fiber;
@@ -455,8 +459,6 @@ def check_recognition(Q: TwoElementFamily, bound: int = 6) -> RecognitionReport:
     condition 5: the extracted sign agrees with the inversion-count sign
     on every permutation.
     """
-    if Q.arity > bound:
-        raise SizeGuard(f"recognition exhausts {Q.arity}! permutations; bound is {bound}")
     base = fin(Q.arity)
     base_fiber = Q.fiber(base)
     ident = identity(base_fiber)
@@ -544,7 +546,6 @@ def natural_isomorphism(
     Qp: TwoElementFamily,
     squares: int = 50,
     seed: int = 0,
-    bound: int = 6,
 ) -> NaturalFamily:
     """The unique base-point-preserving natural family between two deloopings.
 
@@ -557,7 +558,7 @@ def natural_isomorphism(
     if Q.arity != Qp.arity:
         raise ArityMismatch("families have different arities")
     for fam in (Q, Qp):
-        if not check_recognition(fam, bound=bound).is_delooping:
+        if not check_recognition(fam).is_delooping:
             raise NotADelooping(f"{fam.name} fails recognition")
     n = Q.arity
     base = fin(n)
@@ -595,12 +596,10 @@ def natural_isomorphism(
     return NaturalFamily(Q, Qp, at)
 
 
-def alternating_kernel(n: int, bound: int = 8) -> tuple[Bijection, ...]:
+def alternating_kernel(n: int) -> tuple[Bijection, ...]:
     """All permutations of fin(n) with sign +1, in enumeration order."""
     if n < 2:
         raise ArityTooSmall("the kernel is only materialized for n >= 2")
-    if n > bound:
-        raise SizeGuard(f"kernel listing enumerates n! permutations; bound is {bound}")
     base = fin(n)
     return tuple(
         e for e in enumerate_bijections(base, base) if sign_inversions(e) is PLUS

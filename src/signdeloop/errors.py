@@ -31,7 +31,7 @@ class NotMember(ContractError):
 
 
 class SizeGuard(ContractError):
-    """An exhaustive enumeration was requested above its configured bound."""
+    """An exhaustive enumeration was requested above its size bound."""
 
 
 class ZeroModulus(ContractError):

@@ -26,7 +26,9 @@ from .errors import (
 
 Label = int
 
-# Exhaustive bijection listings refuse to run above this many elements.
+# Exhaustive bijection listings refuse to run above this many elements; every
+# exhaustion over permutations (kernel, recognition, verify checks) goes
+# through enumerate_bijections, so this is the one enumeration guard.
 ENUMERATION_BOUND = 8
 
 
@@ -179,16 +181,16 @@ def identity(X: LabeledSet) -> Bijection:
     return Bijection(X, X, X.elements)
 
 
-def enumerate_bijections(
-    A: LabeledSet, B: LabeledSet, bound: int = ENUMERATION_BOUND
-) -> tuple[Bijection, ...]:
+def enumerate_bijections(A: LabeledSet, B: LabeledSet) -> tuple[Bijection, ...]:
     """All bijections A -> B in lexicographic order of their image tuples.
 
-    Empty when the cardinalities differ; refuses to enumerate above `bound`
-    elements since the listing has |A|! entries.
+    Empty when the cardinalities differ; refuses to enumerate above
+    ENUMERATION_BOUND elements since the listing has |A|! entries.
     """
-    if len(A) > bound:
-        raise SizeGuard(f"refusing to enumerate {len(A)}! bijections (bound {bound})")
+    if len(A) > ENUMERATION_BOUND:
+        raise SizeGuard(
+            f"refusing to enumerate {len(A)}! bijections (bound {ENUMERATION_BOUND})"
+        )
     if len(A) != len(B):
         return ()
     return tuple(

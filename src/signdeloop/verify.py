@@ -14,7 +14,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cycles import (
     canonical_form,
@@ -24,25 +24,27 @@ from .cycles import (
     recompose_endofunction,
 )
 from .deloopings import (
+    CENSUS_BOUND,
     CONSTRUCTIONS,
     Orientation,
     TwoElementFamily,
     all_orientations,
     alternating_kernel,
     canonical_orientation,
+    cartier_delooping,
     check_recognition,
     exhaustive_fixed_points,
     fixed_point_elements,
     mutate_family,
     natural_isomorphism,
     orientation_action,
-    orientation_class,
     orbit_class,
     relative_inversions,
     sign_from_delooping,
 )
 from .errors import ContractError
 from .finite import (
+    ENUMERATION_BOUND,
     LabeledSet,
     enumerate_bijections,
     fin,
@@ -202,10 +204,8 @@ def parity_triangle_holds(n: int, rng: Random, trials: int = 10_000) -> tuple[bo
 
 def orientation_class_census(n: int) -> tuple[bool, str]:
     """Exhaustively classify all orientations of fin(n): two equal classes."""
-    X = fin(n)
-    counts = [0, 0]
-    for u in all_orientations(X):
-        counts[orientation_class(u)] += 1
+    # Through the family, as for every record: see CONSTRUCTIONS.
+    counts = cartier_delooping(n).construction.census(fin(n))
     width = n * (n - 1) // 2
     expected = 1 << (width - 1)
     ok = counts[0] == counts[1] == expected
@@ -475,12 +475,11 @@ def relation_validity(n: int, rng: Random) -> tuple[bool, str]:
     """
     base = fin(n)
     # charts relation: even relative parity
-    charts = enumerate_bijections(base, base)
-    if len(charts) <= 24:
-        chart_pool = list(range(len(charts)))
+    if math.factorial(n) <= 24:
+        charts = enumerate_bijections(base, base)
     else:
-        chart_pool = rng.sample(range(len(charts)), 24)
-    chart_set = LabeledSet.of(chart_pool)
+        charts = [random_bijection(rng, base, base) for _ in range(24)]
+    chart_set = LabeledSet.of(range(len(charts)))
 
     def chart_rel(i, j):
         return sign_inversions(charts[i].then(charts[j].inverse())) is PLUS
@@ -490,11 +489,12 @@ def relation_validity(n: int, rng: Random) -> tuple[bool, str]:
         return False, f"chart relation gives {len(p)} blocks"
     # orientation relation: even disagreement count
     width = n * (n - 1) // 2
-    total = 1 << width
-    if total <= 64:
-        bit_pool = list(range(total))
+    if width <= 6:
+        bit_pool = range(1 << width)
     else:
-        bit_pool = sorted(rng.sample(range(total), 40))
+        bit_pool = set()
+        while len(bit_pool) < 40:
+            bit_pool.add(rng.getrandbits(width))
     bit_set = LabeledSet.of(bit_pool)
 
     def orient_rel(a, b):
@@ -525,6 +525,77 @@ def uniqueness_of_deloopings(n: int, seed: int) -> tuple[bool, str]:
 # --------------------------------------------------------------------------
 # Runner.
 
+class Scope(NamedTuple):
+    """What the checks of one report read; family is None in the core report."""
+
+    n: int
+    seed: int
+    rng: Random
+    family: TwoElementFamily | None
+
+
+class Check(NamedTuple):
+    """One verify check and how far it runs.
+
+    report is "core", "family" (every construction's report) or the name of
+    the one construction that carries it.  The check runs for n <= max_n
+    (None: every n), or n <= fixed_max_n under exhaustive_fixed when set;
+    an all_only check needs every construction selected.  run looks library
+    functions up by their module-level names when it is called.
+    """
+
+    name: str
+    report: str
+    run: Callable[[Scope], tuple[bool, str]]
+    max_n: int | None = None
+    fixed_max_n: int | None = None
+    all_only: bool = False
+
+    def applies(self, report: str, scope: Scope, every: bool, exhaustive_fixed: bool) -> bool:
+        on_family = scope.family is not None and self.report == "family"
+        limit = self.fixed_max_n if exhaustive_fixed and self.fixed_max_n else self.max_n
+        return (
+            (self.report == report or on_family)
+            and (limit is None or scope.n <= limit)
+            and (every or not self.all_only)
+        )
+
+
+# In report order: the checks of one report share its rng, so this is also
+# the order of their draws.
+CHECKS: tuple[Check, ...] = (
+    Check("cycle-roundtrip", "core", lambda s: cycle_roundtrip(s.n), max_n=7),
+    Check("endofunction-roundtrip", "core", lambda s: endofunction_roundtrip(s.n), max_n=4),
+    Check("factorization", "core", lambda s: factorization_sound(s.n), max_n=6),
+    Check("sign-homomorphism", "core", lambda s: sign_homomorphism(s.n, s.rng)),
+    Check("alternating-kernel", "core", lambda s: kernel_closure(s.n, s.rng),
+          max_n=ENUMERATION_BOUND),
+    Check("parity-triangle", "core", lambda s: parity_triangle_holds(s.n, s.rng, trials=2000)),
+    Check("transposition-oddness", "core", lambda s: transposition_oddness(s.n)),
+    Check("orientation-classes", "core", lambda s: orientation_class_census(s.n), max_n=6),
+    Check("bridge-parity", "core", lambda s: bridge_parity(s.n), max_n=6),
+    Check("relation-validity", "core", lambda s: relation_validity(s.n, s.rng)),
+    Check("uniqueness", "core", lambda s: uniqueness_of_deloopings(s.n, s.seed),
+          max_n=5, all_only=True),
+    Check("functor-laws", "family", lambda s: functor_laws(s.family, s.rng)),
+    Check("fiber-two-elements", "family",
+          lambda s: fiber_two_elements(s.family, s.rng, sets=10), max_n=6),
+    Check("transpositions-swap", "family", lambda s: transpositions_swap(s.family)),
+    Check("sign-agreement", "family", lambda s: sign_agreement(s.family), max_n=6),
+    Check("recognition", "family", lambda s: (
+        check_recognition(s.family).is_delooping,
+        "all three conditions hold",
+    ), max_n=6),
+    Check("recognition-covariance", "family",
+          lambda s: recognition_covariance(s.family, s.rng), max_n=6),
+    Check("label-independence", "family", lambda s: label_independence(s.family, s.rng)),
+    Check("quotient-naturality", "family", lambda s: quotient_naturality(s.family, s.rng), max_n=6),
+    Check("orbit-structure", "orbit", lambda s: orbit_structure(s.n), max_n=5),
+    Check("equivariance", "fixed", lambda s: fixed_equivariance(s.n), max_n=5),
+    Check("fixed-census", "fixed", lambda s: fixed_census(s.n), max_n=3, fixed_max_n=CENSUS_BOUND),
+)
+
+
 def run_verification(
     n: int,
     construction: str = "all",
@@ -533,53 +604,14 @@ def run_verification(
 ) -> list[VerifyReport]:
     if construction != "all" and construction not in CONSTRUCTIONS:
         raise ContractError(f"unknown construction {construction!r}")
-    selected = list(CONSTRUCTIONS) if construction == "all" else [construction]
+    every = construction == "all"
+    selected = list(CONSTRUCTIONS) if every else [construction]
     reports = []
-
-    core = VerifyReport("core", n, seed)
-    rng = Random(seed)
-    if n <= 7:
-        _run(core, "cycle-roundtrip", lambda: cycle_roundtrip(n))
-    if n <= 4:
-        _run(core, "endofunction-roundtrip", lambda: endofunction_roundtrip(n))
-    if n <= 6:
-        _run(core, "factorization", lambda: factorization_sound(n))
-    _run(core, "sign-homomorphism", lambda: sign_homomorphism(n, rng))
-    _run(core, "alternating-kernel", lambda: kernel_closure(n, rng))
-    _run(core, "parity-triangle", lambda: parity_triangle_holds(n, rng, trials=2000))
-    _run(core, "transposition-oddness", lambda: transposition_oddness(n))
-    if n <= 6:
-        _run(core, "orientation-classes", lambda: orientation_class_census(n))
-        _run(core, "bridge-parity", lambda: bridge_parity(n))
-    _run(core, "relation-validity", lambda: relation_validity(n, rng))
-    if n <= 5 and construction == "all":
-        _run(core, "uniqueness", lambda: uniqueness_of_deloopings(n, seed))
-    reports.append(core)
-
-    for name in selected:
-        fam = CONSTRUCTIONS[name](n)
-        rep = VerifyReport(name, n, seed)
-        rng = Random(seed)
-        _run(rep, "functor-laws", lambda f=fam: functor_laws(f, rng))
-        if n <= 6:
-            _run(rep, "fiber-two-elements", lambda f=fam: fiber_two_elements(f, rng, sets=10))
-        _run(rep, "transpositions-swap", lambda f=fam: transpositions_swap(f))
-        if n <= 6:
-            _run(rep, "sign-agreement", lambda f=fam: sign_agreement(f))
-            _run(rep, "recognition", lambda f=fam: (
-                check_recognition(f).is_delooping,
-                "all three conditions hold",
-            ))
-            _run(rep, "recognition-covariance", lambda f=fam: recognition_covariance(f, rng))
-        _run(rep, "label-independence", lambda f=fam: label_independence(f, rng))
-        if n <= 6:
-            _run(rep, "quotient-naturality", lambda f=fam: quotient_naturality(f, rng))
-        if name == "orbit" and n <= 5:
-            _run(rep, "orbit-structure", lambda: orbit_structure(n))
-        if name == "fixed":
-            if n <= 5:
-                _run(rep, "equivariance", lambda: fixed_equivariance(n))
-            if n <= 3 or (n == 4 and exhaustive_fixed):
-                _run(rep, "fixed-census", lambda: fixed_census(n))
-        reports.append(rep)
+    for name, build in [("core", None)] + [(c, CONSTRUCTIONS[c]) for c in selected]:
+        report = VerifyReport(name, n, seed)
+        scope = Scope(n, seed, Random(seed), build(n) if build else None)
+        for check in CHECKS:
+            if check.applies(name, scope, every, exhaustive_fixed):
+                _run(report, check.name, lambda: check.run(scope))
+        reports.append(report)
     return reports

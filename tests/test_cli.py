@@ -180,6 +180,16 @@ class TestCommands:
         blob = json.loads(capsys.readouterr().out)
         assert len(blob["reports"]) == 2
 
+    def test_verify_above_the_enumeration_bound(self, capsys):
+        # Checks that enumerate S_9 are absent rather than failing.
+        assert run_command(
+            ["verify", "--n", "9", "--construction", "cartier", "--json"]
+        ) == 0
+        blob = json.loads(capsys.readouterr().out)
+        names = [c["name"] for r in blob["reports"] for c in r["checks"]]
+        assert "alternating-kernel" not in names
+        assert "relation-validity" in names
+
 
 def load_verify_sweep():
     path = Path(__file__).resolve().parents[1] / "scripts" / "verify_sweep.py"
@@ -222,6 +232,17 @@ class TestExitCodes:
     def test_bad_verify_size_is_two(self, capsys):
         assert run_command(["alternating", "--n", "20"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_arity_cap_is_two(self, capsys):
+        assert run_command(["sign", "(0 1024)"]) == 2
+        assert run_command(["sign", ",".join(map(str, range(1025)))]) == 2
+        assert run_command(["orientation-dot", "--n", "1025"]) == 2
+        assert run_command(["verify", "--n", "1025"]) == 2
+        assert "exceeds the limit of 1024" in capsys.readouterr().err
+        # the derived arity is refused before the identity map is built
+        assert run_command(["sign", "(0 50000000)"]) == 2
+        assert run_command(["sign", "(0 1023)"]) == 0
+        capsys.readouterr()
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -135,10 +135,6 @@ class TestEnumerateBijections:
     def test_size_guard(self):
         with pytest.raises(SizeGuard):
             enumerate_bijections(fin(9), fin(9))
-        # custom bound
-        assert len(enumerate_bijections(fin(3), fin(3), bound=3)) == 6
-        with pytest.raises(SizeGuard):
-            enumerate_bijections(fin(4), fin(4), bound=3)
 
 
 class TestSubsets:

@@ -15,6 +15,7 @@ from signdeloop.verify import (
     kernel_closure,
     orientation_class_census,
     parity_triangle_holds,
+    relation_validity,
     run_verification,
     transposition_oddness,
     uniqueness_of_deloopings,
@@ -68,6 +69,12 @@ class TestOracles:
         for n in range(2, 6):
             assert bridge_parity(n)[0]
 
+    def test_relation_validity_beyond_the_enumeration_bound(self):
+        # 12! charts cannot be listed and 2^66 orientations overflow a sample
+        # population, so both pools are drawn.
+        ok, detail = relation_validity(12, Random(0))
+        assert ok, detail
+
     def test_uniqueness_of_deloopings(self):
         ok, detail = uniqueness_of_deloopings(3, seed=0)
         assert ok, detail
@@ -119,8 +126,28 @@ class TestRunVerification:
         assert all(r.passed for r in reports)
 
     def test_quotient_naturality_in_every_report(self):
+        family = [
+            "functor-laws", "fiber-two-elements", "transpositions-swap",
+            "sign-agreement", "recognition", "recognition-covariance",
+            "label-independence", "quotient-naturality",
+        ]
+        core = [
+            "cycle-roundtrip", "endofunction-roundtrip", "factorization",
+            "sign-homomorphism", "alternating-kernel", "parity-triangle",
+            "transposition-oddness", "orientation-classes", "bridge-parity",
+            "relation-validity", "uniqueness",
+        ]
         for n in (4, 5):
-            for report in run_verification(n)[1:]:
+            reports = run_verification(n)
+            names = {r.construction: [c.name for c in r.checks] for r in reports}
+            assert names == {
+                "core": [c for c in core if n == 4 or c != "endofunction-roundtrip"],
+                "fixed": family + ["equivariance"],
+                "orbit": family + ["orbit-structure"],
+                "simpson": family,
+                "cartier": family,
+            }
+            for report in reports[1:]:
                 check = next(c for c in report.checks if c.name == "quotient-naturality")
                 assert check.passed, (report.construction, check.detail)
                 assert check.detail == "projection squares commute on 20 moves"
