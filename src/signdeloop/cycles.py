@@ -175,9 +175,12 @@ class RootedTree:
             raise MalformedDecomposition("children must be sorted by distinct roots")
 
     def nodes(self) -> Iterator[Label]:
-        yield self.root
-        for child in self.children:
-            yield from child.nodes()
+        """Every label in preorder, without recursion: trees may be deep."""
+        stack = [self]
+        while stack:
+            tree = stack.pop()
+            yield tree.root
+            stack.extend(reversed(tree.children))
 
 
 @dataclass(frozen=True)
@@ -238,7 +241,17 @@ def decompose_endofunction(carrier: LabeledSet, f) -> EndoDecomposition:
             kids[table[x]].append(x)
 
     def build(x: Label) -> RootedTree:
-        return RootedTree(x, tuple(build(c) for c in sorted(kids[x])))
+        # Reversed preorder lists every node after its subtree, so each
+        # node's children are built before it, without recursion.
+        order, stack = [], [x]
+        while stack:
+            y = stack.pop()
+            order.append(y)
+            stack.extend(kids[y])
+        built: dict[Label, RootedTree] = {}
+        for y in reversed(order):
+            built[y] = RootedTree(y, tuple(built.pop(c) for c in sorted(kids[y])))
+        return built[x]
 
     index = LabeledSet.of(c.carrier.elements[0] for c in cycles)
     trees = tuple(tuple(build(x) for x in cyc.carrier) for cyc in cycles)

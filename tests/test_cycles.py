@@ -263,6 +263,16 @@ class TestEndofunctions:
                 assert recompose_endofunction(dec) == table
                 assert decompose_endofunction(X, recompose_endofunction(dec)) == dec
 
+    def test_deep_chain_roundtrips(self):
+        # A 3000-point chain is one tree 3000 deep: building and walking it
+        # must not recurse.  (Comparing two such trees with == would.)
+        n = 3000
+        table = {i: min(i + 1, n - 1) for i in range(n)}
+        dec = decompose_endofunction(fin(n), table)
+        assert dec.index.elements == (n - 1,)
+        assert list(dec.trees[0][0].nodes()) == list(range(n - 1, -1, -1))
+        assert recompose_endofunction(dec) == table
+
     def test_escaping_image_rejected(self):
         with pytest.raises(NotMember):
             decompose_endofunction(fin(2), {0: 1, 1: 9})

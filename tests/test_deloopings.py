@@ -47,7 +47,6 @@ from signdeloop.deloopings import (
     mutate_family,
     natural_isomorphism,
     orbit_class,
-    orbit_delooping,
     orbit_representative,
     orientation_action,
     orientation_class,
@@ -276,13 +275,14 @@ class TestFamilies:
                 build(1)
 
     def test_large_arity_signs(self):
-        # the action transports one representative per class, so no size
-        # guard applies; the oracle is (-1)^(n - #cycles)
-        n = 40
-        rng = Random(40)
-        for build in (simpson_delooping, orbit_delooping):
-            Q = build(n)
-            for _ in range(20):
+        # Differential oracle where exhaustion is off: sign_inversions and
+        # every construction's sign against (-1)^(n - #cycles), counted here.
+        # The actions transport one representative per class, so no size
+        # guard applies.
+        for n in (7, 12, 64):
+            rng = Random(n)
+            families = [build(n) for build in CONSTRUCTIONS.values()]
+            for _ in range(10):
                 e = random_bijection(rng, fin(n), fin(n))
                 cycles, seen = 0, set()
                 for start in range(n):
@@ -292,7 +292,9 @@ class TestFamilies:
                             seen.add(start)
                             start = e.images[start]
                 expected = PLUS if (n - cycles) % 2 == 0 else MINUS
-                assert sign_from_delooping(Q, e) == expected
+                assert sign_inversions(e) == expected, e.images
+                for Q in families:
+                    assert sign_from_delooping(Q, e) == expected, (Q.name, e.images)
 
     def test_fiber_is_two_elements(self):
         for build in CONSTRUCTIONS.values():

@@ -4,8 +4,9 @@ from random import Random
 
 import pytest
 
+from signdeloop import verify
 from signdeloop.errors import ContractError
-from signdeloop.deloopings import orbit_class
+from signdeloop.deloopings import alternating_kernel, orbit_class
 from signdeloop.perms import permutation
 from signdeloop.verify import (
     VerifyReport,
@@ -47,6 +48,22 @@ class TestOracles:
             ok, detail = kernel_closure(n)
             assert ok
             assert detail == f"order {math.factorial(n) // 2}"
+
+    def test_kernel_closure_reports_the_first_escape(self, monkeypatch):
+        # Every listed permutation is even and inverse-closed, so a closure
+        # that judged products by sign would pass; only looking each product
+        # up in the listing finds that (0 1)(2 3) is missing.
+        even = alternating_kernel(5)
+        missing = (1, 0, 3, 2, 4)
+        tampered = tuple(e for e in even if e.images != missing)
+        monkeypatch.setattr(verify, "alternating_kernel", lambda n: tampered)
+        # The identity maps the listing onto itself; the first escaping pair
+        # in listing order therefore starts at the second element.
+        a, b = (0, 1, 3, 4, 2), (1, 0, 4, 3, 2)
+        assert tuple(b[i] for i in a) == missing
+        assert kernel_closure(5) == (
+            False, f"product of {a!r} and {b!r} escapes the kernel"
+        )
 
     def test_parity_triangle_exhaustive(self):
         ok, detail = parity_triangle_holds(3, Random(0))
