@@ -87,11 +87,7 @@ def format_permutation(e: Bijection, notation: str = "cycle") -> str:
         return ",".join(str(x) for x in e.images)
     if notation != "cycle":
         raise ContractError(f"unknown notation {notation!r}")
-    parts = []
-    for cyc in cycle_decompose(e).cycles:
-        orbit = cyc.orbit_from_min()
-        if len(orbit) > 1:
-            parts.append("(" + " ".join(str(x) for x in orbit) + ")")
+    parts = ("(" + " ".join(map(str, orbit)) + ")" for orbit in _nontrivial_cycles(e))
     return "".join(parts) or "()"
 
 

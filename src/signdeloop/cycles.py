@@ -11,7 +11,7 @@ core element.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -220,16 +220,24 @@ class EndoDecomposition:
 def decompose_endofunction(carrier: LabeledSet, f) -> EndoDecomposition:
     """Split an arbitrary self-map into its periodic core and transient trees.
 
-    The core is found by iterated-image stabilization: applying f |carrier|
-    times leaves exactly the eventually-periodic labels.
+    The core is found in linear time by peeling: a label that no remaining
+    label maps to is transient, and removing it may expose its image.
+    What is never peeled is exactly the set of periodic labels.
     """
     table = endo_table(carrier, f)
     for x, y in table.items():
         if y not in carrier:
             raise NotMember(f"image {y!r} of {x!r} escapes the carrier")
-    core = set(carrier.elements)
-    for _ in range(len(carrier)):
-        core = {table[x] for x in core}
+    indegree = Counter(table.values())
+    peel = [x for x in table if not indegree[x]]
+    core = set(table)
+    while peel:
+        x = peel.pop()
+        core.remove(x)
+        y = table[x]
+        indegree[y] -= 1
+        if not indegree[y]:
+            peel.append(y)
     cycles = []
     if core:
         core_set = LabeledSet.of(core)

@@ -329,7 +329,8 @@ cartier_delooping = Construction(
     "cartier",
     all_orientations,
     orientation_representative,
-    orientation_action,
+    # Looked up by name at call time, so a rebound orientation_action is used.
+    lambda e, u: orientation_action(e, u),
     orientation_class,
 )
 
@@ -379,30 +380,37 @@ def exhaustive_fixed_points(n: int) -> list[dict[Bijection, Sign]]:
     """Scan all 2^(n!) sign-valued tables on permutations and keep the ones
     fixed by every generator of the twisted action.
 
-    The action of a generator g sends a table f to h -> -f(h o g), so a
-    table is fixed exactly when its bitmask anticorrelates with its image
-    under the index permutation h -> h o g.  The scan runs over every mask;
-    adjacent transpositions generate, so fixedness under them is fixedness
-    under the whole action.
+    Table k sends the i-th permutation to -1 when bit i of k is set.  A
+    generator g sends f to h -> -f(h o g), so k is fixed exactly when bit i
+    differs from bit j_g(i) for every i, j_g being the index permutation
+    h -> h o g.  The scan is bit-sliced: bit k of `alive` stands for table
+    k, column i holds bit i of every k, and `alive &= col[i] ^ col[j_g(i)]`
+    tests every table at once.  Adjacent transpositions generate, so
+    fixedness under them is fixedness under the whole action.  Survivors
+    are read off in ascending k.
     """
-    import numpy as np
-
     if n > CENSUS_BOUND:
         raise SizeGuard(f"census scans 2^(n!) tables; bound is n <= {CENSUS_BOUND}")
     base = fin(n)
     perms = enumerate_bijections(base, base)
     m = len(perms)
     position = {p.images: i for i, p in enumerate(perms)}
-    masks = np.arange(1 << m, dtype=np.uint32)
-    full = np.uint32((1 << m) - 1)
+    full = (1 << (1 << m)) - 1
+    width = max(1, (1 << m) >> 3)  # bytes, 8 masks each
+    # Bit i of k, byte by byte: 0xAA, 0xCC, 0xF0, then runs of 2^(i-3) 0x00s and 0xFFs.
+    runs = (1 << k for k in range(m - 3))
+    col = [
+        int.from_bytes(p * (width // len(p)), "little") & full
+        for p in [b"\xaa", b"\xcc", b"\xf0", *(bytes(r) + b"\xff" * r for r in runs)][:m]
+    ]
+    alive = full
     for g in (transposition(n, i, i + 1) for i in range(n - 1)):
-        j = [position[g.then(p).images] for p in perms]
-        shifted = np.zeros_like(masks)
-        for i in range(m):
-            shifted |= ((masks >> np.uint32(j[i])) & np.uint32(1)) << np.uint32(i)
-        masks = masks[(masks ^ shifted) == full]
+        for i, p in enumerate(perms):
+            alive &= col[i] ^ col[position[g.then(p).images]]
     tables = []
-    for mask in masks.tolist():
+    while alive:
+        mask = (alive & -alive).bit_length() - 1
+        alive &= alive - 1
         tables.append(
             {p: (MINUS if (mask >> i) & 1 else PLUS) for i, p in enumerate(perms)}
         )

@@ -159,33 +159,32 @@ def kernel_closure(n: int, rng: Random | None = None, sample: int = 10_000) -> t
     image bytes (labels lie below ENUMERATION_BOUND), so "a, then b" is
     a.translate(b + tail) and the 2520^2 products at n = 7 run inside C
     builtins.  An escape is reported as the first pair in listing order.
-    Beyond n = 7 the products are sampled (seeded).
+    Beyond n = 7 the products are sampled (seeded) from the sorted listing
+    and composed the same way.
     """
     kernel = alternating_kernel(n)
-    tables = {e.images for e in kernel}
+    listing = [bytes(e.images) for e in kernel]
+    members = set(listing)
     for e in kernel:
-        if e.inverse().images not in tables:
+        if bytes(e.inverse().images) not in members:
             return False, f"inverse of {e.images!r} escapes the kernel"
+    tail = bytes(range(n, 256))
     if n <= 7:
-        listing = [bytes(e.images) for e in kernel]
-        members = set(listing)
-        tail = bytes(range(n, 256))
         if all(
             members.issuperset(map(bytes.translate, listing, itertools.repeat(b + tail)))
             for b in listing
         ):
             return True, f"order {len(kernel)}"
-        pairs = itertools.product([e.images for e in kernel], repeat=2)
+        pairs = itertools.product(listing, repeat=2)
     else:
         rng = rng or Random(0)
-        pool = sorted(tables)
+        pool = sorted(listing)
         pairs = (
             (rng.choice(pool), rng.choice(pool)) for _ in range(sample)
         )
     for a, b in pairs:
-        composite = tuple(b[i] for i in a)  # apply a, then b
-        if composite not in tables:
-            return False, f"product of {a!r} and {b!r} escapes the kernel"
+        if a.translate(b + tail) not in members:  # apply a, then b
+            return False, f"product of {tuple(a)!r} and {tuple(b)!r} escapes the kernel"
     return True, f"order {len(kernel)}"
 
 

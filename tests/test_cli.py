@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +8,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signdeloop.cli import (
     build_parser,
@@ -243,6 +247,35 @@ class TestExitCodes:
         assert run_command(["sign", "(0 50000000)"]) == 2
         assert run_command(["sign", "(0 1023)"]) == 0
         capsys.readouterr()
+
+    @given(
+        st.sampled_from(
+            ["sign", "cycles", "factor", "cartier", "orientation-dot", "verify",
+             "alternating", "bogus"]
+        ),
+        st.none() | st.sampled_from(
+            ["", "(0 1", "(0 0)", "(0 1)(1 2)", "1,1", "a,b", "(0 -1)", "(0 5000)",
+             "1,2,0"]
+        ),
+        st.lists(
+            st.sampled_from(["-1", "0", "1", "2", "3", "1025"]).map(lambda n: ["--n", n])
+            | st.sampled_from([["--json"], ["--seed", "0"], ["--exhaustive-fixed"]])
+            | st.sampled_from(["all", "cartier", "nope"]).map(
+                lambda c: ["--construction", c]
+            ),
+            max_size=4,
+            unique_by=lambda option: option[0],
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_fuzzed_argv_exits_zero_or_two(self, command, perm, options):
+        # Every verify size drawn here passes, so exit 1 cannot occur.
+        argv = [command] + ([perm] if perm is not None else [])
+        argv += [token for option in options for token in option]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(argv)
+        assert code in (0, 2), (argv, code, err.getvalue())
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -264,9 +264,10 @@ class TestEndofunctions:
                 assert decompose_endofunction(X, recompose_endofunction(dec)) == dec
 
     def test_deep_chain_roundtrips(self):
-        # A 3000-point chain is one tree 3000 deep: building and walking it
-        # must not recurse.  (Comparing two such trees with == would.)
-        n = 3000
+        # A 20000-point chain is one tree 20000 deep: building and walking it
+        # must not recurse, and peeling its core must stay linear.
+        # (Comparing two such trees with == would recurse.)
+        n = 20_000
         table = {i: min(i + 1, n - 1) for i in range(n)}
         dec = decompose_endofunction(fin(n), table)
         assert dec.index.elements == (n - 1,)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from random import Random
 
 import pytest
@@ -263,6 +264,13 @@ class TestExhaustiveCensus:
     def test_size_guard(self):
         with pytest.raises(SizeGuard):
             exhaustive_fixed_points(5)
+
+    def test_stdlib_only_at_n4(self, monkeypatch):
+        # A None entry makes any `import numpy` raise ImportError.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        tables = exhaustive_fixed_points(4)
+        expected = {p: sign_inversions(p) for p in perms_of(4)}
+        assert tables == [expected, {p: -s for p, s in expected.items()}]
 
 
 class TestFamilies:
