@@ -56,6 +56,7 @@ from .finite import (
     order_bijection,
     random_bijection,
     random_labeled_set,
+    require_int,
     swap_two,
     transposition_of_pair,
 )
@@ -91,7 +92,7 @@ class Orientation:
 
     def __post_init__(self):
         width = len(_pairs(self.carrier))
-        if not 0 <= self.bits < (1 << width):
+        if not 0 <= require_int(self.bits, "orientation bits") < (1 << width):
             raise ContractError(
                 f"orientation needs {width} bits, got {self.bits!r}"
             )
@@ -294,7 +295,7 @@ class Construction:
     classify: Callable[[object], Label]
 
     def __call__(self, n: int) -> TwoElementFamily:
-        if n < 2:
+        if require_int(n, "arity") < 2:
             raise ArityTooSmall(f"{self.name} family needs arity >= 2")
 
         def fiber(X: LabeledSet) -> LabeledSet:

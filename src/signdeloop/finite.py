@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from random import Random
 from typing import Iterable, Iterator
 
@@ -32,6 +32,25 @@ Label = int
 ENUMERATION_BOUND = 8
 
 
+def require_int(value, what: str):
+    """Return value when it is an int (bools excluded), else raise ContractError.
+
+    Floats and bools compare and hash equal to ints, so without this check
+    0.0 or True would pass as a label or a size.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ContractError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def require_ints(values: tuple, what: str) -> tuple:
+    """require_int on every value, before anything sorts or compares them."""
+    if not {int}.issuperset(map(type, values)):  # all plain ints: nothing to check
+        for a in values:
+            require_int(a, what)
+    return values
+
+
 @dataclass(frozen=True)
 class LabeledSet:
     """A finite set of unsigned integer labels, kept strictly sorted."""
@@ -39,10 +58,10 @@ class LabeledSet:
     elements: tuple[Label, ...]
 
     def __post_init__(self):
-        elems = tuple(self.elements)
+        elems = require_ints(tuple(self.elements), "label")
         object.__setattr__(self, "elements", elems)
         for a in elems:
-            if not isinstance(a, int) or isinstance(a, bool) or a < 0:
+            if a < 0:
                 raise ContractError(f"labels must be unsigned integers, got {a!r}")
         if any(a >= b for a, b in zip(elems, elems[1:])):
             raise ContractError(f"labels must be strictly increasing, got {elems!r}")
@@ -50,7 +69,7 @@ class LabeledSet:
 
     @classmethod
     def of(cls, labels: Iterable[Label]) -> "LabeledSet":
-        elems = tuple(sorted(labels))
+        elems = tuple(sorted(require_ints(tuple(labels), "label")))
         if len(set(elems)) != len(elems):
             raise ContractError(f"duplicate labels in {elems!r}")
         return cls(elems)
@@ -78,7 +97,7 @@ class LabeledSet:
 @lru_cache(maxsize=None)
 def fin(n: int) -> LabeledSet:
     """The canonical n-element set {0, ..., n-1}."""
-    if n < 0:
+    if require_int(n, "fin size") < 0:
         raise ContractError(f"fin needs a natural number, got {n}")
     return LabeledSet(tuple(range(n)))
 
@@ -91,7 +110,7 @@ class Subset:
     members: tuple[Label, ...]
 
     def __post_init__(self):
-        mems = tuple(self.members)
+        mems = require_ints(tuple(self.members), "member")
         object.__setattr__(self, "members", mems)
         if any(a >= b for a, b in zip(mems, mems[1:])):
             raise ContractError(f"members must be strictly increasing, got {mems!r}")
@@ -101,7 +120,7 @@ class Subset:
 
     @classmethod
     def of(cls, carrier: LabeledSet, members: Iterable[Label]) -> "Subset":
-        mems = tuple(sorted(members))
+        mems = tuple(sorted(require_ints(tuple(members), "member")))
         if len(set(mems)) != len(mems):
             raise ContractError(f"duplicate members in {mems!r}")
         return cls(carrier, mems)
@@ -120,9 +139,13 @@ class Subset:
 class Bijection:
     """An explicit bijection between two labeled sets.
 
-    images[i] is the image of domain.elements[i]; construction validates
-    that the images enumerate the codomain exactly once, so forward and
-    backward tables are mutually inverse by construction.
+    images[i] is the image of domain.elements[i].  The public constructor
+    Bijection(domain, codomain, images) validates that the images are
+    integers enumerating the codomain exactly once.  then() and inverse()
+    skip that check: a composite or inverse of valid bijections enumerates
+    its codomain by construction, so they build their results through
+    _trusted, which skips __post_init__.  The backward table behind
+    preimage() is built on first use.
     """
 
     domain: LabeledSet
@@ -130,7 +153,7 @@ class Bijection:
     images: tuple[Label, ...]
 
     def __post_init__(self):
-        imgs = tuple(self.images)
+        imgs = require_ints(tuple(self.images), "image")
         object.__setattr__(self, "images", imgs)
         if len(imgs) != len(self.domain):
             raise ContractError(
@@ -140,7 +163,19 @@ class Bijection:
             raise ContractError(
                 f"images {imgs!r} do not enumerate codomain {self.codomain.elements!r}"
             )
-        object.__setattr__(self, "_back", dict(zip(imgs, self.domain.elements)))
+
+    @classmethod
+    def _trusted(
+        cls, domain: LabeledSet, codomain: LabeledSet, images: tuple[Label, ...]
+    ) -> "Bijection":
+        """A Bijection from images already known to enumerate codomain."""
+        e = object.__new__(cls)
+        e.__dict__.update(domain=domain, codomain=codomain, images=images)
+        return e
+
+    @cached_property
+    def _back(self) -> dict[Label, Label]:
+        return dict(zip(self.images, self.domain.elements))
 
     def __call__(self, label: Label) -> Label:
         return self.images[self.domain.position(label)]
@@ -152,11 +187,11 @@ class Bijection:
             raise NotMember(f"{label!r} is not in {self.codomain.elements!r}") from None
 
     def inverse(self) -> "Bijection":
-        return Bijection(
-            self.codomain,
-            self.domain,
-            tuple(self._back[y] for y in self.codomain.elements),
-        )
+        images = [None] * len(self.images)
+        pos = self.codomain._pos
+        for x, y in zip(self.domain.elements, self.images):
+            images[pos[y]] = x
+        return Bijection._trusted(self.codomain, self.domain, tuple(images))
 
     def then(self, other: "Bijection") -> "Bijection":
         """Diagrammatic composite: apply self first, then other."""
@@ -164,8 +199,9 @@ class Bijection:
             raise DomainMismatch(
                 f"cannot chain {self.codomain.elements!r} into {other.domain.elements!r}"
             )
-        return Bijection(
-            self.domain, other.codomain, tuple(other(y) for y in self.images)
+        pos, images = other.domain._pos, other.images
+        return Bijection._trusted(
+            self.domain, other.codomain, tuple([images[pos[y]] for y in self.images])
         )
 
     @property
@@ -200,7 +236,7 @@ def enumerate_bijections(A: LabeledSet, B: LabeledSet) -> tuple[Bijection, ...]:
 
 def k_subsets(X: LabeledSet, k: int) -> tuple[Subset, ...]:
     """All k-element subsets of X in lexicographic member order."""
-    if k < 0:
+    if require_int(k, "subset size") < 0:
         raise ContractError(f"subset size must be natural, got {k}")
     return tuple(Subset(X, mems) for mems in itertools.combinations(X.elements, k))
 

@@ -12,12 +12,21 @@ this convention the full cycle k-1 -> 0 -> 1 -> ... factors literally as
 from __future__ import annotations
 
 import itertools
+import operator
 from enum import Enum
 from typing import Iterable, NamedTuple
 
 from .cycles import cycle_decompose
 from .errors import ContractError, DomainMismatch, ZeroModulus
-from .finite import Bijection, LabeledSet, Subset, fin, identity, transposition_of_pair
+from .finite import (
+    Bijection,
+    LabeledSet,
+    Subset,
+    fin,
+    identity,
+    require_int,
+    transposition_of_pair,
+)
 
 
 class Sign(Enum):
@@ -27,10 +36,12 @@ class Sign(Enum):
     MINUS = -1
 
     def __mul__(self, other: "Sign") -> "Sign":
-        return Sign(self.value * other.value)
+        if not isinstance(other, Sign):
+            return NotImplemented
+        return Sign.PLUS if self is other else Sign.MINUS
 
     def __neg__(self) -> "Sign":
-        return Sign(-self.value)
+        return Sign.MINUS if self is Sign.PLUS else Sign.PLUS
 
     def __str__(self) -> str:
         return "+1" if self is Sign.PLUS else "-1"
@@ -42,7 +53,7 @@ class Sign(Enum):
 
     @classmethod
     def from_fin2(cls, bit: int) -> "Sign":
-        if bit not in (0, 1):
+        if require_int(bit, "fin(2) label") not in (0, 1):
             raise ContractError(f"expected 0 or 1, got {bit!r}")
         return cls.PLUS if bit == 0 else cls.MINUS
 
@@ -86,8 +97,15 @@ def inversions(e: Bijection) -> tuple[InversionPair, ...]:
 
 
 def sign_inversions(e: Bijection) -> Sign:
-    """+1 exactly when the number of inversions is even."""
-    return Sign.of_parity(len(inversions(e)))
+    """+1 exactly when the number of inversions is even.
+
+    Counts the same pairs as inversions(), straight off the image tuple: the
+    domain is sorted, so positions i < j hold labels in increasing order.
+    """
+    if e.domain != e.codomain:
+        raise DomainMismatch("inversions require an endo-bijection")
+    pairs = itertools.combinations(e.images, 2)
+    return Sign.of_parity(sum(itertools.starmap(operator.gt, pairs)))
 
 
 def succ_cycle(k: int) -> Bijection:

@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given
+import hypothesis.strategies as st
+from hypothesis import example, given
 
 from signdeloop.errors import (
     ContractError,
@@ -25,8 +26,58 @@ from signdeloop.finite import (
     swap_two,
     transposition_of_pair,
 )
+from signdeloop.deloopings import CONSTRUCTIONS, Orientation
+from signdeloop.perms import Sign, permutation
 
 from strategies import bijection_chains, endo_bijections, labeled_sets
+
+# Values that are not integers, among them ones equal to an int (0.0, True).
+non_integers = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+    st.tuples(st.integers()),
+)
+
+# Every entry point that takes a label or a size, fed one bad value.
+NON_INTEGER_ENTRY_POINTS = {
+    "permutation": lambda v: permutation([v, 1]),
+    "Bijection": lambda v: Bijection(fin(2), fin(2), (0, v)),
+    "LabeledSet": lambda v: LabeledSet((v,)),
+    "LabeledSet.of": lambda v: LabeledSet.of([1, v]),
+    "Subset": lambda v: Subset(fin(3), (v,)),
+    "Subset.of": lambda v: Subset.of(fin(3), [1, v]),
+    "fin": fin,
+    "k_subsets": lambda v: k_subsets(fin(3), v),
+    "Orientation": lambda v: Orientation(fin(3), v),
+    "Sign.from_fin2": Sign.from_fin2,
+    **{f"{name}_delooping": ctor for name, ctor in CONSTRUCTIONS.items()},
+}
+
+
+@st.composite
+def disjoint_chains(draw):
+    """e: A -> B and f: B -> C over three disjoint sets of labels >= 100."""
+    size = draw(st.integers(1, 6))
+    labels = draw(
+        st.lists(st.integers(100, 10**6), min_size=3 * size, max_size=3 * size, unique=True)
+    )
+    A, B, C = (LabeledSet.of(labels[k * size:(k + 1) * size]) for k in range(3))
+    e = Bijection(A, B, tuple(draw(st.permutations(B.elements))))
+    f = Bijection(B, C, tuple(draw(st.permutations(C.elements))))
+    return e, f
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_ENTRY_POINTS))
+@given(value=non_integers)
+@example(value=0.0)
+@example(value=True)
+@example(value=2.5)
+@example(value="1")
+def test_non_integer_labels_and_sizes_are_contract_errors(name, value):
+    with pytest.raises(ContractError, match="must be an integer"):
+        NON_INTEGER_ENTRY_POINTS[name](value)
 
 
 def tr(n, i, j):
@@ -104,6 +155,21 @@ class TestBijection:
     def test_inverse_roundtrip(self, e):
         assert e.then(e.inverse()) == identity(e.domain)
         assert e.inverse().inverse() == e
+
+    @given(disjoint_chains())
+    def test_trusted_paths_match_validating_constructor(self, chain):
+        e, f = chain
+        for trusted in (e.then(f), e.inverse(), e.then(f).inverse()):
+            checked = Bijection(trusted.domain, trusted.codomain, trusted.images)
+            assert trusted == checked and hash(trusted) == hash(checked)
+            assert type(trusted.images) is tuple
+            for y in checked.codomain:
+                assert trusted.preimage(y) == checked.preimage(y)
+        for x in e.domain:
+            assert e.then(f)(x) == f(e(x))
+            assert e.inverse()(e(x)) == x
+        with pytest.raises(DomainMismatch):
+            f.then(e)
 
     @given(endo_bijections())
     def test_identity_laws(self, e):

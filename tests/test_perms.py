@@ -57,6 +57,10 @@ class TestSign:
     def test_str(self):
         assert str(PLUS) == "+1" and str(MINUS) == "-1"
 
+    def test_multiplication_by_a_non_sign_fails(self):
+        with pytest.raises(TypeError):
+            PLUS * 1
+
 
 class TestInversions:
     def test_frozen_small_example(self):
@@ -84,8 +88,15 @@ class TestInversions:
         assert inversions(e) == (InversionPair(3, 9), InversionPair(7, 9))
 
     def test_requires_endo(self):
+        e = Bijection(fin(2), LabeledSet.of([4, 5]), (4, 5))
         with pytest.raises(DomainMismatch):
-            inversions(Bijection(fin(2), LabeledSet.of([4, 5]), (4, 5)))
+            inversions(e)
+        with pytest.raises(DomainMismatch):
+            sign_inversions(e)
+
+    def test_direct_count_matches_witness_list_exhaustive(self):
+        for e in enumerate_bijections(fin(6), fin(6)):
+            assert sign_inversions(e) is Sign.of_parity(len(inversions(e)))
 
     @given(endo_bijections(max_size=6))
     def test_matches_bubble_sort_oracle(self, e):
