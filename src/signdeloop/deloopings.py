@@ -107,7 +107,7 @@ class Orientation:
 
     def flip(self, position: int) -> "Orientation":
         """Reverse the choice at one pair position."""
-        if not 0 <= position < len(_pairs(self.carrier)):
+        if not 0 <= require_int(position, "pair position") < len(_pairs(self.carrier)):
             raise ContractError(f"no pair at position {position}")
         return Orientation(self.carrier, self.bits ^ (1 << position))
 
@@ -158,10 +158,8 @@ def orientation_class(u: Orientation) -> Label:
 
 
 def orientation_representative(X: LabeledSet, label: Label) -> Orientation:
-    if label not in (0, 1):
-        raise ContractError(f"class label must be 0 or 1, got {label!r}")
     d = canonical_orientation(X)
-    return d if label == 0 else d.flip(0)
+    return d if Sign.from_fin2(label) is PLUS else d.flip(0)
 
 
 # --------------------------------------------------------------------------
@@ -174,10 +172,8 @@ def simpson_class(f: Bijection) -> Label:
 
 
 def simpson_representative(X: LabeledSet, label: Label) -> Bijection:
-    if label not in (0, 1):
-        raise ContractError(f"class label must be 0 or 1, got {label!r}")
     rep = order_bijection(X)
-    if label == 1:
+    if Sign.from_fin2(label) is MINUS:
         rep = transposition(len(X), 0, 1).then(rep)
     return rep
 
@@ -189,9 +185,7 @@ def orbit_class(h: Bijection, s: Sign) -> Label:
 
 
 def orbit_representative(X: LabeledSet, label: Label) -> tuple[Bijection, Sign]:
-    if label not in (0, 1):
-        raise ContractError(f"class label must be 0 or 1, got {label!r}")
-    return order_bijection(X), PLUS if label == 0 else MINUS
+    return order_bijection(X), Sign.from_fin2(label)
 
 
 # --------------------------------------------------------------------------
@@ -242,30 +236,26 @@ def fixed_point_class(elem: FixedPointElement) -> Label:
 class TwoElementFamily:
     """A two-element fiber over every n-element set, transported functorially.
 
-    fiber(X) is a concrete 2-element labeled set; action(e) is a bijection
-    fiber(domain e) = fiber(codomain e); base_point is the fiber label over
-    fin(arity) charted to +1; construction is the record the family was
-    built from, None for mutants and hand-built families.
+    The fiber over every carrier is CLASS_LABELS = fin(2); action(e) is the
+    bijection of CLASS_LABELS that carries the fiber over e.domain to the
+    fiber over e.codomain; base_point is the label over fin(arity) charted
+    to +1; construction is the record the family was built from, None for
+    mutants and hand-built families.
     """
 
     name: str
     arity: int
-    fiber: Callable[[LabeledSet], LabeledSet]
     action: Callable[[Bijection], Bijection]
     base_point: Label
     construction: Construction | None = None
 
     def chart(self, label: Label) -> Sign:
-        base_fiber = self.fiber(fin(self.arity))
-        if label not in base_fiber:
+        if label not in CLASS_LABELS:
             raise ContractError(f"{label!r} is not in the fiber over fin({self.arity})")
         return PLUS if label == self.base_point else MINUS
 
     def chart_inverse(self, s: Sign) -> Label:
-        base_fiber = self.fiber(fin(self.arity))
-        if s is PLUS:
-            return self.base_point
-        return next(x for x in base_fiber if x != self.base_point)
+        return self.base_point if s is PLUS else 1 - self.base_point
 
 
 def _require_set_arity(X: LabeledSet, n: int) -> None:
@@ -298,10 +288,6 @@ class Construction:
         if require_int(n, "arity") < 2:
             raise ArityTooSmall(f"{self.name} family needs arity >= 2")
 
-        def fiber(X: LabeledSet) -> LabeledSet:
-            _require_set_arity(X, n)
-            return CLASS_LABELS
-
         def action(e: Bijection) -> Bijection:
             _require_set_arity(e.domain, n)
             _require_set_arity(e.codomain, n)
@@ -311,7 +297,7 @@ class Construction:
             )
             return Bijection(CLASS_LABELS, CLASS_LABELS, images)
 
-        return TwoElementFamily(self.name, n, fiber, action, base_point=0, construction=self)
+        return TwoElementFamily(self.name, n, action, base_point=0, construction=self)
 
     def census(self, X: LabeledSet) -> list[int]:
         """Class sizes over X, counted over every element."""
@@ -357,7 +343,7 @@ orbit_delooping = Construction(
 fixed_point_delooping = Construction(
     "fixed",
     lambda X: (FixedPointElement(h, s) for h in _charts(X) for s in (PLUS, MINUS)),
-    lambda X, c: fixed_point_elements(X)[c],
+    lambda X, c: FixedPointElement(order_bijection(X), Sign.from_fin2(c)),
     lambda e, elem: elem.transport(e),
     fixed_point_class,
 )
@@ -469,9 +455,8 @@ def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
     on every permutation.
     """
     base = fin(Q.arity)
-    base_fiber = Q.fiber(base)
-    ident = identity(base_fiber)
-    swap = swap_two(base_fiber)
+    ident = identity(CLASS_LABELS)
+    swap = swap_two(CLASS_LABELS)
     perms = enumerate_bijections(base, base)
     cond3 = any(Q.action(e) != ident for e in perms)
     bad_swap = next(
@@ -508,23 +493,15 @@ def mutate_family(Q: TwoElementFamily, rng: Random) -> TwoElementFamily:
     flip_chart = rng.random() < 0.5
 
     def twist(X: LabeledSet) -> Bijection:
-        fib = Q.fiber(X)
         if salt is not None and (hash((salt,) + X.elements) >> 3) & 1:
-            return swap_two(fib)
-        return identity(fib)
+            return swap_two(CLASS_LABELS)
+        return identity(CLASS_LABELS)
 
     def action(e: Bijection) -> Bijection:
-        if trivialize:
-            src, dst = Q.fiber(e.domain), Q.fiber(e.codomain)
-            core = Bijection(src, dst, dst.elements)
-        else:
-            core = Q.action(e)
+        core = identity(CLASS_LABELS) if trivialize else Q.action(e)
         return twist(e.domain).inverse().then(core).then(twist(e.codomain))
 
-    base_fiber = Q.fiber(fin(Q.arity))
-    base_point = Q.base_point
-    if flip_chart:
-        base_point = next(x for x in base_fiber if x != Q.base_point)
+    base_point = 1 - Q.base_point if flip_chart else Q.base_point
     tags = [
         tag
         for tag, on in (
@@ -535,7 +512,7 @@ def mutate_family(Q: TwoElementFamily, rng: Random) -> TwoElementFamily:
         if on
     ]
     name = f"{Q.name}/mutant[{','.join(tags) or 'none'}]"
-    return TwoElementFamily(name, Q.arity, Q.fiber, action, base_point)
+    return TwoElementFamily(name, Q.arity, action, base_point)
 
 
 @dataclass(frozen=True, eq=False)
@@ -571,12 +548,10 @@ def natural_isomorphism(
             raise NotADelooping(f"{fam.name} fails recognition")
     n = Q.arity
     base = fin(n)
-    src_fiber = Q.fiber(base)
-    dst_fiber = Qp.fiber(base)
     phi0 = Bijection(
-        src_fiber,
-        dst_fiber,
-        tuple(Qp.chart_inverse(Q.chart(x)) for x in src_fiber),
+        CLASS_LABELS,
+        CLASS_LABELS,
+        tuple(Qp.chart_inverse(Q.chart(x)) for x in CLASS_LABELS),
     )
 
     def at(X: LabeledSet) -> Bijection:
@@ -596,7 +571,7 @@ def natural_isomorphism(
     for _ in range(4):
         X, Y = sample_set(), sample_set()
         e = random_bijection(rng, X, Y)
-        flipped = at(X).then(swap_two(Qp.fiber(X)))
+        flipped = at(X).then(swap_two(CLASS_LABELS))
         if Q.action(e).then(at(Y)) == flipped.then(Qp.action(e)):
             raise NaturalityFailure(
                 "flipped fiber map is also natural; uniqueness violated",

@@ -74,10 +74,6 @@ class LabeledSet:
             raise ContractError(f"duplicate labels in {elems!r}")
         return cls(elems)
 
-    @property
-    def cardinality(self) -> int:
-        return len(self.elements)
-
     def position(self, label: Label) -> int:
         try:
             return self._pos[label]
@@ -309,11 +305,10 @@ def disjoint_union(parts: Iterable[LabeledSet]) -> LabeledSet:
     return LabeledSet.of(labels)
 
 
-def random_labeled_set(
-    rng: Random, size: int, low: int = 100, high: int = 1_000_000
-) -> LabeledSet:
+def random_labeled_set(rng: Random, size: int) -> LabeledSet:
     """A fresh n-element set with labels far away from {0, ..., n-1}."""
-    return LabeledSet(tuple(sorted(rng.sample(range(low, high), size))))
+    sample = rng.sample(range(100, 1_000_000), require_int(size, "set size"))
+    return LabeledSet(tuple(sorted(sample)))
 
 
 def random_bijection(rng: Random, A: LabeledSet, B: LabeledSet) -> Bijection:

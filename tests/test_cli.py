@@ -1,7 +1,7 @@
 import contextlib
-import importlib.util
 import io
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -195,29 +195,48 @@ class TestCommands:
         assert "relation-validity" in names
 
 
-def load_verify_sweep():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_sweep.py"
-    spec = importlib.util.spec_from_file_location("verify_sweep", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def readme_cli_examples() -> list[tuple[list[str], str]]:
+    """(argv, comment) for every command in the README's ## CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("  #")
+        program, *argv = shlex.split(command)
+        assert program == "signdeloop", line
+        examples.append((argv, comment.strip()))
+    return examples
+
+
+class TestReadme:
+    # Commands whose README comment is their exact output.
+    SHOWS_OUTPUT = ("sign", "cycles", "factor")
+
+    def test_cli_examples_run(self, capsys):
+        examples = readme_cli_examples()
+        assert {argv[0] for argv, _ in examples}.issuperset(self.SHOWS_OUTPUT)
+        for argv, comment in examples:
+            assert run_command(argv) == 0, argv
+            out = capsys.readouterr().out
+            if argv[0] in self.SHOWS_OUTPUT:
+                if "--json" in argv:
+                    assert json.loads(out) == json.loads(comment), argv
+                else:
+                    assert out.strip() == comment, argv
 
 
 class TestConstructionChoices:
     def test_choices_follow_the_registry(self, monkeypatch, capsys):
-        sweep = load_verify_sweep()
-        parsers = (
-            lambda name: build_parser().parse_args(
-                ["verify", "--n", "2", "--construction", name]
-            ).construction,
-            lambda name: sweep.parse_config(["--construction", name]).construction,
-        )
+        def parse(name):
+            argv = ["verify", "--n", "2", "--construction", name]
+            return build_parser().parse_args(argv).construction
+
         monkeypatch.setitem(CONSTRUCTIONS, "mirror", CONSTRUCTIONS["cartier"])
-        for parse in parsers:
-            for name in ["all", *CONSTRUCTIONS]:
-                assert parse(name) == name
-            with pytest.raises(SystemExit):
-                parse("nope")
+        for name in ["all", *CONSTRUCTIONS]:
+            assert parse(name) == name
+        with pytest.raises(SystemExit):
+            parse("nope")
         capsys.readouterr()
 
 

@@ -304,13 +304,15 @@ class TestFamilies:
                 for Q in families:
                     assert sign_from_delooping(Q, e) == expected, (Q.name, e.images)
 
-    def test_fiber_is_two_elements(self):
+    @pytest.mark.parametrize("label", [-1, 2, True, 1.0, "0"])
+    def test_representative_rejects_non_class_labels(self, label):
+        # Every record checks its class label through Sign.from_fin2.
+        X = LabeledSet.of([5, 7, 9])
         for build in CONSTRUCTIONS.values():
-            Q = build(3)
-            assert Q.fiber(fin(3)) == CLASS_LABELS
-            assert Q.fiber(LabeledSet.of([5, 7, 9])) == CLASS_LABELS
-            with pytest.raises(ArityMismatch):
-                Q.fiber(fin(4))
+            C = build(3).construction
+            assert [C.classify(C.representative(X, c)) for c in (0, 1)] == [0, 1]
+            with pytest.raises(ContractError):
+                C.representative(X, label)
 
     def test_chart(self):
         Q = cartier_delooping(3)
@@ -365,13 +367,10 @@ class TestFamilies:
 def trivial_family(n):
     """Every relabeling acts as the order-preserving fiber map."""
 
-    def fiber(X):
-        return CLASS_LABELS
-
     def action(e):
         return identity(CLASS_LABELS)
 
-    return TwoElementFamily("trivial", n, fiber, action, base_point=0)
+    return TwoElementFamily("trivial", n, action, base_point=0)
 
 
 def off_base_family(n):
@@ -385,7 +384,7 @@ def off_base_family(n):
             core = core.then(swap_two(CLASS_LABELS))
         return core
 
-    return TwoElementFamily("off-base", n, Q.fiber, action, Q.base_point)
+    return TwoElementFamily("off-base", n, action, Q.base_point)
 
 
 class TestRecognition:

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given
@@ -22,11 +24,12 @@ from signdeloop.finite import (
     k_subsets,
     order_bijection,
     puncture,
+    random_labeled_set,
     support,
     swap_two,
     transposition_of_pair,
 )
-from signdeloop.deloopings import CONSTRUCTIONS, Orientation
+from signdeloop.deloopings import CONSTRUCTIONS, Orientation, canonical_orientation
 from signdeloop.perms import Sign, permutation
 
 from strategies import bijection_chains, endo_bijections, labeled_sets
@@ -51,6 +54,8 @@ NON_INTEGER_ENTRY_POINTS = {
     "fin": fin,
     "k_subsets": lambda v: k_subsets(fin(3), v),
     "Orientation": lambda v: Orientation(fin(3), v),
+    "Orientation.flip": lambda v: canonical_orientation(fin(3)).flip(v),
+    "random_labeled_set": lambda v: random_labeled_set(Random(0), v),
     "Sign.from_fin2": Sign.from_fin2,
     **{f"{name}_delooping": ctor for name, ctor in CONSTRUCTIONS.items()},
 }
