@@ -26,7 +26,6 @@ from .deloopings import (
 from .errors import ContractError
 from .finite import Bijection, fin
 from .perms import factor_into_transpositions, sign_inversions
-from .verify import run_verification
 
 _CYCLE_TOKEN = re.compile(r"\(([^()]*)\)")
 
@@ -82,11 +81,8 @@ def parse_permutation(text: str, n: int | None = None) -> Bijection:
     return Bijection(base, base, images)
 
 
-def format_permutation(e: Bijection, notation: str = "cycle") -> str:
-    if notation == "oneline":
-        return ",".join(str(x) for x in e.images)
-    if notation != "cycle":
-        raise ContractError(f"unknown notation {notation!r}")
+def format_permutation(e: Bijection) -> str:
+    """Cycle notation with fixed points omitted; "()" for the identity."""
     parts = ("(" + " ".join(map(str, orbit)) + ")" for orbit in _nontrivial_cycles(e))
     return "".join(parts) or "()"
 
@@ -203,6 +199,8 @@ def _cmd_orientation_dot(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verification  # only this command loads the suite
+
     reports = run_verification(
         args.n,
         construction=args.construction,
@@ -262,7 +260,7 @@ def run_command(argv=None) -> int:
         if args.n is not None:
             _check_arity(args.n)
         return _COMMANDS[args.command](args)
-    except (ContractError, ValueError) as exc:
+    except ValueError as exc:  # ContractError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -57,6 +57,8 @@ from .finite import (
     random_bijection,
     random_labeled_set,
     require_int,
+    require_ints,
+    require_natural,
     swap_two,
     transposition_of_pair,
 )
@@ -99,6 +101,8 @@ class Orientation:
 
     def choose(self, a: Label, b: Label) -> Label:
         """The chosen element of the pair {a, b}."""
+        if type(a) is not int or type(b) is not int:  # True and 1.0 hash like 1
+            require_ints((a, b), "label")
         lo, hi = (a, b) if a < b else (b, a)
         k = _pair_position(self.carrier).get((lo, hi))
         if k is None:
@@ -541,6 +545,7 @@ def natural_isomorphism(
     verifies naturality on seeded random squares and verifies uniqueness by
     checking that flipping the bijection on one fiber breaks a square.
     """
+    require_natural(squares, "square count")
     if Q.arity != Qp.arity:
         raise ArityMismatch("families have different arities")
     for fam in (Q, Qp):

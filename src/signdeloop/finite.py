@@ -32,14 +32,26 @@ Label = int
 ENUMERATION_BOUND = 8
 
 
+def _is_int(value) -> bool:
+    """True for an int, False for a bool or anything else."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def require_int(value, what: str):
     """Return value when it is an int (bools excluded), else raise ContractError.
 
     Floats and bools compare and hash equal to ints, so without this check
     0.0 or True would pass as a label or a size.
     """
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int and not _is_int(value):
         raise ContractError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def require_natural(value, what: str):
+    """Return value when it is an int >= 0 (bools excluded), else raise ContractError."""
+    if require_int(value, what) < 0:
+        raise ContractError(f"{what} must be a natural number, got {value!r}")
     return value
 
 
@@ -75,6 +87,8 @@ class LabeledSet:
         return cls(elems)
 
     def position(self, label: Label) -> int:
+        if type(label) is not int:  # True and 1.0 hash like 1 in _pos
+            require_int(label, "label")
         try:
             return self._pos[label]
         except KeyError:
@@ -87,15 +101,13 @@ class LabeledSet:
         return iter(self.elements)
 
     def __contains__(self, label) -> bool:
-        return label in self._pos
+        return (type(label) is int or _is_int(label)) and label in self._pos
 
 
 @lru_cache(maxsize=None)
 def fin(n: int) -> LabeledSet:
     """The canonical n-element set {0, ..., n-1}."""
-    if require_int(n, "fin size") < 0:
-        raise ContractError(f"fin needs a natural number, got {n}")
-    return LabeledSet(tuple(range(n)))
+    return LabeledSet(tuple(range(require_natural(n, "fin size"))))
 
 
 @dataclass(frozen=True)
@@ -128,7 +140,7 @@ class Subset:
         return iter(self.members)
 
     def __contains__(self, label) -> bool:
-        return label in self.members
+        return label in self.carrier and label in self.members
 
 
 @dataclass(frozen=True)
@@ -177,6 +189,8 @@ class Bijection:
         return self.images[self.domain.position(label)]
 
     def preimage(self, label: Label) -> Label:
+        if type(label) is not int:
+            require_int(label, "label")
         try:
             return self._back[label]
         except KeyError:
@@ -232,8 +246,7 @@ def enumerate_bijections(A: LabeledSet, B: LabeledSet) -> tuple[Bijection, ...]:
 
 def k_subsets(X: LabeledSet, k: int) -> tuple[Subset, ...]:
     """All k-element subsets of X in lexicographic member order."""
-    if require_int(k, "subset size") < 0:
-        raise ContractError(f"subset size must be natural, got {k}")
+    require_natural(k, "subset size")
     return tuple(Subset(X, mems) for mems in itertools.combinations(X.elements, k))
 
 
@@ -307,7 +320,7 @@ def disjoint_union(parts: Iterable[LabeledSet]) -> LabeledSet:
 
 def random_labeled_set(rng: Random, size: int) -> LabeledSet:
     """A fresh n-element set with labels far away from {0, ..., n-1}."""
-    sample = rng.sample(range(100, 1_000_000), require_int(size, "set size"))
+    sample = rng.sample(range(100, 1_000_000), require_natural(size, "set size"))
     return LabeledSet(tuple(sorted(sample)))
 
 

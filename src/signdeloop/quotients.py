@@ -14,6 +14,7 @@ from typing import Callable
 
 from .errors import (
     ContractError,
+    NotMember,
     NotReflexive,
     NotSymmetric,
     NotTransitive,
@@ -59,6 +60,8 @@ class Partition:
         return cls(carrier, tuple(subs))
 
     def block_of(self, label: Label) -> Subset:
+        if label not in self.carrier:
+            raise NotMember(f"{label!r} is not in {self.carrier.elements!r}")
         return self._home[label]
 
     def __len__(self) -> int:

@@ -53,6 +53,7 @@ from .finite import (
     k_subsets,
     random_bijection,
     random_labeled_set,
+    require_natural,
     swap_two,
     transposition_of_pair,
 )
@@ -194,6 +195,7 @@ def parity_triangle_holds(n: int, rng: Random, trials: int = 10_000) -> tuple[bo
 
     Exhaustive over all triples for n <= 4, seeded random triples beyond.
     """
+    require_natural(trials, "trial count")
     X = fin(n)
     width = n * (n - 1) // 2
     if n <= 4:

@@ -29,8 +29,15 @@ from signdeloop.finite import (
     swap_two,
     transposition_of_pair,
 )
-from signdeloop.deloopings import CONSTRUCTIONS, Orientation, canonical_orientation
+from signdeloop.deloopings import (
+    CONSTRUCTIONS,
+    Orientation,
+    canonical_orientation,
+    cartier_delooping,
+    natural_isomorphism,
+)
 from signdeloop.perms import Sign, permutation
+from signdeloop.verify import parity_triangle_holds
 
 from strategies import bijection_chains, endo_bijections, labeled_sets
 
@@ -58,6 +65,24 @@ NON_INTEGER_ENTRY_POINTS = {
     "random_labeled_set": lambda v: random_labeled_set(Random(0), v),
     "Sign.from_fin2": Sign.from_fin2,
     **{f"{name}_delooping": ctor for name, ctor in CONSTRUCTIONS.items()},
+    "LabeledSet.position": lambda v: fin(3).position(v),
+    "Bijection.__call__": lambda v: permutation([1, 0, 2])(v),
+    "Bijection.preimage": lambda v: permutation([1, 0, 2]).preimage(v),
+    "Orientation.choose(v, 1)": lambda v: canonical_orientation(fin(3)).choose(v, 1),
+    "Orientation.choose(0, v)": lambda v: canonical_orientation(fin(3)).choose(0, v),
+    "natural_isomorphism": lambda v: natural_isomorphism(
+        cartier_delooping(3), cartier_delooping(3), squares=v
+    ),
+    "parity_triangle_holds": lambda v: parity_triangle_holds(6, Random(0), trials=v),
+}
+
+# Every entry point that takes a size, fed a negative one.
+NEGATIVE_SIZE_ENTRY_POINTS = {
+    name: NON_INTEGER_ENTRY_POINTS[name]
+    for name in (
+        "fin", "k_subsets", "random_labeled_set", "natural_isomorphism",
+        "parity_triangle_holds",
+    )
 }
 
 
@@ -83,6 +108,25 @@ def disjoint_chains(draw):
 def test_non_integer_labels_and_sizes_are_contract_errors(name, value):
     with pytest.raises(ContractError, match="must be an integer"):
         NON_INTEGER_ENTRY_POINTS[name](value)
+
+
+@given(value=non_integers)
+@example(value=True)
+@example(value=1.0)
+def test_non_integer_labels_are_not_members(value):
+    assert value not in fin(3)
+    assert value not in Subset(fin(3), (1,))
+    with pytest.raises(NotMember):
+        puncture(fin(3), value)
+    with pytest.raises(ContractError, match="not in the fiber"):
+        cartier_delooping(3).chart(value)
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_SIZE_ENTRY_POINTS))
+@pytest.mark.parametrize("size", [-1, -5])
+def test_negative_sizes_are_contract_errors(name, size):
+    with pytest.raises(ContractError, match="must be a natural number"):
+        NEGATIVE_SIZE_ENTRY_POINTS[name](size)
 
 
 def tr(n, i, j):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from signdeloop.errors import (
     ContractError,
+    NotMember,
     NotReflexive,
     NotSymmetric,
     NotTransitive,
@@ -63,6 +64,9 @@ class TestPartition:
         p = Partition.from_blocks(fin(4), [[0, 2], [1, 3]])
         assert p.block_of(3).members == (1, 3)
         assert len(p) == 2
+        for label in (4, True, 3.0):
+            with pytest.raises(NotMember):
+                p.block_of(label)
 
     def test_rejects_overlap(self):
         with pytest.raises(ContractError):
