@@ -1,39 +1,21 @@
 """Single-orbit structures and the cycle form of self-maps.
 
-A self-bijection of a finite set is the same data as a partition of the set
-into orbits together with a single-orbit step on each block, glued back onto
-the set.  decompose/recompose realize both directions; the canonical form
-sorts cycles by minimal label and takes the glue to be the identity pairing.
-Arbitrary endofunctions extend this picture: an eventually-periodic core
-carrying cycles, with a rooted tree of transient points hanging off every
-core element.
+A self-bijection of a finite set is the same data as its orbits, each
+carrying a single-orbit step; the set is the disjoint union of the orbits.
+cycle_decompose/recompose realize both directions, and the canonical form
+sorts cycles by minimal label.  Arbitrary endofunctions extend this picture:
+an eventually-periodic core carrying cycles, with a rooted tree of transient
+points hanging off every core element.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import DomainMismatch, MalformedDecomposition, NotMember
-from .finite import Bijection, Label, LabeledSet, disjoint_union, identity
-from .quotients import Partition
-
-
-def endo_table(carrier: LabeledSet, f) -> dict[Label, Label]:
-    """Normalize a Bijection, mapping, or callable into an image table."""
-    if isinstance(f, Bijection):
-        lookup = f
-    elif isinstance(f, Mapping):
-        def lookup(x, _m=f):
-            try:
-                return _m[x]
-            except KeyError:
-                raise NotMember(f"no image recorded for {x!r}") from None
-    else:
-        lookup = f
-    return {x: lookup(x) for x in carrier}
+from .finite import Bijection, Label, LabeledSet, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -67,46 +49,18 @@ class CyclicStructure:
 
 @dataclass(frozen=True)
 class CycleDecomposition:
-    """Disjoint cycles indexed by a label set, glued onto a carrier."""
+    """Disjoint cycles; their carriers' union is the decomposed carrier."""
 
-    index: LabeledSet
     cycles: tuple[CyclicStructure, ...]
-    glue: Bijection
+    carrier: LabeledSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cycles", tuple(self.cycles))
-        if len(self.cycles) != len(self.index):
-            raise MalformedDecomposition("one cycle per index label required")
         try:
-            total = disjoint_union(c.carrier for c in self.cycles)
+            carrier = disjoint_union(c.carrier for c in self.cycles)
         except ValueError as exc:
             raise MalformedDecomposition(str(exc)) from None
-        if self.glue.codomain != total:
-            raise MalformedDecomposition("glue must land in the union of the cycle carriers")
-
-    def cycle_at(self, label: Label) -> CyclicStructure:
-        return self.cycles[self.index.position(label)]
-
-
-def is_cyclic(carrier: LabeledSet, f) -> bool:
-    """True when every element reaches every other under iteration of f.
-
-    Equivalently: f is a bijection of the carrier with a single orbit.
-    The empty carrier is not cyclic.
-    """
-    if len(carrier) == 0:
-        return False
-    table = endo_table(carrier, f)
-    if any(v not in carrier for v in table.values()):
-        return False
-    if len(set(table.values())) != len(carrier):
-        return False
-    start = carrier.elements[0]
-    length, y = 1, table[start]
-    while y != start:
-        length += 1
-        y = table[y]
-    return length == len(carrier)
+        object.__setattr__(self, "carrier", carrier)
 
 
 def _orbits(e: Bijection) -> list[tuple[Label, ...]]:
@@ -126,15 +80,8 @@ def _orbits(e: Bijection) -> list[tuple[Label, ...]]:
     return out
 
 
-def orbit_partition(e: Bijection) -> Partition:
-    """Orbits of an endo-bijection as a partition of its carrier."""
-    if e.domain != e.codomain:
-        raise DomainMismatch("orbit partition requires an endo-bijection")
-    return Partition.from_blocks(e.domain, _orbits(e))
-
-
 def cycle_decompose(e: Bijection) -> CycleDecomposition:
-    """Canonical cycle form: cycles sorted by minimal label, identity glue."""
+    """Canonical cycle form: cycles sorted by minimal label."""
     if e.domain != e.codomain:
         raise DomainMismatch("cycle decomposition requires an endo-bijection")
     cycles = []
@@ -142,19 +89,15 @@ def cycle_decompose(e: Bijection) -> CycleDecomposition:
         carrier = LabeledSet.of(orbit)
         step = Bijection(carrier, carrier, tuple(e(x) for x in carrier))
         cycles.append(CyclicStructure(carrier, step))
-    index = LabeledSet.of(c.carrier.elements[0] for c in cycles)
-    return CycleDecomposition(index, tuple(cycles), identity(e.domain))
+    return CycleDecomposition(tuple(cycles))
 
 
 def recompose(dec: CycleDecomposition) -> Bijection:
-    """Transport every cycle step back through the glue."""
-    step_at: dict[Label, Bijection] = {}
+    """The self-bijection that moves every label one step along its cycle."""
+    image: dict[Label, Label] = {}
     for cyc in dec.cycles:
-        for x in cyc.carrier:
-            step_at[x] = cyc.step
-    g = dec.glue
-    images = tuple(g.preimage(step_at[g(x)](g(x))) for x in g.domain)
-    return Bijection(g.domain, g.domain, images)
+        image.update(zip(cyc.carrier.elements, cyc.step.images))
+    return Bijection(dec.carrier, dec.carrier, tuple(image[x] for x in dec.carrier))
 
 
 def canonical_form(dec: CycleDecomposition) -> CycleDecomposition:
@@ -174,33 +117,48 @@ class RootedTree:
         if roots != sorted(roots) or len(set(roots)) != len(roots):
             raise MalformedDecomposition("children must be sorted by distinct roots")
 
-    def nodes(self) -> Iterator[Label]:
-        """Every label in preorder, without recursion: trees may be deep."""
+    def _preorder(self) -> Iterator["RootedTree"]:
+        # Without recursion: trees may be deep.
         stack = [self]
         while stack:
             tree = stack.pop()
-            yield tree.root
+            yield tree
             stack.extend(reversed(tree.children))
+
+    def nodes(self) -> Iterator[Label]:
+        """Every label in preorder."""
+        return (tree.root for tree in self._preorder())
+
+    def _shape(self) -> tuple[tuple[Label, int], ...]:
+        """(root, child count) in preorder, which determines the tree."""
+        return tuple((tree.root, len(tree.children)) for tree in self._preorder())
+
+    # The generated __eq__ and __hash__ would recurse once per level.
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RootedTree):
+            return NotImplemented
+        return self._shape() == other._shape()
+
+    def __hash__(self) -> int:
+        return hash(self._shape())
 
 
 @dataclass(frozen=True)
 class EndoDecomposition:
-    """Cycles plus rooted trees of transient points, glued onto a carrier.
+    """Cycles plus rooted trees of transient points; the carrier is the tree nodes.
 
     trees[i][j] is attached at cycles[i].carrier.elements[j]; within a tree,
     a node's parent is its image under the recomposed function.
     """
 
-    index: LabeledSet
     cycles: tuple[CyclicStructure, ...]
     trees: tuple[tuple[RootedTree, ...], ...]
-    glue: Bijection
 
     def __post_init__(self):
         object.__setattr__(self, "cycles", tuple(self.cycles))
         object.__setattr__(self, "trees", tuple(tuple(row) for row in self.trees))
-        if len(self.cycles) != len(self.index) or len(self.trees) != len(self.cycles):
-            raise MalformedDecomposition("index, cycles, and tree rows must align")
+        if len(self.trees) != len(self.cycles):
+            raise MalformedDecomposition("cycles and tree rows must align")
         nodes: list[Label] = []
         for cyc, row in zip(self.cycles, self.trees):
             if len(row) != len(cyc.carrier):
@@ -213,18 +171,19 @@ class EndoDecomposition:
                 nodes.extend(tree.nodes())
         if len(set(nodes)) != len(nodes):
             raise MalformedDecomposition("tree node sets overlap")
-        if self.glue.codomain != LabeledSet.of(nodes):
-            raise MalformedDecomposition("glue must land in the union of the tree nodes")
 
 
-def decompose_endofunction(carrier: LabeledSet, f) -> EndoDecomposition:
-    """Split an arbitrary self-map into its periodic core and transient trees.
+def decompose_endofunction(carrier: LabeledSet, f: dict[Label, Label]) -> EndoDecomposition:
+    """Split a self-map, given as its image table, into core and trees.
 
     The core is found in linear time by peeling: a label that no remaining
     label maps to is transient, and removing it may expose its image.
     What is never peeled is exactly the set of periodic labels.
     """
-    table = endo_table(carrier, f)
+    try:
+        table = {x: f[x] for x in carrier}
+    except KeyError as exc:
+        raise NotMember(f"no image recorded for {exc.args[0]!r}") from None
     for x, y in table.items():
         if y not in carrier:
             raise NotMember(f"image {y!r} of {x!r} escapes the carrier")
@@ -261,9 +220,8 @@ def decompose_endofunction(carrier: LabeledSet, f) -> EndoDecomposition:
             built[y] = RootedTree(y, tuple(built.pop(c) for c in sorted(kids[y])))
         return built[x]
 
-    index = LabeledSet.of(c.carrier.elements[0] for c in cycles)
     trees = tuple(tuple(build(x) for x in cyc.carrier) for cyc in cycles)
-    return EndoDecomposition(index, tuple(cycles), trees, identity(carrier))
+    return EndoDecomposition(tuple(cycles), trees)
 
 
 def recompose_endofunction(dec: EndoDecomposition) -> dict[Label, Label]:
@@ -278,5 +236,4 @@ def recompose_endofunction(dec: EndoDecomposition) -> dict[Label, Label]:
                 for child in node.children:
                     image[child.root] = node.root
                     stack.append(child)
-    g = dec.glue
-    return {x: g.preimage(image[g(x)]) for x in g.domain}
+    return image

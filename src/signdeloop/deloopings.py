@@ -450,6 +450,22 @@ class RecognitionReport:
         return len(set(self.booleans)) == 1
 
 
+def unswapped_transposition(Q: TwoElementFamily) -> Bijection | None:
+    """Condition 4's scan: the first transposition of fin(arity) that does
+    not act as the swap, or None."""
+    base = fin(Q.arity)
+    swap = swap_two(CLASS_LABELS)
+    transpositions = (transposition_of_pair(base, P) for P in k_subsets(base, 2))
+    return next((t for t in transpositions if Q.action(t) != swap), None)
+
+
+def sign_mismatch(Q: TwoElementFamily, perms: Iterable[Bijection]) -> Bijection | None:
+    """Condition 5's scan: the first of perms, the permutations of
+    fin(arity), whose extracted sign differs from its inversion-count sign,
+    or None."""
+    return next((e for e in perms if sign_from_delooping(Q, e) != sign_inversions(e)), None)
+
+
 def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
     """Decide, by exhaustion over fin(arity), whether a family deloops the sign.
 
@@ -460,20 +476,10 @@ def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
     """
     base = fin(Q.arity)
     ident = identity(CLASS_LABELS)
-    swap = swap_two(CLASS_LABELS)
     perms = enumerate_bijections(base, base)
     cond3 = any(Q.action(e) != ident for e in perms)
-    bad_swap = next(
-        (
-            transposition_of_pair(base, P)
-            for P in k_subsets(base, 2)
-            if Q.action(transposition_of_pair(base, P)) != swap
-        ),
-        None,
-    )
-    bad_sign = next(
-        (e for e in perms if sign_from_delooping(Q, e) != sign_inversions(e)), None
-    )
+    bad_swap = unswapped_transposition(Q)
+    bad_sign = sign_mismatch(Q, perms)
     cond4 = bad_swap is None
     cond5 = bad_sign is None
     witness = None

@@ -51,7 +51,7 @@ class ArityMismatch(ContractError):
 
 
 class MalformedDecomposition(ContractError):
-    """Cycle/tree/glue data violate the decomposition invariants."""
+    """Cycle/tree data violate the decomposition invariants."""
 
 
 class NotADelooping(ContractError):

@@ -2,8 +2,8 @@
 
 A relation is validated by brute exhaustion (reflexivity, symmetry,
 transitivity over all pairs and triples) before any blocks are formed;
-failures carry an explicit witness.  Quotient sets name each class by the
-minimal label of its block.
+failures carry an explicit witness.  Blocks are sorted by their minimal
+labels.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import (
     NotSymmetric,
     NotTransitive,
 )
-from .finite import Bijection, Label, LabeledSet, Subset, disjoint_union, identity
+from .finite import Label, LabeledSet, Subset
 
 Relation = Callable[[Label, Label], bool]
 
@@ -68,47 +68,6 @@ class Partition:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class QuotientSet:
-    """Class labels (block minima) with the projection from the carrier."""
-
-    carrier: LabeledSet
-    classes: LabeledSet
-    projection: tuple[Label, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "projection", tuple(self.projection))
-        if len(self.projection) != len(self.carrier):
-            raise ContractError("projection must be total on the carrier")
-        if set(self.projection) != set(self.classes.elements):
-            raise ContractError("projection must be onto the class labels")
-
-    def project(self, label: Label) -> Label:
-        return self.projection[self.carrier.position(label)]
-
-
-@dataclass(frozen=True)
-class SigmaDecomposition:
-    """A set presented as a disjoint union of fibers over an index set."""
-
-    index: LabeledSet
-    fibers: tuple[LabeledSet, ...]
-    glue: Bijection
-
-    def __post_init__(self):
-        object.__setattr__(self, "fibers", tuple(self.fibers))
-        if len(self.fibers) != len(self.index):
-            raise ContractError("one fiber per index label required")
-        if any(len(f) == 0 for f in self.fibers):
-            raise ContractError("fibers must be nonempty")
-        total = disjoint_union(self.fibers)
-        if self.glue.codomain != total:
-            raise ContractError("glue must land in the union of the fibers")
-
-    def fiber_at(self, label: Label) -> LabeledSet:
-        return self.fibers[self.index.position(label)]
-
-
 def partition_from_relation(X: LabeledSet, rel: Relation) -> Partition:
     """Validate a decidable relation exhaustively, then form its blocks.
 
@@ -134,29 +93,3 @@ def partition_from_relation(X: LabeledSet, rel: Relation) -> Partition:
         assigned.update(block)
         blocks.append(block)
     return Partition.from_blocks(X, blocks)
-
-
-def quotient(p: Partition) -> QuotientSet:
-    classes = LabeledSet.of(block.members[0] for block in p.blocks)
-    projection = tuple(p.block_of(x).members[0] for x in p.carrier)
-    return QuotientSet(p.carrier, classes, projection)
-
-
-def sigma_decomposition(p: Partition) -> SigmaDecomposition:
-    """Present the carrier as the disjoint union of its blocks.
-
-    The canonical glue is the identity pairing on labels, since blocks
-    already live inside the carrier.
-    """
-    index = LabeledSet.of(block.members[0] for block in p.blocks)
-    fibers = tuple(LabeledSet(block.members) for block in p.blocks)
-    return SigmaDecomposition(index, fibers, identity(p.carrier))
-
-
-def partition_of_sigma(dec: SigmaDecomposition) -> Partition:
-    """Inverse direction: pull the fibers back through the glue."""
-    carrier = dec.glue.domain
-    blocks = [
-        tuple(dec.glue.preimage(z) for z in fiber) for fiber in dec.fibers
-    ]
-    return Partition.from_blocks(carrier, blocks)

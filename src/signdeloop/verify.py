@@ -41,7 +41,8 @@ from .deloopings import (
     orientation_action,
     orbit_class,
     relative_inversions,
-    sign_from_delooping,
+    sign_mismatch,
+    unswapped_transposition,
 )
 from .errors import ContractError
 from .finite import (
@@ -54,7 +55,6 @@ from .finite import (
     random_bijection,
     random_labeled_set,
     require_natural,
-    swap_two,
     transposition_of_pair,
 )
 from .perms import (
@@ -296,23 +296,6 @@ def fiber_two_elements(Q: TwoElementFamily, rng: Random) -> tuple[bool, str]:
         if counts[0] != counts[1] or counts[0] == 0:
             return False, f"class sizes {counts!r} over {X.elements!r}"
     return True, f"two equal classes over {sets} random carriers"
-
-
-def transpositions_swap(Q: TwoElementFamily) -> tuple[bool, str]:
-    base = fin(Q.arity)
-    swap = swap_two(CLASS_LABELS)
-    for P in k_subsets(base, 2):
-        if Q.action(transposition_of_pair(base, P)) != swap:
-            return False, f"transposition {P.members!r} does not swap the fiber"
-    return True, "every transposition swaps the fiber"
-
-
-def sign_agreement(Q: TwoElementFamily) -> tuple[bool, str]:
-    base = fin(Q.arity)
-    for e in enumerate_bijections(base, base):
-        if sign_from_delooping(Q, e) != sign_inversions(e):
-            return False, f"sign mismatch at {e.images!r}"
-    return True, "delooping sign equals inversion sign on all permutations"
 
 
 def recognition_covariance(Q: TwoElementFamily, rng: Random) -> tuple[bool, str]:
@@ -591,8 +574,16 @@ CHECKS: tuple[Check, ...] = (
           max_n=5, all_only=True),
     Check("functor-laws", "family", lambda s: functor_laws(s.family, s.rng)),
     Check("fiber-two-elements", "family", lambda s: fiber_two_elements(s.family, s.rng), max_n=6),
-    Check("transpositions-swap", "family", lambda s: transpositions_swap(s.family)),
-    Check("sign-agreement", "family", lambda s: sign_agreement(s.family), max_n=6),
+    Check("transpositions-swap", "family", lambda s: (
+        (t := unswapped_transposition(s.family)) is None,
+        f"transposition {t.moved()!r} does not swap the fiber" if t
+        else "every transposition swaps the fiber",
+    )),
+    Check("sign-agreement", "family", lambda s: (
+        (e := sign_mismatch(s.family, enumerate_bijections(fin(s.n), fin(s.n)))) is None,
+        f"sign mismatch at {e.images!r}" if e
+        else "delooping sign equals inversion sign on all permutations",
+    ), max_n=6),
     Check("recognition", "family", lambda s: (
         check_recognition(s.family).is_delooping,
         "all three conditions hold",

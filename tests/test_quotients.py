@@ -9,16 +9,8 @@ from signdeloop.errors import (
     NotSymmetric,
     NotTransitive,
 )
-from signdeloop.finite import Bijection, LabeledSet, Subset, fin, identity
-from signdeloop.quotients import (
-    Partition,
-    QuotientSet,
-    SigmaDecomposition,
-    partition_from_relation,
-    partition_of_sigma,
-    quotient,
-    sigma_decomposition,
-)
+from signdeloop.finite import Subset, fin
+from signdeloop.quotients import Partition, partition_from_relation
 
 from strategies import labeled_sets
 
@@ -129,71 +121,3 @@ class TestPartitionFromRelation:
             residues = {x % k for x in block.members}
             assert len(residues) == 1
         assert len(p) == len({x % k for x in X.elements})
-
-
-class TestQuotient:
-    def test_classes_are_block_minima(self):
-        p = Partition.from_blocks(fin(5), [[0, 2, 4], [1, 3]])
-        q = quotient(p)
-        assert q.classes.elements == (0, 1)
-        assert q.projection == (0, 1, 0, 1, 0)
-        assert q.project(4) == 0
-
-    def test_projection_validation(self):
-        with pytest.raises(ContractError):
-            QuotientSet(fin(3), fin(2), (0, 1))
-        with pytest.raises(ContractError):
-            QuotientSet(fin(3), fin(2), (0, 0, 0))
-
-    @given(labeled_sets(min_size=1, max_size=6), st.integers(1, 4))
-    def test_projection_constant_on_blocks(self, X, k):
-        p = partition_from_relation(X, lambda x, y: (x - y) % k == 0)
-        q = quotient(p)
-        for block in p.blocks:
-            assert len({q.project(x) for x in block.members}) == 1
-
-
-class TestSigmaDecomposition:
-    def test_roundtrip_identity_glue(self):
-        p = Partition.from_blocks(fin(5), [[0, 2, 4], [1, 3]])
-        dec = sigma_decomposition(p)
-        assert dec.index.elements == (0, 1)
-        assert dec.glue == identity(fin(5))
-        assert dec.fiber_at(1).elements == (1, 3)
-        assert partition_of_sigma(dec) == p
-
-    def test_roundtrip_every_partition(self):
-        X = fin(4)
-        for raw in all_partitions(list(X.elements)):
-            if not raw:
-                continue
-            p = Partition.from_blocks(X, raw)
-            assert partition_of_sigma(sigma_decomposition(p)) == p
-
-    def test_nonidentity_glue(self):
-        # carrier {10, 11}, fibers {0} and {1}, glue 10 -> 1, 11 -> 0
-        carrier = LabeledSet.of([10, 11])
-        dec = SigmaDecomposition(
-            index=fin(2),
-            fibers=(fin(1), LabeledSet.of([1])),
-            glue=Bijection(carrier, fin(2), (1, 0)),
-        )
-        p = partition_of_sigma(dec)
-        assert [b.members for b in p.blocks] == [(10,), (11,)]
-        assert p.block_of(11).members == (11,)
-
-    def test_fiber_count_must_match_index(self):
-        with pytest.raises(ContractError):
-            SigmaDecomposition(fin(2), (fin(1),), identity(fin(1)))
-
-    def test_rejects_empty_fiber(self):
-        with pytest.raises(ContractError):
-            SigmaDecomposition(
-                fin(1), (LabeledSet.of([]),), identity(LabeledSet.of([]))
-            )
-
-    def test_glue_codomain_checked(self):
-        with pytest.raises(ContractError):
-            SigmaDecomposition(
-                fin(1), (fin(2),), identity(fin(3))
-            )
