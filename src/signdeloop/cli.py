@@ -25,7 +25,7 @@ from .deloopings import (
 )
 from .errors import ContractError
 from .finite import Bijection, fin
-from .perms import factor_into_transpositions, sign_inversions
+from .perms import factor_into_transpositions, permutation, sign_inversions
 
 _CYCLE_TOKEN = re.compile(r"\(([^()]*)\)")
 
@@ -77,8 +77,7 @@ def parse_permutation(text: str, n: int | None = None) -> Bijection:
     _check_arity(len(images))
     if n is not None and n != len(images):
         raise ContractError(f"one-line form has {len(images)} entries, expected {n}")
-    base = fin(len(images))
-    return Bijection(base, base, images)
+    return permutation(images)
 
 
 def format_permutation(e: Bijection) -> str:
@@ -163,10 +162,10 @@ def _cmd_factor(args) -> int:
     if args.json:
         print(json.dumps({
             "n": len(e.domain),
-            "factors": [list(f.members) for f in factors],
+            "factors": [list(f) for f in factors],
         }))
     else:
-        text = "".join(f"({f.members[0]} {f.members[1]})" for f in factors)
+        text = "".join(f"({a} {b})" for a, b in factors)
         print(text or "()")
     return 0
 

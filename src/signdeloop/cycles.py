@@ -133,7 +133,7 @@ class RootedTree:
         """(root, child count) in preorder, which determines the tree."""
         return tuple((tree.root, len(tree.children)) for tree in self._preorder())
 
-    # The generated __eq__ and __hash__ would recurse once per level.
+    # The generated __eq__, __hash__ and __repr__ would recurse once per level.
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootedTree):
             return NotImplemented
@@ -141,6 +141,9 @@ class RootedTree:
 
     def __hash__(self) -> int:
         return hash(self._shape())
+
+    def __repr__(self) -> str:
+        return f"RootedTree(preorder={self._shape()!r})"
 
 
 @dataclass(frozen=True)

@@ -217,10 +217,6 @@ class FixedPointElement:
             raise CarrierMismatch("element does not live over the domain of the map")
         return FixedPointElement(self.reference.then(e), self.value_at_reference)
 
-    def same_function(self, other: "FixedPointElement") -> bool:
-        h0 = order_bijection(self.reference.codomain)
-        return self.value_at(h0) == other.value_at(h0)
-
 
 def fixed_point_elements(X: LabeledSet) -> tuple[FixedPointElement, FixedPointElement]:
     """The two equivariant functions over X; index 0 is the +1 one."""
@@ -525,25 +521,14 @@ def mutate_family(Q: TwoElementFamily, rng: Random) -> TwoElementFamily:
     return TwoElementFamily(name, Q.arity, action, base_point)
 
 
-@dataclass(frozen=True, eq=False)
-class NaturalFamily:
-    """A fiberwise bijection between two families, natural in the carrier."""
-
-    source: TwoElementFamily
-    target: TwoElementFamily
-    _at: Callable[[LabeledSet], Bijection]
-
-    def at(self, X: LabeledSet) -> Bijection:
-        return self._at(X)
-
-
 def natural_isomorphism(
     Q: TwoElementFamily,
     Qp: TwoElementFamily,
     squares: int = 50,
     seed: int = 0,
-) -> NaturalFamily:
-    """The unique base-point-preserving natural family between two deloopings.
+) -> Callable[[LabeledSet], Bijection]:
+    """The fiber map X -> (bijection of CLASS_LABELS) of the unique
+    base-point-preserving natural isomorphism between two deloopings.
 
     Over fin(n) the bijection matches charts; over any other carrier it is
     transported along the order-preserving chart (any chart gives the same
@@ -588,7 +573,7 @@ def natural_isomorphism(
                 "flipped fiber map is also natural; uniqueness violated",
                 square=(X, Y, e),
             )
-    return NaturalFamily(Q, Qp, at)
+    return at
 
 
 def alternating_kernel(n: int) -> tuple[Bijection, ...]:

@@ -34,10 +34,6 @@ class SizeGuard(ContractError):
     """An exhaustive enumeration was requested above its size bound."""
 
 
-class ZeroModulus(ContractError):
-    """There is no finite cycle of order zero."""
-
-
 class TooSmall(ContractError):
     """The carrier is too small for this construction (needs >= 2 points)."""
 

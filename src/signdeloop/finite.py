@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from random import Random
 from typing import Iterable, Iterator
 
@@ -111,39 +111,6 @@ def fin(n: int) -> LabeledSet:
 
 
 @dataclass(frozen=True)
-class Subset:
-    """A subset of a carrier, stored as a sorted member list."""
-
-    carrier: LabeledSet
-    members: tuple[Label, ...]
-
-    def __post_init__(self):
-        mems = require_ints(tuple(self.members), "member")
-        object.__setattr__(self, "members", mems)
-        if any(a >= b for a, b in zip(mems, mems[1:])):
-            raise ContractError(f"members must be strictly increasing, got {mems!r}")
-        missing = [m for m in mems if m not in self.carrier]
-        if missing:
-            raise NotSubset(f"{missing!r} not contained in {self.carrier.elements!r}")
-
-    @classmethod
-    def of(cls, carrier: LabeledSet, members: Iterable[Label]) -> "Subset":
-        mems = tuple(sorted(require_ints(tuple(members), "member")))
-        if len(set(mems)) != len(mems):
-            raise ContractError(f"duplicate members in {mems!r}")
-        return cls(carrier, mems)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[Label]:
-        return iter(self.members)
-
-    def __contains__(self, label) -> bool:
-        return label in self.carrier and label in self.members
-
-
-@dataclass(frozen=True)
 class Bijection:
     """An explicit bijection between two labeled sets.
 
@@ -152,8 +119,7 @@ class Bijection:
     integers enumerating the codomain exactly once.  then() and inverse()
     skip that check: a composite or inverse of valid bijections enumerates
     its codomain by construction, so they build their results through
-    _trusted, which skips __post_init__.  The backward table behind
-    preimage() is built on first use.
+    _trusted, which skips __post_init__.
     """
 
     domain: LabeledSet
@@ -181,20 +147,8 @@ class Bijection:
         e.__dict__.update(domain=domain, codomain=codomain, images=images)
         return e
 
-    @cached_property
-    def _back(self) -> dict[Label, Label]:
-        return dict(zip(self.images, self.domain.elements))
-
     def __call__(self, label: Label) -> Label:
         return self.images[self.domain.position(label)]
-
-    def preimage(self, label: Label) -> Label:
-        if type(label) is not int:
-            require_int(label, "label")
-        try:
-            return self._back[label]
-        except KeyError:
-            raise NotMember(f"{label!r} is not in {self.codomain.elements!r}") from None
 
     def inverse(self) -> "Bijection":
         images = [None] * len(self.images)
@@ -213,10 +167,6 @@ class Bijection:
         return Bijection._trusted(
             self.domain, other.codomain, tuple([images[pos[y]] for y in self.images])
         )
-
-    @property
-    def is_identity(self) -> bool:
-        return self.domain == self.codomain and self.images == self.domain.elements
 
     def moved(self) -> tuple[Label, ...]:
         """Labels not fixed by an endo-bijection."""
@@ -244,10 +194,10 @@ def enumerate_bijections(A: LabeledSet, B: LabeledSet) -> tuple[Bijection, ...]:
     )
 
 
-def k_subsets(X: LabeledSet, k: int) -> tuple[Subset, ...]:
-    """All k-element subsets of X in lexicographic member order."""
+def k_subsets(X: LabeledSet, k: int) -> tuple[tuple[Label, ...], ...]:
+    """All k-element subsets of X as sorted label tuples, lexicographically."""
     require_natural(k, "subset size")
-    return tuple(Subset(X, mems) for mems in itertools.combinations(X.elements, k))
+    return tuple(itertools.combinations(X.elements, k))
 
 
 def swap_two(T: LabeledSet) -> Bijection:
@@ -258,28 +208,14 @@ def swap_two(T: LabeledSet) -> Bijection:
     return Bijection(T, T, (b, a))
 
 
-def support(e: Bijection) -> Subset:
-    """The subset of labels moved by an endo-bijection."""
-    if e.domain != e.codomain:
-        raise DomainMismatch("support requires an endo-bijection")
-    return Subset(e.domain, e.moved())
-
-
-def _pair_members(pair) -> tuple[Label, ...]:
-    if isinstance(pair, Subset):
-        return pair.members
-    mems = tuple(sorted(pair))
-    if len(set(mems)) != len(mems):
-        raise ContractError(f"pair has repeated labels: {mems!r}")
-    return mems
-
-
-def transposition_of_pair(X: LabeledSet, pair) -> Bijection:
-    """The endo-bijection of X swapping the two members of `pair`.
+def transposition_of_pair(X: LabeledSet, pair: Iterable[Label]) -> Bijection:
+    """The endo-bijection of X swapping the two labels of `pair`.
 
     This is the unique endo-bijection whose support is exactly the pair.
     """
-    mems = _pair_members(pair)
+    mems = tuple(sorted(pair))
+    if len(set(mems)) != len(mems):
+        raise ContractError(f"pair has repeated labels: {mems!r}")
     if len(mems) != 2:
         raise WrongCardinality(f"transposition needs exactly 2 labels, got {mems!r}")
     a, b = mems
@@ -287,19 +223,6 @@ def transposition_of_pair(X: LabeledSet, pair) -> Bijection:
         raise NotSubset(f"{mems!r} not contained in {X.elements!r}")
     images = tuple(b if x == a else a if x == b else x for x in X.elements)
     return Bijection(X, X, images)
-
-
-def puncture(X: LabeledSet, x: Label) -> LabeledSet:
-    """Remove one point."""
-    if x not in X:
-        raise NotMember(f"{x!r} is not in {X.elements!r}")
-    return LabeledSet(tuple(y for y in X.elements if y != x))
-
-
-def extend(Y: LabeledSet) -> tuple[LabeledSet, Label]:
-    """Add a fresh point: the successor of the max label (0 when empty)."""
-    fresh = Y.elements[-1] + 1 if Y.elements else 0
-    return LabeledSet(Y.elements + (fresh,)), fresh
 
 
 @lru_cache(maxsize=None)

@@ -17,11 +17,11 @@ from enum import Enum
 from typing import Iterable, NamedTuple
 
 from .cycles import cycle_decompose
-from .errors import ContractError, DomainMismatch, ZeroModulus
+from .errors import ContractError, DomainMismatch
 from .finite import (
     Bijection,
+    Label,
     LabeledSet,
-    Subset,
     fin,
     identity,
     require_int,
@@ -71,9 +71,6 @@ class InversionPair(NamedTuple):
     j: int
 
 
-TranspositionList = tuple[Subset, ...]
-
-
 def permutation(images: Iterable[int]) -> Bijection:
     """One-line form: images[i] is the image of i, on fin(len(images))."""
     imgs = tuple(images)
@@ -108,16 +105,6 @@ def sign_inversions(e: Bijection) -> Sign:
     return Sign.of_parity(sum(itertools.starmap(operator.gt, pairs)))
 
 
-def succ_cycle(k: int) -> Bijection:
-    """The full cycle i -> i+1 (mod k) on fin(k)."""
-    if k == 0:
-        raise ZeroModulus("there is no finite cycle of order 0")
-    if k < 0:
-        raise ContractError(f"cycle order must be natural, got {k}")
-    n = fin(k)
-    return Bijection(n, n, tuple((i + 1) % k for i in range(k)))
-
-
 def product_of_transpositions(X: LabeledSet, factors) -> Bijection:
     """Multiply a factor list, leftmost factor outermost (right-to-left application)."""
     acc = identity(X)
@@ -126,20 +113,18 @@ def product_of_transpositions(X: LabeledSet, factors) -> Bijection:
     return acc
 
 
-def factor_into_transpositions(e: Bijection) -> TranspositionList:
+def factor_into_transpositions(e: Bijection) -> tuple[tuple[Label, Label], ...]:
     """Write an endo-bijection as a product of adjacent-in-orbit swaps.
 
     Each cycle (c0 c1 ... c_{k-1}), listed from its minimal label, contributes
     <c0 c1><c1 c2>...<c_{k-2} c_{k-1}>; cycles are emitted in order of their
-    minimal labels.  The factor count is len(carrier) - number of orbits, so
-    its parity agrees with the inversion parity.
+    minimal labels, and each factor is a sorted label pair.  The factor count
+    is len(carrier) - number of orbits, so its parity agrees with the
+    inversion parity.
     """
     dec = cycle_decompose(e)
-    factors: list[Subset] = []
+    factors: list[tuple[Label, Label]] = []
     for cyc in dec.cycles:
         orbit = cyc.orbit_from_min()
-        factors.extend(
-            Subset.of(e.domain, (orbit[t], orbit[t + 1]))
-            for t in range(len(orbit) - 1)
-        )
+        factors.extend(tuple(sorted(pair)) for pair in zip(orbit, orbit[1:]))
     return tuple(factors)

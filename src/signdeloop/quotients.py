@@ -14,12 +14,11 @@ from typing import Callable
 
 from .errors import (
     ContractError,
-    NotMember,
     NotReflexive,
     NotSymmetric,
     NotTransitive,
 )
-from .finite import Label, LabeledSet, Subset
+from .finite import Label, LabeledSet
 
 Relation = Callable[[Label, Label], bool]
 
@@ -29,40 +28,30 @@ class Partition:
     """Nonempty, pairwise disjoint blocks covering the carrier, sorted by min."""
 
     carrier: LabeledSet
-    blocks: tuple[Subset, ...]
+    blocks: tuple[LabeledSet, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         seen: set[Label] = set()
         for block in self.blocks:
-            if block.carrier != self.carrier:
-                raise ContractError("block carrier differs from partition carrier")
             if len(block) == 0:
                 raise ContractError("empty block in partition")
-            if seen & set(block.members):
+            if seen & set(block.elements):
                 raise ContractError("blocks overlap")
-            seen.update(block.members)
+            seen.update(block.elements)
         if seen != set(self.carrier.elements):
             raise ContractError("blocks do not cover the carrier")
-        mins = [block.members[0] for block in self.blocks]
+        mins = [block.elements[0] for block in self.blocks]
         if mins != sorted(mins):
             raise ContractError("blocks must be sorted by minimal member")
-        object.__setattr__(
-            self, "_home", {x: block for block in self.blocks for x in block}
-        )
 
     @classmethod
     def from_blocks(cls, carrier: LabeledSet, blocks) -> "Partition":
-        subs = sorted(
-            (Subset.of(carrier, b) for b in blocks),
-            key=lambda s: s.members[0] if s.members else -1,
+        sets = sorted(
+            (LabeledSet.of(b) for b in blocks),
+            key=lambda s: s.elements[0] if s.elements else -1,
         )
-        return cls(carrier, tuple(subs))
-
-    def block_of(self, label: Label) -> Subset:
-        if label not in self.carrier:
-            raise NotMember(f"{label!r} is not in {self.carrier.elements!r}")
-        return self._home[label]
+        return cls(carrier, tuple(sets))
 
     def __len__(self) -> int:
         return len(self.blocks)

@@ -235,7 +235,7 @@ def transposition_oddness(n: int) -> tuple[bool, str]:
         tau = transposition_of_pair(X, P)
         m = relative_inversions(d, orientation_action(tau, d))
         if m % 2 != 1:
-            return False, f"transposition {P.members!r} gives even count {m}"
+            return False, f"transposition {P!r} gives even count {m}"
     return True, "odd for every transposition"
 
 
@@ -287,8 +287,6 @@ def fiber_two_elements(Q: TwoElementFamily, rng: Random) -> tuple[bool, str]:
     trusting the family's two-element fiber to say so.
     """
     C = Q.construction
-    if C is None:
-        return False, f"no construction to enumerate for {Q.name!r}"
     sets = 10
     for _ in range(sets):
         X = random_labeled_set(rng, Q.arity)
@@ -335,8 +333,6 @@ SQUARE_POOL_LIMIT = 720
 def quotient_naturality(Q: TwoElementFamily, rng: Random) -> tuple[bool, str]:
     """Projecting to the class then acting equals acting then projecting."""
     C = Q.construction
-    if C is None:
-        return False, f"no construction to enumerate for {Q.name!r}"
     n, moves = Q.arity, 20
     for _ in range(moves):
         X, Y = random_labeled_set(rng, n), random_labeled_set(rng, n)
@@ -507,8 +503,7 @@ def uniqueness_of_deloopings(n: int, seed: int) -> tuple[bool, str]:
     for a, b in itertools.product(CONSTRUCTIONS, repeat=2):
         fam_a = CONSTRUCTIONS[a](n)
         fam_b = CONSTRUCTIONS[b](n)
-        family = natural_isomorphism(fam_a, fam_b, squares=20, seed=seed)
-        phi = family.at(base)
+        phi = natural_isomorphism(fam_a, fam_b, squares=20, seed=seed)(base)
         if fam_b.chart(phi(fam_a.base_point)) is not PLUS:
             return False, f"{a}->{b} does not preserve the base point"
         if a == b and phi != identity(CLASS_LABELS):
@@ -584,9 +579,12 @@ CHECKS: tuple[Check, ...] = (
         f"sign mismatch at {e.images!r}" if e
         else "delooping sign equals inversion sign on all permutations",
     ), max_n=6),
+    # Repeats sign-agreement's scan as condition 5, but stays its own row:
+    # each row is reported, and gated by the benchmark, on its own.
     Check("recognition", "family", lambda s: (
-        check_recognition(s.family).is_delooping,
-        "all three conditions hold",
+        (r := check_recognition(s.family)).is_delooping,
+        "all three conditions hold" if r.is_delooping
+        else f"booleans {r.booleans!r}, counterexample {r.counterexample.images!r}",
     ), max_n=6),
     Check("recognition-covariance", "family",
           lambda s: recognition_covariance(s.family, s.rng), max_n=6),

@@ -196,7 +196,7 @@ def test_c11_unique_natural_isomorphisms():
             for Qp in fams:
                 pairs += 1
                 phi = natural_isomorphism(Q, Qp, squares=50, seed=11 * n)
-                if phi.at(fin(n))(Q.base_point) != Qp.base_point:
+                if phi(fin(n))(Q.base_point) != Qp.base_point:
                     bad += 1
     conclude(
         "C11 base-point-preserving natural isomorphism for every ordered pair, n=2..5",

@@ -161,19 +161,18 @@ class TestCycleDecompose:
             count = 0
             for raw in all_partitions(list(X.elements)):
                 p = Partition.from_blocks(X, raw)
-                block_sets = [LabeledSet(b.members) for b in p.blocks]
                 step_menus = [
                     [
                         s
                         for s in enumerate_bijections(B, B)
                         if is_single_orbit(s)
                     ]
-                    for B in block_sets
+                    for B in p.blocks
                 ]
                 for steps in itertools.product(*step_menus):
                     cycles = tuple(
                         CyclicStructure(B, s)
-                        for B, s in zip(block_sets, steps)
+                        for B, s in zip(p.blocks, steps)
                     )
                     rebuilt.add(recompose(CycleDecomposition(cycles)))
                     count += 1
@@ -231,7 +230,7 @@ class TestEndofunctions:
 
     def test_deep_chain_roundtrips(self):
         # A 20000-point chain is one tree 20000 deep: building, walking,
-        # comparing and hashing it must not recurse, and peeling its core
+        # comparing, hashing and printing it must not recurse, and peeling its core
         # must stay linear.
         n = 20_000
         table = {i: min(i + 1, n - 1) for i in range(n)}
@@ -241,6 +240,7 @@ class TestEndofunctions:
         assert recompose_endofunction(dec) == table
         assert decompose_endofunction(fin(n), recompose_endofunction(dec)) == dec
         assert isinstance(hash(dec), int)
+        assert isinstance(repr(dec), str)
 
     def test_escaping_image_rejected(self):
         with pytest.raises(NotMember):

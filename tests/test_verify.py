@@ -7,9 +7,17 @@ import pytest
 
 from signdeloop import verify
 from signdeloop.errors import ContractError
-from signdeloop.deloopings import alternating_kernel, orbit_class
+from signdeloop.deloopings import (
+    CLASS_LABELS,
+    TwoElementFamily,
+    alternating_kernel,
+    orbit_class,
+)
+from signdeloop.finite import identity
 from signdeloop.perms import permutation
 from signdeloop.verify import (
+    CHECKS,
+    Scope,
     VerifyReport,
     _run,
     bridge_parity,
@@ -101,6 +109,13 @@ class TestOracles:
     def test_uniqueness_of_deloopings(self):
         ok, detail = uniqueness_of_deloopings(3, seed=0)
         assert ok, detail
+
+    def test_recognition_row_reports_its_failure(self):
+        trivial = TwoElementFamily("trivial", 3, lambda e: identity(CLASS_LABELS), 0)
+        (row,) = [c for c in CHECKS if c.name == "recognition"]
+        assert row.run(Scope(3, 0, Random(0), trivial)) == (
+            False, "booleans (False, False, False), counterexample (1, 0, 2)"
+        )
 
 
 class TestRunWrapper:
