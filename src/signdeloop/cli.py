@@ -28,6 +28,8 @@ from .finite import Bijection, fin
 from .perms import factor_into_transpositions, permutation, sign_inversions
 
 _CYCLE_TOKEN = re.compile(r"\(([^()]*)\)")
+# int() also takes "1_0", "+1", "-0" and non-ASCII digits; a label takes none.
+_LABEL = re.compile(r"[0-9]+")
 
 # The largest arity any command accepts, checked before anything of that
 # size is allocated.
@@ -37,6 +39,17 @@ MAX_ARITY = 1024
 def _check_arity(n: int) -> None:
     if n > MAX_ARITY:
         raise ContractError(f"arity {n} exceeds the limit of {MAX_ARITY}")
+
+
+def _parse_label(token: str) -> int:
+    """ASCII decimal digits, with surrounding whitespace allowed."""
+    digits = token.strip()
+    if not _LABEL.fullmatch(digits):
+        raise ContractError(f"labels are unsigned decimal integers, got {token!r}")
+    try:
+        return int(digits)
+    except ValueError:  # int() refuses more than 4300 digits
+        raise ContractError(f"label of {len(digits)} digits is out of range") from None
 
 
 def parse_permutation(text: str, n: int | None = None) -> Bijection:
@@ -54,15 +67,13 @@ def parse_permutation(text: str, n: int | None = None) -> Bijection:
             raise ContractError(f"unparsed cycle input: {leftover!r}")
         cycles = []
         for group in groups:
-            labels = [int(tok) for tok in re.split(r"[,\s]+", group.strip()) if tok]
+            labels = [_parse_label(tok) for tok in re.split(r"[,\s]+", group.strip()) if tok]
             cycles.append(labels)
         seen: set[int] = set()
         for cyc in cycles:
             if seen & set(cyc) or len(set(cyc)) != len(cyc):
                 raise ContractError("cycles must be disjoint")
             seen.update(cyc)
-        if any(x < 0 for x in seen):
-            raise ContractError("labels must be unsigned")
         size = n if n is not None else (max(seen) + 1 if seen else 0)
         _check_arity(size)
         mapping = {x: x for x in range(size)}
@@ -73,7 +84,7 @@ def parse_permutation(text: str, n: int | None = None) -> Bijection:
                 mapping[a] = b
         base = fin(size)
         return Bijection(base, base, tuple(mapping[x] for x in range(size)))
-    images = tuple(int(tok) for tok in text.split(","))
+    images = tuple(_parse_label(tok) for tok in text.split(","))
     _check_arity(len(images))
     if n is not None and n != len(images):
         raise ContractError(f"one-line form has {len(images)} entries, expected {n}")

@@ -12,13 +12,16 @@ this convention the full cycle k-1 -> 0 -> 1 -> ... factors literally as
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .cycles import cycle_decompose
 from .errors import ContractError, DomainMismatch
 from .finite import (
+    ENUMERATION_BOUND,
     Bijection,
     Label,
     LabeledSet,
@@ -98,10 +101,18 @@ def sign_inversions(e: Bijection) -> Sign:
 
     Counts the same pairs as inversions(), straight off the image tuple: the
     domain is sorted, so positions i < j hold labels in increasing order.
+    The parity depends on the image tuple alone, so it is kept in a cache of
+    ENUMERATION_BOUND! entries, room for one full listing of S_n; the
+    endo-bijection check runs on every call, before the cache is read.
     """
     if e.domain != e.codomain:
         raise DomainMismatch("inversions require an endo-bijection")
-    pairs = itertools.combinations(e.images, 2)
+    return _sign_of_images(e.images)
+
+
+@lru_cache(maxsize=math.factorial(ENUMERATION_BOUND))
+def _sign_of_images(images: tuple[Label, ...]) -> Sign:
+    pairs = itertools.combinations(images, 2)
     return Sign.of_parity(sum(itertools.starmap(operator.gt, pairs)))
 
 

@@ -373,8 +373,9 @@ def fixed_equivariance(n: int) -> tuple[bool, str]:
     for elem in (lo, hi):
         for alpha in perms:
             s = sign_inversions(alpha)
+            alpha_inverse = alpha.inverse()
             for h in perms:
-                if elem.value_at(alpha.inverse().then(h)) != s * elem.value_at(h):
+                if elem.value_at(alpha_inverse.then(h)) != s * elem.value_at(h):
                     return False, f"equivariance fails at {(alpha.images, h.images)!r}"
     return True, "both elements are equivariant"
 
@@ -499,10 +500,10 @@ def relation_validity(n: int, rng: Random) -> tuple[bool, str]:
 
 def uniqueness_of_deloopings(n: int, seed: int) -> tuple[bool, str]:
     base = fin(n)
+    families = {name: build(n) for name, build in CONSTRUCTIONS.items()}
     count = 0
     for a, b in itertools.product(CONSTRUCTIONS, repeat=2):
-        fam_a = CONSTRUCTIONS[a](n)
-        fam_b = CONSTRUCTIONS[b](n)
+        fam_a, fam_b = families[a], families[b]
         phi = natural_isomorphism(fam_a, fam_b, squares=20, seed=seed)(base)
         if fam_b.chart(phi(fam_a.base_point)) is not PLUS:
             return False, f"{a}->{b} does not preserve the base point"

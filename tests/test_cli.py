@@ -73,6 +73,26 @@ class TestParsePermutation:
         with pytest.raises(ContractError):
             parse_permutation("0,0,1")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["(1_0 2)", "1_0,0", "(+1 0)", "+1,0", "(-0 1)", "1,-0", "(\u0663 1)",
+         "1,\u0660", "(\uff11 0)"],
+    )
+    def test_rejects_labels_that_are_not_ascii_digits(self, text, capsys):
+        # int() takes "1_0", "+1", "-0" and non-ASCII digits; labels do not.
+        with pytest.raises(ContractError):
+            parse_permutation(text)
+        assert run_command(["sign", text]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_whitespace_around_labels(self):
+        assert parse_permutation(" 1 , 0 ,2 ").images == (1, 0, 2)
+        assert parse_permutation("( 0 , 1 )(2\t3)").images == (1, 0, 3, 2)
+
+    def test_rejects_a_label_too_long_for_int(self):
+        with pytest.raises(ContractError):
+            parse_permutation("(0 " + "9" * 5000 + ")")
+
 
 class TestFormatPermutation:
     def test_cycle_form(self):
@@ -125,6 +145,18 @@ class TestCommands:
         assert run_command(["cartier", "(0 1)", "--n", "2", "--json"]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob == {"n": 2, "relative_inversions": 1, "sign": "-1"}
+
+    def test_cartier_at_the_arity_limit(self):
+        # Three transports of 523 776 pairs each.  A transport that shifted
+        # and rebuilt the whole bitmask once per pair took 35 s in all.
+        proc = subprocess.run(
+            [sys.executable, "-m", "signdeloop.cli", "cartier", "(0 1)", "--n", "1024", "--json"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["relative_inversions"] == 1
 
     def test_cartier_text(self, capsys):
         assert run_command(["cartier", "(0 1 2)", "--n", "3"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signdeloop import deloopings, perms
 from signdeloop.errors import (
     ArityMismatch,
     ArityTooSmall,
@@ -26,10 +28,11 @@ from signdeloop.finite import (
     k_subsets,
     order_bijection,
     random_bijection,
+    random_labeled_set,
     swap_two,
     transposition_of_pair,
 )
-from signdeloop.perms import MINUS, PLUS, sign_inversions, transposition
+from signdeloop.perms import MINUS, PLUS, Sign, sign_inversions, transposition
 from signdeloop.deloopings import (
     CLASS_LABELS,
     CONSTRUCTIONS,
@@ -66,21 +69,30 @@ def perms_of(n):
     return enumerate_bijections(fin(n), fin(n))
 
 
+def naive_orientation_transport(e, u):
+    """Bits of u transported along e, one pair at a time (the pair-by-pair
+    definition: the image pair chooses the image of the chosen preimage)."""
+    chosen = {
+        (a, b): b if (u.bits >> k) & 1 else a
+        for k, (a, b) in enumerate(itertools.combinations(u.carrier.elements, 2))
+    }
+    preimage = dict(zip(e.images, e.domain.elements))
+    bits = 0
+    for k, (a, b) in enumerate(itertools.combinations(e.codomain.elements, 2)):
+        if e(chosen[tuple(sorted((preimage[a], preimage[b])))]) == b:
+            bits |= 1 << k
+    return bits
+
+
 class TestOrientation:
     def test_canonical_chooses_larger(self):
         X = LabeledSet.of([5, 9, 12])
-        d = canonical_orientation(X)
-        assert d.choose(5, 9) == 9
-        assert d.choose(12, 5) == 12
-        assert d.choose(9, 12) == 12
-        assert d.choices() == ((5, 9), (5, 12), (9, 12))
+        assert canonical_orientation(X).choices() == ((5, 9), (5, 12), (9, 12))
 
     def test_flip(self):
         X = LabeledSet.of([5, 9, 12])
         u = canonical_orientation(X).flip(0)
-        assert u.choose(5, 9) == 5
-        assert u.choose(5, 12) == 12
-        assert u.choices()[0] == (9, 5)
+        assert u.choices() == ((9, 5), (5, 12), (9, 12))
 
     def test_bits_validation(self):
         with pytest.raises(ContractError):
@@ -89,13 +101,6 @@ class TestOrientation:
             Orientation(fin(3), -1)
         with pytest.raises(ContractError):
             canonical_orientation(fin(3)).flip(3)
-
-    def test_choose_rejects_non_pairs(self):
-        d = canonical_orientation(fin(3))
-        with pytest.raises(CarrierMismatch):
-            d.choose(0, 7)
-        with pytest.raises(CarrierMismatch):
-            d.choose(1, 1)
 
     def test_too_small(self):
         with pytest.raises(TooSmall):
@@ -121,6 +126,17 @@ class TestOrientation:
     def test_action_identity(self):
         for u in all_orientations(fin(3)):
             assert orientation_action(identity(fin(3)), u) == u
+
+    @pytest.mark.parametrize("n", [2, 5, 40, 200])
+    def test_action_matches_a_per_pair_oracle(self, n):
+        rng = Random(n)
+        X, Y = random_labeled_set(rng, n), random_labeled_set(rng, n)
+        width = math.comb(n, 2)
+        for A, B in ((X, Y), (fin(n), fin(n)), (X, X)):
+            for _ in range(3):
+                e = random_bijection(rng, A, B)
+                u = Orientation(A, rng.getrandbits(width))
+                assert orientation_action(e, u).bits == naive_orientation_transport(e, u)
 
     @given(bijection_chains(length=2, min_size=2, max_size=5), st.integers(0, 1023))
     def test_action_functorial(self, chain, seed_bits):
@@ -455,6 +471,72 @@ class TestNaturalIsomorphism:
             natural_isomorphism(simpson_delooping(3), off_base_family(3))
         X, Y, e = info.value.square
         assert e.domain == X and e.codomain == Y
+
+
+class TestActionTable:
+    """Each family memoizes its action over fin(n), and nowhere else."""
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_memoized_action_matches_a_fresh_family(self, name):
+        build = CONSTRUCTIONS[name]
+        for n in range(2, 6):
+            Q = build(n)
+            for _ in range(2):
+                for e in perms_of(n):
+                    assert Q.action(e) == build(n).action(e), (n, e.images)
+
+    def test_table_is_read_only_over_fin_n(self):
+        transported = []
+
+        def transport(e, f):
+            transported.append(e)
+            return f.then(e)
+
+        n = 4
+        Q = dataclasses.replace(simpson_delooping, transport=transport)(n)
+        for p in perms_of(n):
+            Q.action(p)
+        assert len(transported) == 2 * math.factorial(n)
+        for p in perms_of(n):
+            assert Q.action(p) == simpson_delooping(n).action(p)
+        assert len(transported) == 2 * math.factorial(n)  # all from the table
+        X = random_labeled_set(Random(n), n)
+        for p in perms_of(n):
+            twins = (
+                Bijection(X, X, tuple(X.elements[i] for i in p.images)),
+                Bijection(X, fin(n), p.images),
+                Bijection(fin(n), X, tuple(X.elements[i] for i in p.images)),
+            )
+            for e in twins:
+                before = len(transported)
+                assert Q.action(e) == simpson_delooping(n).action(e), e
+                assert len(transported) == before + 2
+
+    def test_family_built_after_rebinding_starts_empty(self, monkeypatch):
+        warm = cartier_delooping(3)
+        expected = [warm.action(e) for e in perms_of(3)]
+
+        def stub(e, u):
+            raise RuntimeError("orientation_action called")
+
+        monkeypatch.setattr(deloopings, "orientation_action", stub)
+        with pytest.raises(RuntimeError):
+            cartier_delooping(3).action(perms_of(3)[0])
+        assert [warm.action(e) for e in perms_of(3)] == expected
+
+    def test_cartier_never_consults_the_sign(self, monkeypatch):
+        def stub(*args):
+            raise RuntimeError("sign consulted")
+
+        for module in (perms, deloopings):
+            monkeypatch.setattr(module, "sign_inversions", stub)
+        monkeypatch.setattr(perms, "inversions", stub)
+        monkeypatch.setattr(Sign, "of_parity", stub)
+        for n in range(2, 6):
+            Q = cartier_delooping(n)
+            signs = [sign_from_delooping(Q, e) for e in perms_of(n)]
+            assert signs.count(PLUS) == signs.count(MINUS) == math.factorial(n) // 2
+            assert Q.construction.census(fin(n)) == [1 << (math.comb(n, 2) - 1)] * 2
 
 
 class TestAlternatingKernel:

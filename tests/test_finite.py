@@ -61,8 +61,6 @@ NON_INTEGER_ENTRY_POINTS = {
     **{f"{name}_delooping": ctor for name, ctor in CONSTRUCTIONS.items()},
     "LabeledSet.position": lambda v: fin(3).position(v),
     "Bijection.__call__": lambda v: permutation([1, 0, 2])(v),
-    "Orientation.choose(v, 1)": lambda v: canonical_orientation(fin(3)).choose(v, 1),
-    "Orientation.choose(0, v)": lambda v: canonical_orientation(fin(3)).choose(0, v),
     "natural_isomorphism": lambda v: natural_isomorphism(
         cartier_delooping(3), cartier_delooping(3), squares=v
     ),

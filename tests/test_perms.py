@@ -93,6 +93,13 @@ class TestInversions:
         with pytest.raises(DomainMismatch):
             sign_inversions(e)
 
+    def test_requires_endo_even_when_the_images_are_cached(self):
+        e = permutation((1, 0, 2))
+        assert sign_inversions(e) is MINUS
+        twin = Bijection(LabeledSet.of([4, 5, 6]), fin(3), e.images)
+        with pytest.raises(DomainMismatch):
+            sign_inversions(twin)
+
     def test_direct_count_matches_witness_list_exhaustive(self):
         for e in enumerate_bijections(fin(6), fin(6)):
             assert sign_inversions(e) is Sign.of_parity(len(inversions(e)))
