@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import DomainMismatch, MalformedDecomposition, NotMember
-from .finite import Bijection, Label, LabeledSet, disjoint_union
+from .finite import Bijection, Label, LabeledSet
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class CycleDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "cycles", tuple(self.cycles))
         try:
-            carrier = disjoint_union(c.carrier for c in self.cycles)
+            carrier = LabeledSet.of(x for c in self.cycles for x in c.carrier)
         except ValueError as exc:
             raise MalformedDecomposition(str(exc)) from None
         object.__setattr__(self, "carrier", carrier)

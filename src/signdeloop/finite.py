@@ -231,16 +231,6 @@ def order_bijection(X: LabeledSet) -> Bijection:
     return Bijection(fin(len(X)), X, X.elements)
 
 
-def disjoint_union(parts: Iterable[LabeledSet]) -> LabeledSet:
-    """Union of pairwise disjoint labeled sets; rejects overlaps."""
-    labels: list[Label] = []
-    for part in parts:
-        labels.extend(part.elements)
-    if len(set(labels)) != len(labels):
-        raise ContractError("parts are not pairwise disjoint")
-    return LabeledSet.of(labels)
-
-
 def random_labeled_set(rng: Random, size: int) -> LabeledSet:
     """A fresh n-element set with labels far away from {0, ..., n-1}."""
     sample = rng.sample(range(100, 1_000_000), require_natural(size, "set size"))

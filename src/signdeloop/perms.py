@@ -16,7 +16,7 @@ import math
 import operator
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .cycles import cycle_decompose
 from .errors import ContractError, DomainMismatch
@@ -69,11 +69,6 @@ PLUS = Sign.PLUS
 MINUS = Sign.MINUS
 
 
-class InversionPair(NamedTuple):
-    i: int
-    j: int
-
-
 def permutation(images: Iterable[int]) -> Bijection:
     """One-line form: images[i] is the image of i, on fin(len(images))."""
     imgs = tuple(images)
@@ -85,12 +80,12 @@ def transposition(n: int, i: int, j: int) -> Bijection:
     return transposition_of_pair(fin(n), (i, j))
 
 
-def inversions(e: Bijection) -> tuple[InversionPair, ...]:
+def inversions(e: Bijection) -> tuple[tuple[int, int], ...]:
     """All label pairs i < j that e sends out of order, lexicographically."""
     if e.domain != e.codomain:
         raise DomainMismatch("inversions require an endo-bijection")
     return tuple(
-        InversionPair(i, j)
+        (i, j)
         for i, j in itertools.combinations(e.domain.elements, 2)
         if e(i) > e(j)
     )

@@ -95,10 +95,6 @@ class VerifyReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def duration(self) -> float:
-        return sum(c.duration for c in self.checks)
-
     def to_json(self) -> dict:
         return {
             "construction": self.construction,
@@ -371,11 +367,12 @@ def fixed_equivariance(n: int) -> tuple[bool, str]:
     perms = enumerate_bijections(base, base)
     lo, hi = fixed_point_elements(base)
     for elem in (lo, hi):
+        value = {h.images: elem.value_at(h) for h in perms}  # one read per chart
         for alpha in perms:
             s = sign_inversions(alpha)
             alpha_inverse = alpha.inverse()
             for h in perms:
-                if elem.value_at(alpha_inverse.then(h)) != s * elem.value_at(h):
+                if value[alpha_inverse.then(h).images] != s * value[h.images]:
                     return False, f"equivariance fails at {(alpha.images, h.images)!r}"
     return True, "both elements are equivariant"
 

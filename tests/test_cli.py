@@ -23,6 +23,31 @@ from signdeloop.finite import enumerate_bijections, fin, identity
 from signdeloop.perms import permutation
 
 
+# Runs the CLI in a child that reports the peak RSS of its own image (KiB)
+# on stderr.  Neither ru_maxrss is usable: RUSAGE_CHILDREN reports the
+# largest child ever waited for, and a child's RUSAGE_SELF keeps the peak of
+# the memory image it replaced at exec, here the test process's.
+_MEASURED_CHILD = """
+import re, sys
+from signdeloop.cli import run_command
+code = run_command(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\\s+(\\d+) kB", status.read())[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_measured(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEASURED_CHILD, *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc, int(proc.stderr.split()[-1])
+
+
 class TestParsePermutation:
     def test_cycle_notation(self):
         e = parse_permutation("(0 1 2)(3 4)")
@@ -148,15 +173,19 @@ class TestCommands:
 
     def test_cartier_at_the_arity_limit(self):
         # Three transports of 523 776 pairs each.  A transport that shifted
-        # and rebuilt the whole bitmask once per pair took 35 s in all.
-        proc = subprocess.run(
-            [sys.executable, "-m", "signdeloop.cli", "cartier", "(0 1)", "--n", "1024", "--json"],
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-        assert proc.returncode == 0, proc.stderr
+        # and rebuilt the whole bitmask once per pair took 35 s in all, and
+        # per-carrier pair tables peaked near 100 MiB.
+        proc, peak_kib = run_measured("cartier", "(0 1)", "--n", "1024", "--json")
         assert json.loads(proc.stdout)["relative_inversions"] == 1
+        assert peak_kib < 48 * 1024
+
+    def test_orientation_dot_at_the_arity_limit(self):
+        proc, peak_kib = run_measured("orientation-dot", "(0 1)", "--n", "1024")
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "digraph orientation {" and lines[-1] == "}"
+        assert sum(" -> " in line for line in lines) == 1024 * 1023 // 2
+        assert lines[1] == "  1 -> 0;"
+        assert peak_kib < 128 * 1024
 
     def test_cartier_text(self, capsys):
         assert run_command(["cartier", "(0 1 2)", "--n", "3"]) == 0

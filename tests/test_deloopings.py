@@ -127,7 +127,7 @@ class TestOrientation:
         for u in all_orientations(fin(3)):
             assert orientation_action(identity(fin(3)), u) == u
 
-    @pytest.mark.parametrize("n", [2, 5, 40, 200])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40, 200])
     def test_action_matches_a_per_pair_oracle(self, n):
         rng = Random(n)
         X, Y = random_labeled_set(rng, n), random_labeled_set(rng, n)

@@ -15,7 +15,6 @@ from signdeloop.errors import (
 from signdeloop.finite import (
     Bijection,
     LabeledSet,
-    disjoint_union,
     enumerate_bijections,
     fin,
     identity,
@@ -249,12 +248,6 @@ class TestSubsets:
         assert out[0] == (0, 1)
         assert out[-1] == (3, 4)
         assert len(out) == 10
-
-    def test_disjoint_union(self):
-        u = disjoint_union([LabeledSet.of([0, 2]), LabeledSet.of([1])])
-        assert u.elements == (0, 1, 2)
-        with pytest.raises(ContractError):
-            disjoint_union([fin(2), fin(1)])
 
 
 class TestSwapAndSupport:

@@ -12,7 +12,6 @@ from signdeloop.finite import (
 from signdeloop.perms import (
     MINUS,
     PLUS,
-    InversionPair,
     Sign,
     factor_into_transpositions,
     inversions,
@@ -64,7 +63,7 @@ class TestSign:
 class TestInversions:
     def test_frozen_small_example(self):
         e = permutation((1, 2, 0))
-        assert inversions(e) == (InversionPair(0, 2), InversionPair(1, 2))
+        assert inversions(e) == ((0, 2), (1, 2))
         assert sign_inversions(e) == PLUS
 
     def test_identity_has_none(self):
@@ -84,7 +83,7 @@ class TestInversions:
         X = LabeledSet.of([3, 7, 9])
         e = Bijection(X, X, (7, 9, 3))
         assert sign_inversions(e) == PLUS
-        assert inversions(e) == (InversionPair(3, 9), InversionPair(7, 9))
+        assert inversions(e) == ((3, 9), (7, 9))
 
     def test_requires_endo(self):
         e = Bijection(fin(2), LabeledSet.of([4, 5]), (4, 5))

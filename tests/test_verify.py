@@ -132,7 +132,7 @@ class TestRunWrapper:
         check = report.checks[0]
         assert check.passed and check.detail == "all good"
         assert check.duration >= 0
-        assert report.passed and report.duration >= 0
+        assert report.passed
 
 
 class TestRunVerification:
