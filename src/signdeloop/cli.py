@@ -9,6 +9,7 @@ of each point in order.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -200,11 +201,13 @@ def _cmd_orientation_dot(args) -> int:
     u = canonical_orientation(base)
     if args.perm is not None:
         u = orientation_action(parse_permutation(args.perm, args.n), u)
-    lines = ["digraph orientation {"]
-    for unchosen, chosen in u.choices():
-        lines.append(f"  {unchosen} -> {chosen};")
-    lines.append("}")
-    print("\n".join(lines))
+    edges = (f"  {unchosen} -> {chosen};\n" for unchosen, chosen in u.choices())
+    sys.stdout.write("digraph orientation {\n")
+    # Streamed in batches: one write per 4096 edges keeps memory flat and
+    # stays fast when stdout is unbuffered (PYTHONUNBUFFERED, python -u).
+    while batch := "".join(itertools.islice(edges, 4096)):
+        sys.stdout.write(batch)
+    sys.stdout.write("}\n")
     return 0
 
 

@@ -33,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     ArityMismatch,
@@ -95,11 +95,11 @@ class Orientation:
             raise ContractError(f"no pair at position {position}")
         return Orientation(self.carrier, self.bits ^ (1 << position))
 
-    def choices(self) -> tuple[tuple[Label, Label], ...]:
-        """(unchosen, chosen) per pair, in pair order."""
+    def choices(self) -> Iterator[tuple[Label, Label]]:
+        """(unchosen, chosen) per pair, in pair order, as a lazy iterator."""
         pairs = itertools.combinations(self.carrier.elements, 2)
         bits = format(self.bits, "b").zfill(math.comb(len(self.carrier), 2))[::-1]
-        return tuple((a, b) if bit == "1" else (b, a) for (a, b), bit in zip(pairs, bits))
+        return ((a, b) if bit == "1" else (b, a) for (a, b), bit in zip(pairs, bits))
 
 
 def canonical_orientation(X: LabeledSet) -> Orientation:

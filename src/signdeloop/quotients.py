@@ -1,9 +1,10 @@
 """Decidable equivalence relations on finite sets, stored as block partitions.
 
-A relation is validated by brute exhaustion (reflexivity, symmetry,
-transitivity over all pairs and triples) before any blocks are formed;
-failures carry an explicit witness.  Blocks are sorted by their minimal
-labels.
+A relation is evaluated once per ordered pair of the carrier, up front, so
+it must be total on X x X.  Its laws are then decided by brute exhaustion on
+that table (reflexivity, symmetry, transitivity over all pairs and triples)
+before any blocks are formed; failures carry an explicit witness.  Blocks
+are sorted by their minimal labels.
 """
 
 from __future__ import annotations
@@ -60,25 +61,27 @@ class Partition:
 def partition_from_relation(X: LabeledSet, rel: Relation) -> Partition:
     """Validate a decidable relation exhaustively, then form its blocks.
 
-    Raises NotReflexive / NotSymmetric / NotTransitive with a witness as
-    soon as a law fails; validation is O(n^3) and carriers here are small.
+    rel is called exactly once per ordered pair of X, len(X) ** 2 calls in
+    all, before any law is checked, so it must be total on X x X.  The laws
+    are decided on that table over every pair and triple, and
+    NotReflexive / NotSymmetric / NotTransitive carry the first witness in
+    element, pair and triple order.
     """
     elems = X.elements
+    related = {x: {y for y in elems if rel(x, y)} for x in elems}
     for x in elems:
-        if not rel(x, x):
+        if x not in related[x]:
             raise NotReflexive("relation is not reflexive", x)
     for x, y in itertools.combinations(elems, 2):
-        if bool(rel(x, y)) != bool(rel(y, x)):
+        if (y in related[x]) != (x in related[y]):
             raise NotSymmetric("relation is not symmetric", (x, y))
     for x, y, z in itertools.product(elems, repeat=3):
-        if rel(x, y) and rel(y, z) and not rel(x, z):
+        if y in related[x] and z in related[y] and z not in related[x]:
             raise NotTransitive("relation is not transitive", (x, y, z))
     blocks = []
     assigned: set[Label] = set()
     for x in elems:
-        if x in assigned:
-            continue
-        block = tuple(y for y in elems if rel(x, y))
-        assigned.update(block)
-        blocks.append(block)
+        if x not in assigned:
+            assigned |= related[x]
+            blocks.append(related[x])
     return Partition.from_blocks(X, blocks)

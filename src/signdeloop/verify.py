@@ -189,22 +189,25 @@ def kernel_closure(n: int, rng: Random | None = None) -> tuple[bool, str]:
 def parity_triangle_holds(n: int, rng: Random, trials: int = 10_000) -> tuple[bool, str]:
     """Disagreement counts add mod 2 over any triple of orientations.
 
-    Exhaustive over all triples for n <= 4, seeded random triples beyond.
+    For n <= 4 every ordered triple of the 2^width orientations is decided:
+    each ordered pair's parity is computed once into a table, and every
+    triple, in product order, is checked against it, so the first failing
+    triple is the one a triple-by-triple scan would report.  Beyond, seeded
+    random triples are checked one by one.
     """
     require_natural(trials, "trial count")
     X = fin(n)
     width = n * (n - 1) // 2
     if n <= 4:
         pool = list(all_orientations(X))
-        triples = itertools.product(pool, repeat=3)
-    else:
-        def random_triples():
-            for _ in range(trials):
-                yield tuple(
-                    Orientation(X, rng.getrandbits(width)) for _ in range(3)
-                )
-        triples = random_triples()
-    for u, v, w in triples:
+        odd = [[relative_inversions(u, w) % 2 for w in pool] for u in pool]
+        for i, j, k in itertools.product(range(len(pool)), repeat=3):
+            if odd[i][k] != odd[i][j] ^ odd[j][k]:
+                triple = (pool[i].bits, pool[j].bits, pool[k].bits)
+                return False, f"triple {triple!r} breaks additivity"
+        return True, "additive mod 2"
+    for _ in range(trials):
+        u, v, w = (Orientation(X, rng.getrandbits(width)) for _ in range(3))
         lhs = relative_inversions(u, w) % 2
         rhs = (relative_inversions(u, v) + relative_inversions(v, w)) % 2
         if lhs != rhs:
@@ -466,14 +469,10 @@ def relation_validity(n: int, rng: Random) -> tuple[bool, str]:
         charts = enumerate_bijections(base, base)
     else:
         charts = [random_bijection(rng, base, base) for _ in range(24)]
-    chart_set = LabeledSet.of(range(len(charts)))
-    # Each pair's relative parity once: validation looks pairs up 24^3 times.
-    even = {
-        (i, j): sign_inversions(charts[i].then(charts[j].inverse())) is PLUS
-        for i in chart_set
-        for j in chart_set
-    }
-    p = partition_from_relation(chart_set, lambda i, j: even[i, j])
+    p = partition_from_relation(
+        LabeledSet.of(range(len(charts))),
+        lambda i, j: sign_inversions(charts[i].then(charts[j].inverse())) is PLUS,
+    )
     if len(p) != (1 if n < 2 else 2):
         return False, f"chart relation gives {len(p)} blocks"
     # orientation relation: even disagreement count

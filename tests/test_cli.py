@@ -185,7 +185,7 @@ class TestCommands:
         assert lines[0] == "digraph orientation {" and lines[-1] == "}"
         assert sum(" -> " in line for line in lines) == 1024 * 1023 // 2
         assert lines[1] == "  1 -> 0;"
-        assert peak_kib < 128 * 1024
+        assert peak_kib < 48 * 1024
 
     def test_cartier_text(self, capsys):
         assert run_command(["cartier", "(0 1 2)", "--n", "3"]) == 0

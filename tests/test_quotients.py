@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,58 @@ from signdeloop.finite import LabeledSet, fin
 from signdeloop.quotients import Partition, partition_from_relation
 
 from strategies import labeled_sets
+
+
+def lazy_partition_from_relation(X, rel):
+    """Reference: query rel pair by pair, as each law and block needs it."""
+    elems = X.elements
+    for x in elems:
+        if not rel(x, x):
+            raise NotReflexive("relation is not reflexive", x)
+    for x, y in itertools.combinations(elems, 2):
+        if bool(rel(x, y)) != bool(rel(y, x)):
+            raise NotSymmetric("relation is not symmetric", (x, y))
+    for x, y, z in itertools.product(elems, repeat=3):
+        if rel(x, y) and rel(y, z) and not rel(x, z):
+            raise NotTransitive("relation is not transitive", (x, y, z))
+    blocks = []
+    assigned = set()
+    for x in elems:
+        if x in assigned:
+            continue
+        block = tuple(y for y in elems if rel(x, y))
+        assigned.update(block)
+        blocks.append(block)
+    return Partition.from_blocks(X, blocks)
+
+
+@st.composite
+def relation_tables(draw):
+    """A boolean table on fin(k), k <= 5: an equivalence with entries flipped.
+
+    With no flips it is an equivalence.  Flipping both (x, y) and (y, x)
+    keeps reflexivity and symmetry and may break transitivity; flipping one
+    entry breaks reflexivity or symmetry.
+    """
+    k = draw(st.integers(0, 5))
+    home = draw(st.lists(st.integers(0, max(k - 1, 0)), min_size=k, max_size=k))
+    table = {(x, y): home[x] == home[y] for x in range(k) for y in range(k)}
+    if k > 1:
+        unordered = list(itertools.combinations(range(k), 2))
+        for x, y in draw(st.sets(st.sampled_from(unordered))):
+            table[x, y] = table[y, x] = not table[x, y]
+    if k:
+        for pair in draw(st.sets(st.sampled_from(sorted(table)), max_size=1)):
+            table[pair] = not table[pair]
+    return k, table
+
+
+def outcome(partition, X, rel):
+    """The blocks, or the failed law's exception class and witness."""
+    try:
+        return tuple(b.elements for b in partition(X, rel).blocks)
+    except (NotReflexive, NotSymmetric, NotTransitive) as exc:
+        return type(exc), exc.witness
 
 
 def all_partitions(elements):
@@ -111,6 +165,21 @@ class TestPartitionFromRelation:
             assert sorted(b.elements for b in p.blocks) == sorted(
                 tuple(sorted(b)) for b in raw
             )
+
+    @given(relation_tables())
+    def test_matches_the_lazy_reference(self, drawn):
+        k, table = drawn
+        X = fin(k)
+        calls = []
+
+        def rel(x, y):
+            calls.append((x, y))
+            return table[x, y]
+
+        got = outcome(partition_from_relation, X, rel)
+        # Once per ordered pair, whether or not a law fails.
+        assert len(calls) == k**2 and set(calls) == set(table)
+        assert got == outcome(lazy_partition_from_relation, X, lambda x, y: table[x, y])
 
     @given(labeled_sets(min_size=1, max_size=6), st.integers(1, 4))
     def test_modulus_relation(self, X, k):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -10,10 +11,11 @@ from signdeloop.errors import ContractError
 from signdeloop.deloopings import (
     CLASS_LABELS,
     TwoElementFamily,
+    all_orientations,
     alternating_kernel,
     orbit_class,
 )
-from signdeloop.finite import identity
+from signdeloop.finite import fin, identity
 from signdeloop.perms import permutation
 from signdeloop.verify import (
     CHECKS,
@@ -82,6 +84,28 @@ class TestOracles:
     def test_parity_triangle_exhaustive(self):
         ok, detail = parity_triangle_holds(3, Random(0))
         assert ok and "additive" in detail
+
+    @pytest.mark.parametrize("n, pair", [(3, (5, 2)), (4, (37, 12))])
+    def test_parity_triangle_reports_the_first_break(self, monkeypatch, n, pair):
+        # A disagreement count off by one on the single ordered pair `pair`
+        # breaks additivity on some triples; the per-pair table must report
+        # the first of them in product order, as a triple-by-triple scan does.
+        real = verify.relative_inversions
+
+        def tampered(u, v):
+            return real(u, v) + ((u.bits, v.bits) == pair)
+
+        monkeypatch.setattr(verify, "relative_inversions", tampered)
+
+        def brute():
+            for u, v, w in itertools.product(all_orientations(fin(n)), repeat=3):
+                if tampered(u, w) % 2 != (tampered(u, v) + tampered(v, w)) % 2:
+                    return False, f"triple {(u.bits, v.bits, w.bits)!r} breaks additivity"
+            return True, "additive mod 2"
+
+        expected = brute()
+        assert expected[0] is False
+        assert parity_triangle_holds(n, Random(0)) == expected
 
     def test_parity_triangle_sampled(self):
         ok, _ = parity_triangle_holds(6, Random(0), trials=500)
