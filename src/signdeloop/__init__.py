@@ -3,7 +3,7 @@
 Each name is imported from its module, and `import signdeloop` loads none
 of them:
 
-* signdeloop.finite - labeled sets, subsets and bijections;
+* signdeloop.finite - labeled sets and the bijections between them;
 * signdeloop.perms - signs, inversion parity and transposition factoring;
 * signdeloop.cycles - cycle forms of permutations and of arbitrary self-maps;
 * signdeloop.quotients - quotients of decidable equivalence relations;

@@ -14,7 +14,7 @@ import json
 import re
 import sys
 
-from .cycles import cycle_decompose
+from .cycles import CycleDecomposition, cycle_decompose, recompose
 from .deloopings import (
     CONSTRUCTIONS,
     alternating_kernel,
@@ -66,25 +66,21 @@ def parse_permutation(text: str, n: int | None = None) -> Bijection:
         leftover = _CYCLE_TOKEN.sub("", text).strip()
         if leftover:
             raise ContractError(f"unparsed cycle input: {leftover!r}")
-        cycles = []
-        for group in groups:
-            labels = [_parse_label(tok) for tok in re.split(r"[,\s]+", group.strip()) if tok]
-            cycles.append(labels)
-        seen: set[int] = set()
-        for cyc in cycles:
-            if seen & set(cyc) or len(set(cyc)) != len(cyc):
-                raise ContractError("cycles must be disjoint")
-            seen.update(cyc)
-        size = n if n is not None else (max(seen) + 1 if seen else 0)
+        orbits = [
+            [_parse_label(tok) for tok in re.split(r"[,\s]+", group.strip()) if tok]
+            for group in groups
+        ]
+        mentioned = {x for orbit in orbits for x in orbit}
+        size = n if n is not None else max(mentioned, default=-1) + 1
         _check_arity(size)
-        mapping = {x: x for x in range(size)}
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                if a >= size:
-                    raise ContractError(f"label {a} out of range for n={size}")
-                mapping[a] = b
-        base = fin(size)
-        return Bijection(base, base, tuple(mapping[x] for x in range(size)))
+        for x in itertools.chain.from_iterable(orbits):
+            if x >= size:
+                raise ContractError(f"label {x} out of range for n={size}")
+        cycles = [(x,) for x in range(size) if x not in mentioned]
+        for orbit in filter(None, orbits):
+            start = orbit.index(min(orbit))
+            cycles.append(tuple(orbit[start:] + orbit[:start]))
+        return recompose(CycleDecomposition(cycles))
     images = tuple(_parse_label(tok) for tok in text.split(","))
     _check_arity(len(images))
     if n is not None and n != len(images):
@@ -99,11 +95,7 @@ def format_permutation(e: Bijection) -> str:
 
 
 def _nontrivial_cycles(e: Bijection) -> list[list[int]]:
-    return [
-        list(cyc.orbit_from_min())
-        for cyc in cycle_decompose(e).cycles
-        if len(cyc) > 1
-    ]
+    return [list(orbit) for orbit in cycle_decompose(e).cycles if len(orbit) > 1]
 
 
 def build_parser() -> argparse.ArgumentParser:

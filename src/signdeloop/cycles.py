@@ -1,102 +1,82 @@
-"""Single-orbit structures and the cycle form of self-maps.
+"""Cycle forms of self-bijections and of arbitrary self-maps.
 
-A self-bijection of a finite set is the same data as its orbits, each
-carrying a single-orbit step; the set is the disjoint union of the orbits.
-cycle_decompose/recompose realize both directions, and the canonical form
-sorts cycles by minimal label.  Arbitrary endofunctions extend this picture:
-an eventually-periodic core carrying cycles, with a rooted tree of transient
-points hanging off every core element.
+A self-bijection of a finite set is the same data as its orbits, so a cycle
+is a plain tuple of labels: its orbit, listed from its minimal label, each
+label followed by its image and the last by the first.  The set is the
+disjoint union of the orbits.  cycle_decompose/recompose realize both
+directions, and the canonical form sorts cycles by minimal label.
+Arbitrary endofunctions extend this picture: an eventually-periodic core
+carrying cycles, with a rooted tree of transient points hanging off every
+core element.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import DomainMismatch, MalformedDecomposition, NotMember
-from .finite import Bijection, Label, LabeledSet
+from .finite import Bijection, Label, LabeledSet, require_ints
+
+Orbit = tuple[Label, ...]
 
 
-@dataclass(frozen=True)
-class CyclicStructure:
-    """A nonempty carrier whose step walks through it in a single orbit."""
-
-    carrier: LabeledSet
-    step: Bijection
-
-    def __post_init__(self):
-        if len(self.carrier) == 0:
-            raise MalformedDecomposition("a cycle needs a nonempty carrier")
-        if self.step.domain != self.carrier or self.step.codomain != self.carrier:
-            raise MalformedDecomposition("step must be an endo-bijection of the carrier")
-        if len(self.orbit_from_min()) != len(self.carrier):
-            raise MalformedDecomposition("step does not have a single orbit")
-
-    def orbit_from_min(self) -> tuple[Label, ...]:
-        """The orbit listed from the minimal label."""
-        start = self.carrier.elements[0]
-        orbit = [start]
-        y = self.step(start)
-        while y != start:
-            orbit.append(y)
-            y = self.step(y)
-        return tuple(orbit)
-
-    def __len__(self) -> int:
-        return len(self.carrier)
+def _union_of_orbits(cycles: tuple[Orbit, ...]) -> LabeledSet:
+    """The labels of the cycles.  Each cycle must be nonempty and listed from
+    its minimum, and no label may appear twice."""
+    labels = sorted(require_ints(tuple(x for orbit in cycles for x in orbit), "label"))
+    for orbit in cycles:
+        if not orbit or orbit[0] != min(orbit):
+            raise MalformedDecomposition(f"orbit {orbit!r} is not listed from its minimum")
+    repeated = sorted({a for a, b in zip(labels, labels[1:]) if a == b})
+    if repeated:
+        raise MalformedDecomposition(f"duplicate labels in the cycles: {repeated!r}")
+    return LabeledSet(tuple(labels))
 
 
 @dataclass(frozen=True)
 class CycleDecomposition:
-    """Disjoint cycles; their carriers' union is the decomposed carrier."""
+    """Disjoint cycles; their labels' union is the decomposed carrier."""
 
-    cycles: tuple[CyclicStructure, ...]
+    cycles: tuple[Orbit, ...]
     carrier: LabeledSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cycles", tuple(self.cycles))
-        try:
-            carrier = LabeledSet.of(x for c in self.cycles for x in c.carrier)
-        except ValueError as exc:
-            raise MalformedDecomposition(str(exc)) from None
-        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "cycles", tuple(map(tuple, self.cycles)))
+        object.__setattr__(self, "carrier", _union_of_orbits(self.cycles))
 
 
-def _orbits(e: Bijection) -> list[tuple[Label, ...]]:
+def _orbits(labels: Iterable[Label], step: Callable[[Label], Label]) -> Iterator[Orbit]:
     # Ascending scan: each orbit is found at, and listed from, its minimum.
     seen: set[Label] = set()
-    out = []
-    for x in e.domain:
+    for x in labels:
         if x in seen:
             continue
         orbit = [x]
-        y = e(x)
+        y = step(x)
         while y != x:
             orbit.append(y)
-            y = e(y)
+            y = step(y)
         seen.update(orbit)
-        out.append(tuple(orbit))
-    return out
+        yield tuple(orbit)
+
+
+def _successors(orbit: Orbit) -> Iterator[tuple[Label, Label]]:
+    """Each label of an orbit with its image, the next entry."""
+    return zip(orbit, orbit[1:] + orbit[:1])
 
 
 def cycle_decompose(e: Bijection) -> CycleDecomposition:
     """Canonical cycle form: cycles sorted by minimal label."""
     if e.domain != e.codomain:
         raise DomainMismatch("cycle decomposition requires an endo-bijection")
-    cycles = []
-    for orbit in _orbits(e):
-        carrier = LabeledSet.of(orbit)
-        step = Bijection(carrier, carrier, tuple(e(x) for x in carrier))
-        cycles.append(CyclicStructure(carrier, step))
-    return CycleDecomposition(tuple(cycles))
+    return CycleDecomposition(tuple(_orbits(e.domain, e)))
 
 
 def recompose(dec: CycleDecomposition) -> Bijection:
     """The self-bijection that moves every label one step along its cycle."""
-    image: dict[Label, Label] = {}
-    for cyc in dec.cycles:
-        image.update(zip(cyc.carrier.elements, cyc.step.images))
+    image = dict(pair for orbit in dec.cycles for pair in _successors(orbit))
     return Bijection(dec.carrier, dec.carrier, tuple(image[x] for x in dec.carrier))
 
 
@@ -150,23 +130,25 @@ class RootedTree:
 class EndoDecomposition:
     """Cycles plus rooted trees of transient points; the carrier is the tree nodes.
 
-    trees[i][j] is attached at cycles[i].carrier.elements[j]; within a tree,
-    a node's parent is its image under the recomposed function.
+    cycles are orbit tuples of the periodic core, as in CycleDecomposition.
+    trees[i][j] hangs at cycles[i][j]; within a tree, a node's parent is its
+    image under the recomposed function.
     """
 
-    cycles: tuple[CyclicStructure, ...]
+    cycles: tuple[Orbit, ...]
     trees: tuple[tuple[RootedTree, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cycles", tuple(self.cycles))
+        object.__setattr__(self, "cycles", tuple(map(tuple, self.cycles)))
         object.__setattr__(self, "trees", tuple(tuple(row) for row in self.trees))
+        _union_of_orbits(self.cycles)
         if len(self.trees) != len(self.cycles):
             raise MalformedDecomposition("cycles and tree rows must align")
         nodes: list[Label] = []
-        for cyc, row in zip(self.cycles, self.trees):
-            if len(row) != len(cyc.carrier):
+        for orbit, row in zip(self.cycles, self.trees):
+            if len(row) != len(orbit):
                 raise MalformedDecomposition("one tree per cycle element required")
-            for anchor, tree in zip(cyc.carrier, row):
+            for anchor, tree in zip(orbit, row):
                 if tree.root != anchor:
                     raise MalformedDecomposition(
                         f"tree root {tree.root!r} must equal its anchor {anchor!r}"
@@ -200,11 +182,7 @@ def decompose_endofunction(carrier: LabeledSet, f: dict[Label, Label]) -> EndoDe
         indegree[y] -= 1
         if not indegree[y]:
             peel.append(y)
-    cycles = []
-    if core:
-        core_set = LabeledSet.of(core)
-        restriction = Bijection(core_set, core_set, tuple(table[x] for x in core_set))
-        cycles = list(cycle_decompose(restriction).cycles)
+    cycles = tuple(_orbits(sorted(core), table.__getitem__))
     kids: dict[Label, list[Label]] = defaultdict(list)
     for x in carrier:
         if x not in core:
@@ -223,16 +201,16 @@ def decompose_endofunction(carrier: LabeledSet, f: dict[Label, Label]) -> EndoDe
             built[y] = RootedTree(y, tuple(built.pop(c) for c in sorted(kids[y])))
         return built[x]
 
-    trees = tuple(tuple(build(x) for x in cyc.carrier) for cyc in cycles)
-    return EndoDecomposition(tuple(cycles), trees)
+    trees = tuple(tuple(build(x) for x in orbit) for orbit in cycles)
+    return EndoDecomposition(cycles, trees)
 
 
 def recompose_endofunction(dec: EndoDecomposition) -> dict[Label, Label]:
     """Rebuild the image table: roots step along their cycle, nodes point at parents."""
     image: dict[Label, Label] = {}
-    for cyc, row in zip(dec.cycles, dec.trees):
-        for tree in row:
-            image[tree.root] = cyc.step(tree.root)
+    for orbit, row in zip(dec.cycles, dec.trees):
+        for (root, successor), tree in zip(_successors(orbit), row):
+            image[root] = successor
             stack = [tree]
             while stack:
                 node = stack.pop()

@@ -253,11 +253,6 @@ class TwoElementFamily:
         return self.base_point if s is PLUS else 1 - self.base_point
 
 
-def _require_set_arity(X: LabeledSet, n: int) -> None:
-    if len(X) != n:
-        raise ArityMismatch(f"expected a {n}-element set, got {len(X)} elements")
-
-
 @dataclass(frozen=True)
 class Construction:
     """One sign delooping: elements over each carrier modulo two classes.
@@ -299,8 +294,11 @@ class Construction:
             over_base = e.domain == base and e.codomain == base
             acted = table.get(e.images) if over_base else None
             if acted is None:
-                _require_set_arity(e.domain, n)
-                _require_set_arity(e.codomain, n)
+                # A Bijection's codomain has as many labels as its domain.
+                if len(e.domain) != n:
+                    raise ArityMismatch(
+                        f"expected a {n}-element set, got {len(e.domain)} elements"
+                    )
                 images = tuple(
                     self.classify(self.transport(e, self.representative(e.domain, c)))
                     for c in (0, 1)

@@ -122,15 +122,14 @@ def product_of_transpositions(X: LabeledSet, factors) -> Bijection:
 def factor_into_transpositions(e: Bijection) -> tuple[tuple[Label, Label], ...]:
     """Write an endo-bijection as a product of adjacent-in-orbit swaps.
 
-    Each cycle (c0 c1 ... c_{k-1}), listed from its minimal label, contributes
-    <c0 c1><c1 c2>...<c_{k-2} c_{k-1}>; cycles are emitted in order of their
-    minimal labels, and each factor is a sorted label pair.  The factor count
-    is len(carrier) - number of orbits, so its parity agrees with the
-    inversion parity.
+    Each cycle of cycle_decompose(e), an orbit (c0 c1 ... c_{k-1}) listed
+    from its minimal label, contributes <c0 c1><c1 c2>...<c_{k-2} c_{k-1}>;
+    cycles are emitted in order of their minimal labels, and each factor is
+    a sorted label pair.  The factor count is len(carrier) - number of
+    orbits, so its parity agrees with the inversion parity.
     """
-    dec = cycle_decompose(e)
-    factors: list[tuple[Label, Label]] = []
-    for cyc in dec.cycles:
-        orbit = cyc.orbit_from_min()
-        factors.extend(tuple(sorted(pair)) for pair in zip(orbit, orbit[1:]))
-    return tuple(factors)
+    return tuple(
+        tuple(sorted(pair))
+        for orbit in cycle_decompose(e).cycles
+        for pair in zip(orbit, orbit[1:])
+    )

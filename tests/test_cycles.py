@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from signdeloop.errors import (
+    ContractError,
     DomainMismatch,
     MalformedDecomposition,
     NotMember,
@@ -14,13 +15,11 @@ from signdeloop.finite import (
     LabeledSet,
     enumerate_bijections,
     fin,
-    identity,
 )
 from signdeloop.perms import permutation
 from signdeloop.quotients import Partition
 from signdeloop.cycles import (
     CycleDecomposition,
-    CyclicStructure,
     EndoDecomposition,
     RootedTree,
     canonical_form,
@@ -58,36 +57,52 @@ def reaches_everything(n, e):
 
 
 def is_single_orbit(e):
-    try:
-        CyclicStructure(e.domain, e)
-    except MalformedDecomposition:
-        return False
-    return True
+    return len(cycle_decompose(e).cycles) == 1
 
 
-class TestCyclicStructure:
-    def test_orbit_from_min(self):
-        X = LabeledSet.of([2, 5, 9])
-        step = Bijection(X, X, (9, 2, 5))  # 2 -> 9 -> 5 -> 2
-        assert CyclicStructure(X, step).orbit_from_min() == (2, 9, 5)
+def endo_with_trivial_trees(cycles):
+    return EndoDecomposition(cycles, tuple(tuple(map(RootedTree, c)) for c in cycles))
+
+
+def assert_both_constructors_reject(cycles, error=MalformedDecomposition):
+    for build in (CycleDecomposition, endo_with_trivial_trees):
+        with pytest.raises(error):
+            build(cycles)
+
+
+class TestDecompositionContracts:
+    """Both constructors take exactly disjoint orbits listed from their minimum."""
+
+    def test_orbit_listed_from_min(self):
+        dec = CycleDecomposition(([5], (2, 9, 3)))  # 2 -> 9 -> 3 -> 2
+        assert dec.cycles == ((5,), (2, 9, 3))
+        assert dec.carrier == LabeledSet.of([2, 3, 5, 9])
+        assert recompose(dec) == Bijection(dec.carrier, dec.carrier, (9, 2, 5, 3))
+        assert endo_with_trivial_trees(dec.cycles).cycles == dec.cycles
+        assert CycleDecomposition(()).carrier == fin(0)
 
     def test_rejects_empty(self):
-        with pytest.raises(MalformedDecomposition):
-            CyclicStructure(LabeledSet.of([]), identity(LabeledSet.of([])))
+        assert_both_constructors_reject(((0, 1), ()))
 
-    def test_rejects_foreign_step(self):
-        with pytest.raises(MalformedDecomposition):
-            CyclicStructure(fin(2), identity(fin(3)))
+    def test_rejects_orbit_not_listed_from_min(self):
+        assert_both_constructors_reject(((1, 0),))
+        assert_both_constructors_reject(((5,), (9, 3, 2)))
 
-    def test_rejects_multiple_orbits(self):
-        with pytest.raises(MalformedDecomposition):
-            CyclicStructure(fin(2), identity(fin(2)))
-        with pytest.raises(MalformedDecomposition):
-            CyclicStructure(fin(4), permutation((1, 0, 3, 2)))
+    def test_rejects_repeated_label(self):
+        assert_both_constructors_reject(((0, 1, 0),))
+        assert_both_constructors_reject(((0, 0),))
+
+    def test_rejects_overlapping_orbits(self):
+        assert_both_constructors_reject(((0, 1), (1, 2)))
+        assert_both_constructors_reject(((0,), (0,)))
+
+    @pytest.mark.parametrize("label", [True, 1.0, "1", None])
+    def test_rejects_a_non_int_label(self, label):
+        assert_both_constructors_reject(((0, label),), ContractError)
 
 
 class TestIsCyclic:
-    """Single-orbit recognition, which CyclicStructure's check performs."""
+    """Single-orbit recognition: a decomposition with exactly one cycle."""
 
     def test_matches_reachability_oracle_exhaustively(self):
         for n in range(6):
@@ -105,13 +120,10 @@ class TestIsCyclic:
 class TestCycleDecompose:
     def test_frozen_example(self):
         dec = cycle_decompose(permutation((1, 0, 2, 4, 5, 3)))
-        assert [c.carrier.elements for c in dec.cycles] == [
-            (0, 1),
-            (2,),
-            (3, 4, 5),
-        ]
-        assert dec.cycles[2].orbit_from_min() == (3, 4, 5)
+        assert dec.cycles == ((0, 1), (2,), (3, 4, 5))
         assert dec.carrier == fin(6)
+        # 1 -> 3 -> 2 -> 1: listed from the minimum, in step order
+        assert cycle_decompose(permutation((0, 3, 1, 2))).cycles == ((0,), (1, 3, 2))
 
     def test_requires_endo(self):
         with pytest.raises(DomainMismatch):
@@ -119,9 +131,7 @@ class TestCycleDecompose:
 
     def test_hand_built_recomposes(self):
         # labels {3, 4, 5}: the swap of 3 and 4, and 5 fixed
-        pair = LabeledSet.of([3, 4])
-        swap = CyclicStructure(pair, Bijection(pair, pair, (4, 3)))
-        rest = CyclicStructure(LabeledSet.of([5]), identity(LabeledSet.of([5])))
+        swap, rest = (3, 4), (5,)
         dec = CycleDecomposition((rest, swap))
         X = LabeledSet.of([3, 4, 5])
         assert dec.carrier == X
@@ -129,9 +139,8 @@ class TestCycleDecompose:
         assert canonical_form(dec) == CycleDecomposition((swap, rest))
 
     def test_overlapping_cycles_rejected(self):
-        cyc = CyclicStructure(fin(1), identity(fin(1)))
-        with pytest.raises(MalformedDecomposition):
-            CycleDecomposition((cyc, cyc))
+        with pytest.raises(MalformedDecomposition, match="duplicate labels"):
+            CycleDecomposition(((0,), (0,)))
 
     def test_roundtrip_exhaustive(self):
         for n in range(6):
@@ -153,27 +162,20 @@ class TestCycleDecompose:
         assert canonical_form(dec) == dec
 
     def test_partition_times_steps_covers_group(self):
-        # every (orbit partition, single-orbit step per block) pair arises
-        # from exactly one self-bijection
+        # every (orbit partition, cyclic order per block) pair arises from
+        # exactly one self-bijection: block B has (|B| - 1)! orbit tuples
+        # (min(B),) + p, one per ordering p of the rest of B
         for n in range(1, 5):
             X = fin(n)
             rebuilt = set()
             count = 0
             for raw in all_partitions(list(X.elements)):
                 p = Partition.from_blocks(X, raw)
-                step_menus = [
-                    [
-                        s
-                        for s in enumerate_bijections(B, B)
-                        if is_single_orbit(s)
-                    ]
+                orbit_menus = [
+                    [(B.elements[0],) + rest for rest in itertools.permutations(B.elements[1:])]
                     for B in p.blocks
                 ]
-                for steps in itertools.product(*step_menus):
-                    cycles = tuple(
-                        CyclicStructure(B, s)
-                        for B, s in zip(p.blocks, steps)
-                    )
+                for cycles in itertools.product(*orbit_menus):
                     rebuilt.add(recompose(CycleDecomposition(cycles)))
                     count += 1
             assert count == math.factorial(n)
@@ -206,8 +208,7 @@ class TestEndofunctions:
     def test_frozen_example(self):
         table = {0: 1, 1: 2, 2: 0, 3: 0, 4: 3, 5: 2}
         dec = decompose_endofunction(fin(6), table)
-        assert dec.cycles[0].carrier.elements == (0, 1, 2)
-        assert dec.cycles[0].orbit_from_min() == (0, 1, 2)
+        assert dec.cycles == ((0, 1, 2),)
         tree_at_0, tree_at_1, tree_at_2 = dec.trees[0]
         assert tree_at_0 == RootedTree(0, (RootedTree(3, (RootedTree(4),)),))
         assert tree_at_1 == RootedTree(1)
@@ -235,7 +236,7 @@ class TestEndofunctions:
         n = 20_000
         table = {i: min(i + 1, n - 1) for i in range(n)}
         dec = decompose_endofunction(fin(n), table)
-        assert [c.carrier.elements for c in dec.cycles] == [(n - 1,)]
+        assert dec.cycles == ((n - 1,),)
         assert list(dec.trees[0][0].nodes()) == list(range(n - 1, -1, -1))
         assert recompose_endofunction(dec) == table
         assert decompose_endofunction(fin(n), recompose_endofunction(dec)) == dec
@@ -250,13 +251,31 @@ class TestEndofunctions:
         with pytest.raises(NotMember):
             decompose_endofunction(fin(2), {0: 1})
 
+    def test_trees_hang_at_orbit_positions(self):
+        # core 0 -> 2 -> 1 -> 0; 3 feeds 2 and 4 feeds 1
+        table = {0: 2, 1: 0, 2: 1, 3: 2, 4: 1}
+        dec = decompose_endofunction(fin(5), table)
+        assert dec.cycles == ((0, 2, 1),)
+        assert [tree.root for tree in dec.trees[0]] == [0, 2, 1]
+        assert dec.trees[0][1] == RootedTree(2, (RootedTree(3),))
+        assert dec.trees[0][2] == RootedTree(1, (RootedTree(4),))
+        assert recompose_endofunction(dec) == table
+
     def test_anchor_mismatch_rejected(self):
-        cyc = CyclicStructure(fin(1), identity(fin(1)))
         with pytest.raises(MalformedDecomposition):
-            EndoDecomposition((cyc,), ((RootedTree(1),),))
+            EndoDecomposition(((0,),), ((RootedTree(1),),))
+        with pytest.raises(MalformedDecomposition):  # trees in sorted, not orbit, order
+            EndoDecomposition(((0, 2, 1),), ((RootedTree(0), RootedTree(1), RootedTree(2)),))
+
+    def test_misaligned_rows_rejected(self):
+        with pytest.raises(MalformedDecomposition):
+            EndoDecomposition(((0,), (1,)), ((RootedTree(0),),))
+        with pytest.raises(MalformedDecomposition):
+            EndoDecomposition(((0, 1),), ((RootedTree(0),),))
 
     def test_overlapping_tree_nodes_rejected(self):
-        cyc = CyclicStructure(fin(1), identity(fin(1)))
-        bad_tree = RootedTree(0, (RootedTree(1), RootedTree(2)))
         with pytest.raises(MalformedDecomposition):
-            EndoDecomposition((cyc, cyc), ((bad_tree,), (bad_tree,)))
+            EndoDecomposition(((0,),), ((RootedTree(0, (RootedTree(0),)),),))
+        bad_tree = RootedTree(1, (RootedTree(2),))
+        with pytest.raises(MalformedDecomposition):
+            EndoDecomposition(((0,), (1,)), ((RootedTree(0, (RootedTree(2),)),), (bad_tree,)))

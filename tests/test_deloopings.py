@@ -524,7 +524,10 @@ class TestActionTable:
             cartier_delooping(3).action(perms_of(3)[0])
         assert [warm.action(e) for e in perms_of(3)] == expected
 
-    def test_cartier_never_consults_the_sign(self, monkeypatch):
+    @staticmethod
+    def stub_out_the_sign(monkeypatch):
+        """Make sign_inversions, inversions and Sign.of_parity raise."""
+
         def stub(*args):
             raise RuntimeError("sign consulted")
 
@@ -532,11 +535,22 @@ class TestActionTable:
             monkeypatch.setattr(module, "sign_inversions", stub)
         monkeypatch.setattr(perms, "inversions", stub)
         monkeypatch.setattr(Sign, "of_parity", stub)
-        for n in range(2, 6):
+
+    def test_cartier_never_consults_the_sign(self, monkeypatch):
+        self.stub_out_the_sign(monkeypatch)
+        for n in range(2, 7):
             Q = cartier_delooping(n)
             signs = [sign_from_delooping(Q, e) for e in perms_of(n)]
             assert signs.count(PLUS) == signs.count(MINUS) == math.factorial(n) // 2
             assert Q.construction.census(fin(n)) == [1 << (math.comb(n, 2) - 1)] * 2
+
+    @pytest.mark.parametrize("name", ["simpson", "orbit", "fixed"])
+    def test_the_other_constructions_consult_the_stubbed_sign(self, monkeypatch, name):
+        # The stubs are live: each other construction classifies through
+        # sign_inversions, so its first action raises.
+        self.stub_out_the_sign(monkeypatch)
+        with pytest.raises(RuntimeError, match="sign consulted"):
+            CONSTRUCTIONS[name](3).action(perms_of(3)[0])
 
 
 class TestAlternatingKernel:
