@@ -71,13 +71,14 @@ def cycle_decompose(e: Bijection) -> CycleDecomposition:
     """Canonical cycle form: cycles sorted by minimal label."""
     if e.domain != e.codomain:
         raise DomainMismatch("cycle decomposition requires an endo-bijection")
-    return CycleDecomposition(tuple(_orbits(e.domain, e)))
+    pos, images = e.domain._pos, e.images
+    return CycleDecomposition(tuple(_orbits(e.domain, lambda x: images[pos[x]])))
 
 
 def recompose(dec: CycleDecomposition) -> Bijection:
     """The self-bijection that moves every label one step along its cycle."""
     image = dict(pair for orbit in dec.cycles for pair in _successors(orbit))
-    return Bijection(dec.carrier, dec.carrier, tuple(image[x] for x in dec.carrier))
+    return Bijection._trusted(dec.carrier, dec.carrier, tuple(image[x] for x in dec.carrier))
 
 
 def canonical_form(dec: CycleDecomposition) -> CycleDecomposition:

@@ -66,6 +66,10 @@ from .perms import MINUS, PLUS, Sign, sign_inversions, transposition
 # The shared two-element fiber; 0 is the class of the canonical representative.
 CLASS_LABELS = fin(2)
 
+# Its two bijections, by image tuple; every computed action returns one of them.
+FIBER_IDENTITY, FIBER_SWAP = identity(CLASS_LABELS), swap_two(CLASS_LABELS)
+FIBER_MAPS = {m.images: m for m in (FIBER_IDENTITY, FIBER_SWAP)}
+
 
 # --------------------------------------------------------------------------
 # Orientations of the complete graph on a labeled set.
@@ -264,8 +268,10 @@ class Construction:
 
     Calling a construction with n gives its family over n-element carriers.
     The action transports a representative of each class along the
-    bijection and reads off the class of the result; Bijection construction
-    validates that the two classes land on distinct labels.
+    bijection and reads off the class of the result.  Class images (0, 1)
+    and (1, 0) give the shared FIBER_IDENTITY and FIBER_SWAP; any other
+    images go through the validating Bijection constructor, which raises
+    ContractError when both classes land on one label.
 
     Each family keeps its own table of actions over fin(n), keyed by the
     image tuple of the permutation; a bijection with another domain or
@@ -303,7 +309,10 @@ class Construction:
                     self.classify(self.transport(e, self.representative(e.domain, c)))
                     for c in (0, 1)
                 )
-                acted = Bijection(CLASS_LABELS, CLASS_LABELS, images)
+                # True and 1.0 hash like 1; they reach the validating constructor.
+                acted = FIBER_MAPS.get(images) if set(map(type, images)) == {int} else None
+                if acted is None:
+                    acted = Bijection(CLASS_LABELS, CLASS_LABELS, images)
                 if over_base:
                     table[e.images] = acted
             return acted
@@ -462,9 +471,8 @@ def unswapped_transposition(Q: TwoElementFamily) -> Bijection | None:
     """Condition 4's scan: the first transposition of fin(arity) that does
     not act as the swap, or None."""
     base = fin(Q.arity)
-    swap = swap_two(CLASS_LABELS)
     transpositions = (transposition_of_pair(base, P) for P in k_subsets(base, 2))
-    return next((t for t in transpositions if Q.action(t) != swap), None)
+    return next((t for t in transpositions if Q.action(t) != FIBER_SWAP), None)
 
 
 def sign_mismatch(Q: TwoElementFamily, perms: Iterable[Bijection]) -> Bijection | None:
@@ -483,9 +491,8 @@ def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
     on every permutation.
     """
     base = fin(Q.arity)
-    ident = identity(CLASS_LABELS)
     perms = enumerate_bijections(base, base)
-    cond3 = any(Q.action(e) != ident for e in perms)
+    cond3 = any(Q.action(e) != FIBER_IDENTITY for e in perms)
     bad_swap = unswapped_transposition(Q)
     bad_sign = sign_mismatch(Q, perms)
     cond4 = bad_swap is None
@@ -510,16 +517,16 @@ def mutate_family(Q: TwoElementFamily, rng: Random) -> TwoElementFamily:
     salt = rng.randrange(1 << 30) if rng.random() < 0.7 else None
     flip_chart = rng.random() < 0.5
 
-    ident, swap = identity(CLASS_LABELS), swap_two(CLASS_LABELS)
-
     def twist(X: LabeledSet) -> Bijection:
         if salt is not None and (hash((salt,) + X.elements) >> 3) & 1:
-            return swap
-        return ident
+            return FIBER_SWAP
+        return FIBER_IDENTITY
 
     def action(e: Bijection) -> Bijection:
-        core = ident if trivialize else Q.action(e)
-        return twist(e.domain).inverse().then(core).then(twist(e.codomain))
+        # twist(X)^-1 then core then twist(Y): each twist is its own inverse
+        # and S_2 is abelian, so equal twists cancel and unequal ones swap.
+        core = FIBER_IDENTITY if trivialize else Q.action(e)
+        return core if twist(e.domain) is twist(e.codomain) else core.then(FIBER_SWAP)
 
     base_point = 1 - Q.base_point if flip_chart else Q.base_point
     tags = [
@@ -581,7 +588,7 @@ def natural_isomorphism(
     for _ in range(4):
         X, Y = sample_set(), sample_set()
         e = random_bijection(rng, X, Y)
-        flipped = at(X).then(swap_two(CLASS_LABELS))
+        flipped = at(X).then(FIBER_SWAP)
         if Q.action(e).then(at(Y)) == flipped.then(Qp.action(e)):
             raise NaturalityFailure(
                 "flipped fiber map is also natural; uniqueness violated",

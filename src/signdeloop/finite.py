@@ -65,7 +65,12 @@ def require_ints(values: tuple, what: str) -> tuple:
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """A finite set of unsigned integer labels, kept strictly sorted."""
+    """A finite set of unsigned integer labels, kept strictly sorted.
+
+    fin(n) is cached, so most comparisons are of a set with itself: __eq__
+    answers those by identity before comparing elements.  The generated
+    __hash__ stays, hashing the elements.
+    """
 
     elements: tuple[Label, ...]
 
@@ -94,6 +99,13 @@ class LabeledSet:
         except KeyError:
             raise NotMember(f"{label!r} is not in {self.elements!r}") from None
 
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, LabeledSet):
+            return NotImplemented
+        return self.elements == other.elements
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -116,10 +128,13 @@ class Bijection:
 
     images[i] is the image of domain.elements[i].  The public constructor
     Bijection(domain, codomain, images) validates that the images are
-    integers enumerating the codomain exactly once.  then() and inverse()
-    skip that check: a composite or inverse of valid bijections enumerates
-    its codomain by construction, so they build their results through
-    _trusted, which skips __post_init__.
+    integers enumerating the codomain exactly once; it is the constructor for
+    images a caller supplies.  Code whose images enumerate a validated
+    LabeledSet by construction builds through _trusted, which skips that
+    check: then() and inverse(), identity, order_bijection,
+    enumerate_bijections (permutations of the codomain), random_bijection
+    (a sample of the whole codomain) and cycles.recompose (the successors
+    along a validated decomposition).
     """
 
     domain: LabeledSet
@@ -144,7 +159,10 @@ class Bijection:
     ) -> "Bijection":
         """A Bijection from images already known to enumerate codomain."""
         e = object.__new__(cls)
-        e.__dict__.update(domain=domain, codomain=codomain, images=images)
+        fields = e.__dict__
+        fields["domain"] = domain
+        fields["codomain"] = codomain
+        fields["images"] = images
         return e
 
     def __call__(self, label: Label) -> Label:
@@ -174,7 +192,7 @@ class Bijection:
 
 
 def identity(X: LabeledSet) -> Bijection:
-    return Bijection(X, X, X.elements)
+    return Bijection._trusted(X, X, X.elements)
 
 
 def enumerate_bijections(A: LabeledSet, B: LabeledSet) -> tuple[Bijection, ...]:
@@ -190,7 +208,7 @@ def enumerate_bijections(A: LabeledSet, B: LabeledSet) -> tuple[Bijection, ...]:
     if len(A) != len(B):
         return ()
     return tuple(
-        Bijection(A, B, images) for images in itertools.permutations(B.elements)
+        Bijection._trusted(A, B, images) for images in itertools.permutations(B.elements)
     )
 
 
@@ -225,10 +243,9 @@ def transposition_of_pair(X: LabeledSet, pair: Iterable[Label]) -> Bijection:
     return Bijection(X, X, images)
 
 
-@lru_cache(maxsize=None)
 def order_bijection(X: LabeledSet) -> Bijection:
     """The order-preserving bijection fin(|X|) -> X; the canonical chart."""
-    return Bijection(fin(len(X)), X, X.elements)
+    return Bijection._trusted(fin(len(X)), X, X.elements)
 
 
 def random_labeled_set(rng: Random, size: int) -> LabeledSet:
@@ -242,4 +259,4 @@ def random_bijection(rng: Random, A: LabeledSet, B: LabeledSet) -> Bijection:
         raise WrongCardinality(
             f"no bijection between sizes {len(A)} and {len(B)}"
         )
-    return Bijection(A, B, tuple(rng.sample(B.elements, len(B))))
+    return Bijection._trusted(A, B, tuple(rng.sample(B.elements, len(B))))

@@ -36,6 +36,10 @@ from signdeloop.perms import MINUS, PLUS, Sign, sign_inversions, transposition
 from signdeloop.deloopings import (
     CLASS_LABELS,
     CONSTRUCTIONS,
+    FIBER_IDENTITY,
+    FIBER_MAPS,
+    FIBER_SWAP,
+    Construction,
     FixedPointElement,
     Orientation,
     TwoElementFamily,
@@ -377,6 +381,84 @@ class TestFamilies:
             sign_from_delooping(Q, identity(fin(2)))
         with pytest.raises(ArityMismatch):
             sign_from_delooping(Q, order_bijection(LabeledSet.of([4, 5, 6])))
+
+
+class TestFiberMaps:
+    """Every computed action is one of the two shared maps of CLASS_LABELS."""
+
+    def test_shared_maps_are_the_two_bijections_of_the_fiber(self):
+        assert FIBER_MAPS == {(0, 1): FIBER_IDENTITY, (1, 0): FIBER_SWAP}
+        assert set(FIBER_MAPS.values()) == set(enumerate_bijections(CLASS_LABELS, CLASS_LABELS))
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_every_action_returns_a_shared_map(self, name):
+        rng = Random(5)
+        for n in (2, 3, 4):
+            Q = CONSTRUCTIONS[name](n)
+            X, Y = random_labeled_set(rng, n), random_labeled_set(rng, n)
+            others = [random_bijection(rng, A, B) for A, B in ((X, Y), (X, X), (fin(n), Y))]
+            for e in (*perms_of(n), *others):
+                acted = Q.action(e)
+                assert acted is FIBER_IDENTITY or acted is FIBER_SWAP, (n, e)
+
+    @pytest.mark.parametrize(
+        "classify", [lambda x: 0, lambda x: 1, lambda x: bool(simpson_class(x))]
+    )
+    def test_other_class_images_reach_the_validating_constructor(self, classify):
+        # Both classes on one label, or bool labels that hash like 0 and 1.
+        record = dataclasses.replace(simpson_delooping, classify=classify)
+        for n in (2, 3):
+            Q = record(n)
+            for e in (identity(fin(n)), identity(LabeledSet.of(range(10, 10 + n)))):
+                with pytest.raises(ContractError):
+                    Q.action(e)
+
+    def test_hand_built_constant_construction(self):
+        constant = Construction(
+            "constant",
+            lambda X: [X],
+            lambda X, c: X,
+            lambda e, X: e.codomain,
+            lambda X: 0,
+        )
+        with pytest.raises(ContractError):
+            constant(3).action(transposition(3, 0, 1))
+
+
+def three_step_mutant(Q, rng):
+    """mutate_family's action as twist(X)^-1, then core, then twist(Y), from
+    the same draws; returns the action and how it reached each result."""
+    trivialize = rng.random() < 0.4
+    salt = rng.randrange(1 << 30) if rng.random() < 0.7 else None
+    rng.random()  # the chart flip
+    ident, swap = identity(CLASS_LABELS), swap_two(CLASS_LABELS)
+
+    def twist(X):
+        return swap if salt is not None and (hash((salt,) + X.elements) >> 3) & 1 else ident
+
+    def action(e):
+        core = ident if trivialize else Q.action(e)
+        tx, ty = twist(e.domain), twist(e.codomain)
+        return tx.inverse().then(core).then(ty), (tx == swap, ty == swap, core == swap)
+
+    return action
+
+
+class TestMutants:
+    def test_shortcut_equals_the_three_step_composite(self):
+        seen = set()
+        carrier_rng = Random(1)
+        carriers = [fin(3)] + [random_labeled_set(carrier_rng, 3) for _ in range(6)]
+        for seed in range(30):
+            Q = CONSTRUCTIONS[sorted(CONSTRUCTIONS)[seed % 4]](3)
+            mutant = mutate_family(Q, Random(seed))
+            reference = three_step_mutant(Q, Random(seed))
+            for X, Y in itertools.product(carriers, repeat=2):
+                e = random_bijection(Random(seed), X, Y)
+                expected, combination = reference(e)
+                assert mutant.action(e) == expected, (seed, e)
+                seen.add(combination)
+        assert len(seen) == 8  # every (twist X, twist Y, core) of S_2^3
 
 
 def trivial_family(n):

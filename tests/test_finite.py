@@ -1,3 +1,4 @@
+import itertools
 from random import Random
 
 import pytest
@@ -20,6 +21,7 @@ from signdeloop.finite import (
     identity,
     k_subsets,
     order_bijection,
+    random_bijection,
     random_labeled_set,
     swap_two,
     transposition_of_pair,
@@ -141,6 +143,21 @@ class TestLabeledSet:
         with pytest.raises(ContractError):
             LabeledSet((-1,))
 
+    def test_equality_by_elements_and_by_identity(self):
+        built = (
+            fin(3),
+            LabeledSet((0, 1, 2)),
+            LabeledSet.of([2, 0, 1]),
+            LabeledSet.of(range(3)),
+            order_bijection(LabeledSet.of([4, 8, 9])).domain,
+        )
+        for a, b in itertools.product(built, repeat=2):
+            assert a == b and not a != b
+            assert hash(a) == hash(b)
+        assert {fin(3): "x"}[LabeledSet.of([1, 2, 0])] == "x"
+        assert fin(3) != LabeledSet.of([0, 1, 3]) and fin(3) != fin(2)
+        assert fin(3) != (0, 1, 2) and (0, 1, 2) != fin(3)
+
     def test_membership(self):
         X = LabeledSet.of([4, 7])
         assert 4 in X and 5 not in X
@@ -195,7 +212,14 @@ class TestBijection:
     @given(disjoint_chains())
     def test_trusted_paths_match_validating_constructor(self, chain):
         e, f = chain
-        for trusted in (e.then(f), e.inverse(), e.then(f).inverse()):
+        trusted_paths = (
+            e.then(f),
+            e.inverse(),
+            e.then(f).inverse(),
+            identity(e.domain),
+            order_bijection(e.codomain),
+        )
+        for trusted in trusted_paths:
             checked = Bijection(trusted.domain, trusted.codomain, trusted.images)
             assert trusted == checked and hash(trusted) == hash(checked)
             assert type(trusted.images) is tuple
@@ -232,9 +256,40 @@ class TestEnumerateBijections:
     def test_mismatched_sizes_empty(self):
         assert enumerate_bijections(fin(2), fin(3)) == ()
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_equals_the_validated_listing(self, n):
+        rng = Random(n)
+        carriers = (
+            (fin(n), fin(n)),
+            (random_labeled_set(rng, n), random_labeled_set(rng, n)),
+            (fin(n), random_labeled_set(rng, n)),
+        )
+        for A, B in carriers:
+            validated = tuple(
+                Bijection(A, B, images) for images in itertools.permutations(B.elements)
+            )
+            assert enumerate_bijections(A, B) == validated
+
     def test_size_guard(self):
         with pytest.raises(SizeGuard):
             enumerate_bijections(fin(9), fin(9))
+
+
+class TestRandomBijection:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_is_a_validated_sample_of_the_codomain(self, seed):
+        n = seed % 7
+        A, B = random_labeled_set(Random(seed + 100), n), random_labeled_set(Random(seed), n)
+        rng, twin = Random(seed), Random(seed)
+        e = random_bijection(rng, A, B)
+        assert e == Bijection(e.domain, e.codomain, e.images)
+        assert (e.domain, e.codomain) == (A, B)
+        assert e.images == tuple(twin.sample(B.elements, len(B)))
+        assert rng.getstate() == twin.getstate()
+
+    def test_sizes_must_match(self):
+        with pytest.raises(WrongCardinality):
+            random_bijection(Random(0), fin(2), fin(3))
 
 
 class TestSubsets:

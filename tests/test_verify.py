@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ from signdeloop.deloopings import (
     alternating_kernel,
     orbit_class,
 )
-from signdeloop.finite import fin, identity
+from signdeloop.finite import LabeledSet, fin, identity
 from signdeloop.perms import permutation
 from signdeloop.verify import (
     CHECKS,
@@ -248,3 +249,15 @@ class TestRunVerification:
     def test_seed_changes_are_still_green(self):
         for seed in (1, 2):
             assert all(r.passed for r in run_verification(2, seed=seed))
+
+    def test_repeated_runs_keep_no_carriers_alive(self):
+        # Each run at n = 5 draws about 1400 random carriers; none may
+        # outlive it, say in a cache keyed by carrier.
+        def live_labeled_sets():
+            gc.collect()
+            return sum(type(o) is LabeledSet for o in gc.get_objects())
+
+        run_verification(5, "all", 101)
+        after_one = live_labeled_sets()
+        run_verification(5, "all", 102)
+        assert live_labeled_sets() <= after_one
