@@ -61,7 +61,7 @@ from .finite import (
     swap_two,
     transposition_of_pair,
 )
-from .perms import MINUS, PLUS, Sign, sign_inversions, transposition
+from .perms import MINUS, PLUS, Sign, chart_sign, sign_inversions, transposition
 
 # The shared two-element fiber; 0 is the class of the canonical representative.
 CLASS_LABELS = fin(2)
@@ -106,11 +106,16 @@ class Orientation:
         return ((a, b) if bit == "1" else (b, a) for (a, b), bit in zip(pairs, bits))
 
 
-def canonical_orientation(X: LabeledSet) -> Orientation:
-    """The orientation choosing the larger element of every pair."""
+def _canonical_bit_count(X: LabeledSet) -> int:
+    """The pair count of X, every one of which the canonical orientation sets."""
     if len(X) < 2:
         raise TooSmall("orientations need a carrier with at least 2 points")
-    return Orientation(X, (1 << math.comb(len(X), 2)) - 1)
+    return math.comb(len(X), 2)
+
+
+def canonical_orientation(X: LabeledSet) -> Orientation:
+    """The orientation choosing the larger element of every pair."""
+    return Orientation(X, (1 << _canonical_bit_count(X)) - 1)
 
 
 def all_orientations(X: LabeledSet):
@@ -156,8 +161,12 @@ def orientation_action(e: Bijection, u: Orientation) -> Orientation:
 
 
 def orientation_class(u: Orientation) -> Label:
-    """Parity class relative to the canonical orientation of the carrier."""
-    return relative_inversions(u, canonical_orientation(u.carrier)) % 2
+    """Parity class relative to the canonical orientation of the carrier.
+
+    The canonical orientation sets every bit, so u disagrees with it on
+    exactly the pairs u leaves clear.
+    """
+    return (_canonical_bit_count(u.carrier) - u.bits.bit_count()) % 2
 
 
 def orientation_representative(X: LabeledSet, label: Label) -> Orientation:
@@ -170,8 +179,7 @@ def orientation_representative(X: LabeledSet, label: Label) -> Orientation:
 
 def simpson_class(f: Bijection) -> Label:
     """0 when f has even parity relative to the order-preserving chart."""
-    h0 = order_bijection(f.codomain)
-    return sign_inversions(f.then(h0.inverse())).fin2
+    return chart_sign(f).fin2
 
 
 def simpson_representative(X: LabeledSet, label: Label) -> Bijection:
@@ -183,8 +191,7 @@ def simpson_representative(X: LabeledSet, label: Label) -> Bijection:
 
 def orbit_class(h: Bijection, s: Sign) -> Label:
     """Orbit label of a (chart, sign) pair under twisted precomposition."""
-    h0 = order_bijection(h.codomain)
-    return (sign_inversions(h.then(h0.inverse())) * s).fin2
+    return (chart_sign(h) * s).fin2
 
 
 def orbit_representative(X: LabeledSet, label: Label) -> tuple[Bijection, Sign]:
@@ -199,16 +206,20 @@ class FixedPointElement:
     """An equivariant function from charts fin(n) = X to {+1, -1}.
 
     Stored as a reference chart plus the value taken there; the full table
-    follows from equivariance: value_at(h) = parity(reference relative to h)
-    times the reference value.  Any two parameterizations of the same
-    function agree on every chart.
+    follows from equivariance: value_at(h) = parity(h relative to reference)
+    times the reference value.  Both charts land on X, so that relative
+    parity is chart_sign(h) * chart_sign(reference), each read against the
+    order-preserving chart of X; no relative chart is built.  Any two
+    parameterizations of the same function agree on every chart.
     """
 
     reference: Bijection
     value_at_reference: Sign
 
     def value_at(self, h: Bijection) -> Sign:
-        return sign_inversions(h.then(self.reference.inverse())) * self.value_at_reference
+        if (h.domain, h.codomain) != (self.reference.domain, self.reference.codomain):
+            raise CarrierMismatch("not a chart of the element's carrier")
+        return chart_sign(h) * chart_sign(self.reference) * self.value_at_reference
 
     def transport(self, e: Bijection) -> "FixedPointElement":
         """Push forward along a bijection of the underlying carriers."""
@@ -224,8 +235,8 @@ def fixed_point_elements(X: LabeledSet) -> tuple[FixedPointElement, FixedPointEl
 
 
 def fixed_point_class(elem: FixedPointElement) -> Label:
-    X = elem.reference.codomain
-    return elem.value_at(order_bijection(X)).fin2
+    """The value at the order-preserving chart, whose chart_sign is +1."""
+    return (chart_sign(elem.reference) * elem.value_at_reference).fin2
 
 
 # --------------------------------------------------------------------------

@@ -94,20 +94,35 @@ def inversions(e: Bijection) -> tuple[tuple[int, int], ...]:
 def sign_inversions(e: Bijection) -> Sign:
     """+1 exactly when the number of inversions is even.
 
-    Counts the same pairs as inversions(), straight off the image tuple: the
-    domain is sorted, so positions i < j hold labels in increasing order.
-    The parity depends on the image tuple alone, so it is kept in a cache of
-    ENUMERATION_BOUND! entries, room for one full listing of S_n; the
-    endo-bijection check runs on every call, before the cache is read.
+    This is chart_sign on an endo-bijection: its order chart is the
+    identity, and reading sorted labels as their positions keeps their
+    order, so the pairs counted are those inversions() lists.
     """
     if e.domain != e.codomain:
         raise DomainMismatch("inversions require an endo-bijection")
-    return _sign_of_images(e.images)
+    return chart_sign(e)
+
+
+def chart_sign(h: Bijection) -> Sign:
+    """The sign of h relative to the order-preserving bijection between its ends.
+
+    Read as codomain positions, h's images are the permutation of fin(n)
+    that h becomes between the two order charts; its inversions are counted
+    straight off that tuple.  This is the package's one permutation-parity
+    reader.  The count depends on the position tuple alone, so tuples of at
+    most ENUMERATION_BOUND points are kept in a cache of
+    ENUMERATION_BOUND! entries, room for one full listing of S_n; larger
+    ones are counted afresh on every call.
+    """
+    positions = tuple(map(h.codomain._pos.__getitem__, h.images))
+    if len(positions) > ENUMERATION_BOUND:
+        return _sign_of_images.__wrapped__(positions)
+    return _sign_of_images(positions)
 
 
 @lru_cache(maxsize=math.factorial(ENUMERATION_BOUND))
-def _sign_of_images(images: tuple[Label, ...]) -> Sign:
-    pairs = itertools.combinations(images, 2)
+def _sign_of_images(positions: tuple[int, ...]) -> Sign:
+    pairs = itertools.combinations(positions, 2)
     return Sign.of_parity(sum(itertools.starmap(operator.gt, pairs)))
 
 

@@ -62,6 +62,7 @@ from .perms import (
     PLUS,
     factor_into_transpositions,
     inversions,
+    permutation,
     product_of_transpositions,
     sign_inversions,
 )
@@ -139,7 +140,7 @@ def expand_orbits(n: int) -> list[set[tuple]]:
             images, s = frontier.pop()
             h = by_images[images]
             for tau in taus:
-                moved = (tau.inverse().then(h).images, -s)
+                moved = (tau.then(h).images, -s)  # tau is its own inverse
                 if moved not in orbit:
                     orbit.add(moved)
                     frontier.append(moved)
@@ -352,11 +353,9 @@ def orbit_structure(n: int) -> tuple[bool, str]:
     sizes = sorted(len(o) for o in orbits)
     if sizes != [math.factorial(n)] * 2:
         return False, f"orbit sizes {sizes!r}"
-    base = fin(n)
-    by_images = {h.images: h for h in enumerate_bijections(base, base)}
     labels = []
     for orbit in orbits:
-        got = {orbit_class(by_images[images], s) for images, s in orbit}
+        got = {orbit_class(permutation(images), s) for images, s in orbit}
         if len(got) != 1:
             return False, "class label is not constant on an orbit"
         labels.append(got.pop())
@@ -384,14 +383,10 @@ def fixed_census(n: int) -> tuple[bool, str]:
     tables = exhaustive_fixed_points(n)
     if len(tables) != 2:
         return False, f"{len(tables)} fixed tables found"
-    base = fin(n)
-    expected = {
-        tuple(sign_inversions(p) for p in enumerate_bijections(base, base)),
-        tuple(-sign_inversions(p) for p in enumerate_bijections(base, base)),
-    }
-    got = {
-        tuple(t[p] for p in enumerate_bijections(base, base)) for t in tables
-    }
+    perms = enumerate_bijections(fin(n), fin(n))
+    signs = tuple(sign_inversions(p) for p in perms)
+    expected = {signs, tuple(-s for s in signs)}
+    got = {tuple(t[p] for p in perms) for t in tables}
     ok = got == expected
     return ok, "fixed tables are exactly plus/minus sign" if ok else f"got {got!r}"
 
@@ -483,12 +478,9 @@ def relation_validity(n: int, rng: Random) -> tuple[bool, str]:
         bit_pool = set()
         while len(bit_pool) < 40:
             bit_pool.add(rng.getrandbits(width))
-    bit_set = LabeledSet.of(bit_pool)
-
-    def orient_rel(a, b):
-        return (a ^ b).bit_count() % 2 == 0
-
-    q = partition_from_relation(bit_set, orient_rel)
+    q = partition_from_relation(
+        LabeledSet.of(bit_pool), lambda a, b: (a ^ b).bit_count() % 2 == 0
+    )
     if len(q) != 2:
         return False, f"orientation relation gives {len(q)} blocks"
     return True, "both relations validate with two blocks"

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import itertools
 import math
+import pkgutil
 import sys
 from random import Random
 
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signdeloop import deloopings, perms
+import signdeloop
+from signdeloop import deloopings
 from signdeloop.errors import (
     ArityMismatch,
     ArityTooSmall,
@@ -32,7 +35,7 @@ from signdeloop.finite import (
     swap_two,
     transposition_of_pair,
 )
-from signdeloop.perms import MINUS, PLUS, Sign, sign_inversions, transposition
+from signdeloop.perms import MINUS, PLUS, sign_inversions, transposition
 from signdeloop.deloopings import (
     CLASS_LABELS,
     CONSTRUCTIONS,
@@ -67,6 +70,12 @@ from signdeloop.deloopings import (
 )
 
 from strategies import bijection_chains
+from test_imports import PARITY_DEFINITIONS
+
+PACKAGE_MODULES = [
+    importlib.import_module(f"signdeloop.{module.name}")
+    for module in pkgutil.iter_modules(signdeloop.__path__)
+]
 
 
 def perms_of(n):
@@ -109,6 +118,8 @@ class TestOrientation:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             canonical_orientation(fin(1))
+        with pytest.raises(TooSmall):
+            orientation_class(Orientation(fin(1), 0))
 
     def test_relative_inversions(self):
         d = canonical_orientation(fin(3))
@@ -263,6 +274,15 @@ class TestFixedPointElements:
         plus, _ = fixed_point_elements(fin(3))
         with pytest.raises(CarrierMismatch):
             plus.transport(identity(fin(4)))
+
+    def test_value_at_reads_only_charts_of_its_carrier(self):
+        # The value is read off the two charts' own signs, so a bijection
+        # with either end elsewhere must be refused rather than read.
+        X, Y = LabeledSet.of([2, 7, 8]), LabeledSet.of([1, 3, 5])
+        plus, _ = fixed_point_elements(X)
+        for h in (order_bijection(Y), Bijection(Y, X, X.elements), identity(X)):
+            with pytest.raises(CarrierMismatch):
+                plus.value_at(h)
 
 
 class TestExhaustiveCensus:
@@ -608,15 +628,27 @@ class TestActionTable:
 
     @staticmethod
     def stub_out_the_sign(monkeypatch):
-        """Make sign_inversions, inversions and Sign.of_parity raise."""
+        """Make every definition in PARITY_DEFINITIONS raise, under every
+        name a package module binds it to, cache or no cache."""
 
         def stub(*args):
             raise RuntimeError("sign consulted")
 
-        for module in (perms, deloopings):
-            monkeypatch.setattr(module, "sign_inversions", stub)
-        monkeypatch.setattr(perms, "inversions", stub)
-        monkeypatch.setattr(Sign, "of_parity", stub)
+        stubbed = set()
+        for qualified in PARITY_DEFINITIONS:
+            module, *owners, name = qualified.split(".")
+            owner = getattr(signdeloop, module)
+            for attr in owners:
+                owner = getattr(owner, attr)
+            definition = getattr(owner, name)
+            stubbed.add(f"{definition.__module__}.{definition.__qualname__}")
+            if owners:  # a method: one binding, on its class
+                monkeypatch.setattr(owner, name, stub)
+                continue
+            for bound in PACKAGE_MODULES:
+                if getattr(bound, name, None) is definition:
+                    monkeypatch.setattr(bound, name, stub)
+        assert stubbed == {f"signdeloop.{qualified}" for qualified in PARITY_DEFINITIONS}
 
     def test_cartier_never_consults_the_sign(self, monkeypatch):
         self.stub_out_the_sign(monkeypatch)
@@ -629,7 +661,7 @@ class TestActionTable:
     @pytest.mark.parametrize("name", ["simpson", "orbit", "fixed"])
     def test_the_other_constructions_consult_the_stubbed_sign(self, monkeypatch, name):
         # The stubs are live: each other construction classifies through
-        # sign_inversions, so its first action raises.
+        # chart_sign, so its first action raises.
         self.stub_out_the_sign(monkeypatch)
         with pytest.raises(RuntimeError, match="sign consulted"):
             CONSTRUCTIONS[name](3).action(perms_of(3)[0])

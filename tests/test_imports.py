@@ -64,6 +64,7 @@ def test_every_definition_is_read_by_the_package():
 # sign_from_delooping reaches a definition that computes parity; nor does
 # the census oracle, exhaustive_fixed_points.
 PARITY_DEFINITIONS = {
+    "perms.chart_sign",
     "perms.sign_inversions",
     "perms.inversions",
     "perms.Sign.of_parity",
@@ -183,12 +184,12 @@ def test_cartier_and_sign_extraction_reach_no_parity_definition():
 def test_reachability_sees_parity_where_it_is_used():
     trees = parse_package()
     simpson_class = [deloopings_function(trees, "simpson_class")]
-    assert {"perms.sign_inversions", "perms._sign_of_images"} <= reachable(trees, simpson_class)
+    assert {"perms.chart_sign", "perms._sign_of_images"} <= reachable(trees, simpson_class)
     mutant = parse_package(
         replace=(
-            "    return relative_inversions(u, canonical_orientation(u.carrier)) % 2",
+            "    return (_canonical_bit_count(u.carrier) - u.bits.bit_count()) % 2",
             "    sign_inversions(order_bijection(u.carrier))\n"
-            "    return relative_inversions(u, canonical_orientation(u.carrier)) % 2",
+            "    return (_canonical_bit_count(u.carrier) - u.bits.bit_count()) % 2",
         )
     )
     assert "perms.sign_inversions" in reachable(mutant, sign_free_roots(mutant))

@@ -1,6 +1,9 @@
+from random import Random
+
 import pytest
 from hypothesis import given
 
+from signdeloop import perms
 from signdeloop.errors import DomainMismatch
 from signdeloop.finite import (
     LabeledSet,
@@ -8,11 +11,13 @@ from signdeloop.finite import (
     enumerate_bijections,
     fin,
     identity,
+    order_bijection,
 )
 from signdeloop.perms import (
     MINUS,
     PLUS,
     Sign,
+    chart_sign,
     factor_into_transpositions,
     inversions,
     permutation,
@@ -21,7 +26,9 @@ from signdeloop.perms import (
     transposition,
 )
 
-from strategies import endo_bijections
+from signdeloop.verify import sign_homomorphism
+
+from strategies import bijection_chains, endo_bijections
 
 
 def bubble_sort_parity(images):
@@ -119,6 +126,42 @@ class TestInversions:
     @given(endo_bijections(max_size=7))
     def test_inverse_has_same_sign(self, e):
         assert sign_inversions(e.inverse()) == sign_inversions(e)
+
+
+class TestChartSign:
+    @given(bijection_chains(length=1, max_size=7))
+    def test_is_the_sign_of_the_relative_chart(self, chain):
+        # Between two carriers, against the order-preserving bijection:
+        # the composite through both order charts is an endo-bijection.
+        (h,) = chain
+        relative = order_bijection(h.domain).then(h).then(order_bijection(h.codomain).inverse())
+        assert chart_sign(h) is bubble_sort_parity(relative.images)
+
+    @given(endo_bijections(max_size=7))
+    def test_is_the_inversion_sign_of_an_endo_bijection(self, e):
+        assert chart_sign(e) is Sign.of_parity(len(inversions(e)))
+
+    def test_counts_beyond_the_enumeration_bound(self):
+        reversal = permutation(range(11, -1, -1))  # 66 inversions
+        assert chart_sign(reversal) is PLUS
+        assert chart_sign(transposition(20, 3, 17)) is MINUS
+        assert chart_sign(permutation([(i + 1) % 13 for i in range(13)])) is PLUS
+
+    def test_large_permutations_stay_out_of_the_cache(self):
+        # Hits and misses too: the cache may already be full.
+        before = perms._sign_of_images.cache_info()
+        ok, _ = sign_homomorphism(16, Random(0))
+        assert ok
+        assert perms._sign_of_images.cache_info() == before
+
+    def test_caches_positions_not_labels(self):
+        X, Y = LabeledSet.of([100, 250, 999]), LabeledSet.of([7, 40, 123456])
+        h = Bijection(X, Y, (123456, 7, 40))  # positions (2, 0, 1)
+        assert chart_sign(permutation((2, 0, 1))) is PLUS
+        before = perms._sign_of_images.cache_info()
+        assert chart_sign(h) is PLUS
+        after = perms._sign_of_images.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def succ_cycle(k):
