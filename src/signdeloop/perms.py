@@ -112,9 +112,15 @@ def chart_sign(h: Bijection) -> Sign:
     reader.  The count depends on the position tuple alone, so tuples of at
     most ENUMERATION_BOUND points are kept in a cache of
     ENUMERATION_BOUND! entries, room for one full listing of S_n; larger
-    ones are counted afresh on every call.
+    ones are counted afresh on every call.  Labels are strictly increasing
+    naturals, so a codomain whose last label is its size less one is fin(n),
+    and its positions are the images themselves.
     """
-    positions = tuple(map(h.codomain._pos.__getitem__, h.images))
+    labels = h.codomain.elements
+    if labels and labels[-1] == len(labels) - 1:
+        positions = h.images
+    else:
+        positions = tuple(map(h.codomain._pos.__getitem__, h.images))
     if len(positions) > ENUMERATION_BOUND:
         return _sign_of_images.__wrapped__(positions)
     return _sign_of_images(positions)

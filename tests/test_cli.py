@@ -187,6 +187,13 @@ class TestCommands:
         assert lines[1] == "  1 -> 0;"
         assert peak_kib < 48 * 1024
 
+    def test_verify_census_memory(self):
+        # The census holds one 2 MiB constraint integer at a time: about
+        # 26 MiB VmHWM, where all 24 columns at once would add 48 MiB.
+        proc, peak_kib = run_measured("verify", "--n", "4", "--exhaustive-fixed")
+        assert "FAIL" not in proc.stdout
+        assert peak_kib < 40 * 1024
+
     def test_cartier_text(self, capsys):
         assert run_command(["cartier", "(0 1 2)", "--n", "3"]) == 0
         out = capsys.readouterr().out

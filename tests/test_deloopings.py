@@ -4,6 +4,7 @@ import itertools
 import math
 import pkgutil
 import sys
+import tracemalloc
 from random import Random
 
 import pytest
@@ -137,6 +138,16 @@ class TestOrientation:
     def test_action_carrier_checked(self):
         with pytest.raises(CarrierMismatch):
             orientation_action(identity(fin(3)), canonical_orientation(fin(4)))
+
+    def test_action_builds_no_inverse(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("inverse built")
+
+        X, Y = LabeledSet.of([3, 8, 11, 20]), LabeledSet.of([1, 2, 5, 9])
+        e, u = Bijection(X, Y, (5, 1, 9, 2)), Orientation(X, 0b101101)
+        expected = orientation_action(e, u)
+        monkeypatch.setattr(Bijection, "inverse", refuse)
+        assert orientation_action(e, u) == expected
 
     def test_action_identity(self):
         for u in all_orientations(fin(3)):
@@ -303,6 +314,30 @@ class TestExhaustiveCensus:
     def test_size_guard(self):
         with pytest.raises(SizeGuard):
             exhaustive_fixed_points(5)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_matches_a_per_table_scan(self, n):
+        # Every table on its own, against every generator at every chart:
+        # f is fixed by g when f(h) = -f(h o g) for all h.
+        perms = perms_of(n)
+        generators = [transposition(n, a, a + 1) for a in range(n - 1)]
+        survivors = []
+        for k in range(1 << len(perms)):
+            f = {p: MINUS if (k >> i) & 1 else PLUS for i, p in enumerate(perms)}
+            if all(f[h] is -f[g.then(h)] for g in generators for h in perms):
+                survivors.append(f)
+        assert exhaustive_fixed_points(n) == survivors
+
+    def test_holds_one_constraint_at_a_time_at_n4(self):
+        # One 2 MiB pair integer beside `alive` traces about 8 MiB; all 24
+        # columns held at once would be 48 MiB on their own.
+        tracemalloc.start()
+        try:
+            exhaustive_fixed_points(4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_stdlib_only_at_n4(self, monkeypatch):
         # A None entry makes any `import numpy` raise ImportError.

@@ -154,6 +154,28 @@ class TestChartSign:
         assert ok
         assert perms._sign_of_images.cache_info() == before
 
+    def test_reads_images_straight_on_fin_n(self):
+        # LabeledSet.of(range(4)) equals fin(4) but is another object; with
+        # its position map emptied, only the fast path can still count.
+        X = LabeledSet.of(range(4))
+        assert X == fin(4) and X is not fin(4)
+        listing = enumerate_bijections(X, X)
+        expected = [Sign.of_parity(len(inversions(e))) for e in listing]
+        object.__setattr__(X, "_pos", {})
+        assert [chart_sign(e) for e in listing] == expected
+
+    def test_maps_labels_to_positions_off_fin_n(self):
+        # {0, 1, 3} starts like fin(3) but is not one: its images are read
+        # as positions, so (0, 3, 1) shares the cache entry of (0, 2, 1).
+        X = LabeledSet.of([0, 1, 3])
+        assert chart_sign(permutation((0, 2, 1))) is MINUS
+        before = perms._sign_of_images.cache_info()
+        assert chart_sign(Bijection(X, X, (0, 3, 1))) is MINUS
+        after = perms._sign_of_images.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        for e in enumerate_bijections(X, X):
+            assert chart_sign(e) is Sign.of_parity(len(inversions(e)))
+
     def test_caches_positions_not_labels(self):
         X, Y = LabeledSet.of([100, 250, 999]), LabeledSet.of([7, 40, 123456])
         h = Bijection(X, Y, (123456, 7, 40))  # positions (2, 0, 1)

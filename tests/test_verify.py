@@ -17,7 +17,7 @@ from signdeloop.deloopings import (
     alternating_kernel,
     orbit_class,
 )
-from signdeloop.finite import LabeledSet, fin, identity
+from signdeloop.finite import Bijection, LabeledSet, fin, identity
 from signdeloop.perms import permutation
 from signdeloop.verify import (
     CHECKS,
@@ -235,6 +235,15 @@ class TestRunVerification:
             golden = {(c, name): (passed, detail) for c, name, passed, detail in GOLDEN[str(n)]}
             for key, detail in GATED[workload].items():
                 assert golden.get(key) == (True, detail), (workload, key)
+
+    def test_inverse_calls_at_five(self, monkeypatch):
+        # 2 460 calls; cartier's transport reads preimage positions off the
+        # images, where an inverse per transport would add about 4 200.
+        calls = []
+        inverse = Bijection.inverse
+        monkeypatch.setattr(Bijection, "inverse", lambda e: calls.append(e) or inverse(e))
+        run_verification(5, "all", 311)
+        assert len(calls) <= 2500
 
     def test_seed_changes_are_still_green(self):
         for seed in (1, 2):
