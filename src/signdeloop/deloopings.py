@@ -16,11 +16,12 @@ identifying the fiber over fin(n) with {+1, -1}:
   permutation parity, which is what makes the sign-agreement checks here
   meaningful rather than circular.
 
-Fibers are materialized as the concrete set {0, 1}, where label 0 always
-names the class of the construction's documented canonical representative
-over the given carrier.  Extracting a sign from any family asks whether the
-action of a permutation fixes the charted base point of the fiber over
-fin(n).
+Every fiber is S_2 = {+1, -1} itself, as the two Signs: PLUS always names
+the class of the construction's documented canonical representative over
+the given carrier, and a fiber map is multiplication by a Sign, PLUS
+keeping each class and MINUS swapping them.  So the action of a
+permutation of fin(n) is its sign: it fixes the charted base point
+exactly when it acts as PLUS.
 
 Each construction is declared once, as a Construction record listing its
 elements, a representative per class, transport and classification; its
@@ -51,24 +52,22 @@ from .finite import (
     LabeledSet,
     enumerate_bijections,
     fin,
-    identity,
     k_subsets,
     order_bijection,
     random_bijection,
     random_labeled_set,
     require_int,
     require_natural,
-    swap_two,
     transposition_of_pair,
 )
 from .perms import MINUS, PLUS, Sign, chart_sign, sign_inversions, transposition
 
-# The shared two-element fiber; 0 is the class of the canonical representative.
-CLASS_LABELS = fin(2)
 
-# Its two bijections, by image tuple; every computed action returns one of them.
-FIBER_IDENTITY, FIBER_SWAP = identity(CLASS_LABELS), swap_two(CLASS_LABELS)
-FIBER_MAPS = {m.images: m for m in (FIBER_IDENTITY, FIBER_SWAP)}
+def _require_sign(value, what: str = "class") -> Sign:
+    """Return value when it is a Sign, else raise ContractError."""
+    if not isinstance(value, Sign):
+        raise ContractError(f"{what} must be a Sign, got {value!r}")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -163,42 +162,37 @@ def orientation_action(e: Bijection, u: Orientation) -> Orientation:
     return Orientation(e.codomain, int("".join(reversed(chosen)) or "0", 2))
 
 
-def orientation_class(u: Orientation) -> Label:
+def orientation_class(u: Orientation) -> Sign:
     """Parity class relative to the canonical orientation of the carrier.
 
     The canonical orientation sets every bit, so u disagrees with it on
     exactly the pairs u leaves clear.
     """
-    return (_canonical_bit_count(u.carrier) - u.bits.bit_count()) % 2
+    return MINUS if (_canonical_bit_count(u.carrier) - u.bits.bit_count()) % 2 else PLUS
 
 
-def orientation_representative(X: LabeledSet, label: Label) -> Orientation:
+def orientation_representative(X: LabeledSet, s: Sign) -> Orientation:
     d = canonical_orientation(X)
-    return d if Sign.from_fin2(label) is PLUS else d.flip(0)
+    return d if _require_sign(s) is PLUS else d.flip(0)
 
 
 # --------------------------------------------------------------------------
 # Charts modulo parity (and their signed variant).
 
-def simpson_class(f: Bijection) -> Label:
-    """0 when f has even parity relative to the order-preserving chart."""
-    return chart_sign(f).fin2
-
-
-def simpson_representative(X: LabeledSet, label: Label) -> Bijection:
+def simpson_representative(X: LabeledSet, s: Sign) -> Bijection:
     rep = order_bijection(X)
-    if Sign.from_fin2(label) is MINUS:
+    if _require_sign(s) is MINUS:
         rep = transposition(len(X), 0, 1).then(rep)
     return rep
 
 
-def orbit_class(h: Bijection, s: Sign) -> Label:
-    """Orbit label of a (chart, sign) pair under twisted precomposition."""
-    return (chart_sign(h) * s).fin2
+def orbit_class(h: Bijection, s: Sign) -> Sign:
+    """Orbit class of a (chart, sign) pair under twisted precomposition."""
+    return chart_sign(h) * s
 
 
-def orbit_representative(X: LabeledSet, label: Label) -> tuple[Bijection, Sign]:
-    return order_bijection(X), Sign.from_fin2(label)
+def orbit_representative(X: LabeledSet, s: Sign) -> tuple[Bijection, Sign]:
+    return order_bijection(X), _require_sign(s)
 
 
 # --------------------------------------------------------------------------
@@ -231,15 +225,9 @@ class FixedPointElement:
         return FixedPointElement(self.reference.then(e), self.value_at_reference)
 
 
-def fixed_point_elements(X: LabeledSet) -> tuple[FixedPointElement, FixedPointElement]:
-    """The two equivariant functions over X; index 0 is the +1 one."""
-    h0 = order_bijection(X)
-    return FixedPointElement(h0, PLUS), FixedPointElement(h0, MINUS)
-
-
-def fixed_point_class(elem: FixedPointElement) -> Label:
+def fixed_point_class(elem: FixedPointElement) -> Sign:
     """The value at the order-preserving chart, whose chart_sign is +1."""
-    return (chart_sign(elem.reference) * elem.value_at_reference).fin2
+    return chart_sign(elem.reference) * elem.value_at_reference
 
 
 # --------------------------------------------------------------------------
@@ -249,26 +237,22 @@ def fixed_point_class(elem: FixedPointElement) -> Label:
 class TwoElementFamily:
     """A two-element fiber over every n-element set, transported functorially.
 
-    The fiber over every carrier is CLASS_LABELS = fin(2); action(e) is the
-    bijection of CLASS_LABELS that carries the fiber over e.domain to the
-    fiber over e.codomain; base_point is the label over fin(arity) charted
-    to +1; construction is the record the family was built from, None for
-    mutants and hand-built families.
+    The fiber over every carrier is {PLUS, MINUS}; action(e) is the Sign
+    that carries the fiber over e.domain to the fiber over e.codomain by
+    multiplication, PLUS keeping each class and MINUS swapping them;
+    base_point is the class over fin(arity) charted to +1, so the chart is
+    multiplication by it; construction is the record the family was built
+    from, None for mutants and hand-built families.
     """
 
     name: str
     arity: int
-    action: Callable[[Bijection], Bijection]
-    base_point: Label
+    action: Callable[[Bijection], Sign]
+    base_point: Sign
     construction: Construction | None = None
 
-    def chart(self, label: Label) -> Sign:
-        if label not in CLASS_LABELS:
-            raise ContractError(f"{label!r} is not in the fiber over fin({self.arity})")
-        return PLUS if label == self.base_point else MINUS
-
-    def chart_inverse(self, s: Sign) -> Label:
-        return self.base_point if s is PLUS else 1 - self.base_point
+    def __post_init__(self):
+        _require_sign(self.base_point, "base point")
 
 
 @dataclass(frozen=True)
@@ -276,16 +260,15 @@ class Construction:
     """One sign delooping: elements over each carrier modulo two classes.
 
     elements(X) enumerates every element over the carrier X;
-    representative(X, c) is an element of class c (class 0 holds the
-    canonical one); transport(e, x) pushes an element over e.domain to one
-    over e.codomain; classify(x) is the class label of x.
+    representative(X, s) is an element of the class s, a Sign (PLUS holds
+    the canonical one); transport(e, x) pushes an element over e.domain to
+    one over e.codomain; classify(x) is the class of x, a Sign.
 
     Calling a construction with n gives its family over n-element carriers.
     The action transports a representative of each class along the
-    bijection and reads off the class of the result.  Class images (0, 1)
-    and (1, 0) give the shared FIBER_IDENTITY and FIBER_SWAP; any other
-    images go through the validating Bijection constructor, which raises
-    ContractError when both classes land on one label.
+    bijection and reads off the class of the result: the action is the
+    class the PLUS representative lands in, and the MINUS representative
+    must land in the other class, else ContractError.
 
     Each family keeps its own table of actions over fin(n), keyed by the
     image tuple of the permutation; a bijection with another domain or
@@ -299,18 +282,18 @@ class Construction:
 
     name: str
     elements: Callable[[LabeledSet], Iterable]
-    representative: Callable[[LabeledSet, Label], object]
+    representative: Callable[[LabeledSet, Sign], object]
     transport: Callable[[Bijection, object], object]
-    classify: Callable[[object], Label]
+    classify: Callable[[object], Sign]
 
     def __call__(self, n: int) -> TwoElementFamily:
         if require_int(n, "arity") < 2:
             raise ArityTooSmall(f"{self.name} family needs arity >= 2")
 
         base = fin(n)
-        table: dict[tuple[Label, ...], Bijection] = {}
+        table: dict[tuple[Label, ...], Sign] = {}
 
-        def action(e: Bijection) -> Bijection:
+        def action(e: Bijection) -> Sign:
             over_base = e.domain == base and e.codomain == base
             acted = table.get(e.images) if over_base else None
             if acted is None:
@@ -319,25 +302,23 @@ class Construction:
                     raise ArityMismatch(
                         f"expected a {n}-element set, got {len(e.domain)} elements"
                     )
-                images = tuple(
-                    self.classify(self.transport(e, self.representative(e.domain, c)))
-                    for c in (0, 1)
+                acted, swapped = (
+                    self.classify(self.transport(e, self.representative(e.domain, s)))
+                    for s in (PLUS, MINUS)
                 )
-                # True and 1.0 hash like 1; they reach the validating constructor.
-                acted = FIBER_MAPS.get(images) if set(map(type, images)) == {int} else None
-                if acted is None:
-                    acted = Bijection(CLASS_LABELS, CLASS_LABELS, images)
+                if swapped is not -_require_sign(acted):
+                    raise ContractError(f"the classes land in {acted!r} and {swapped!r}")
                 if over_base:
                     table[e.images] = acted
             return acted
 
-        return TwoElementFamily(self.name, n, action, base_point=0, construction=self)
+        return TwoElementFamily(self.name, n, action, base_point=PLUS, construction=self)
 
     def census(self, X: LabeledSet) -> list[int]:
-        """Class sizes over X, counted over every element."""
+        """Class sizes over X, PLUS then MINUS, counted over every element."""
         counts = [0, 0]
         for x in self.elements(X):
-            counts[self.classify(x)] += 1
+            counts[self.classify(x) is MINUS] += 1
         return counts
 
 
@@ -362,7 +343,7 @@ simpson_delooping = Construction(
     _charts,
     simpson_representative,
     lambda e, f: f.then(e),
-    simpson_class,
+    chart_sign,
 )
 
 # (chart, sign) pairs modulo the twisted precomposition action.
@@ -378,7 +359,7 @@ orbit_delooping = Construction(
 fixed_point_delooping = Construction(
     "fixed",
     lambda X: (FixedPointElement(h, s) for h in _charts(X) for s in (PLUS, MINUS)),
-    lambda X, c: FixedPointElement(order_bijection(X), Sign.from_fin2(c)),
+    lambda X, s: FixedPointElement(order_bijection(X), _require_sign(s)),
     lambda e, elem: elem.transport(e),
     fixed_point_class,
 )
@@ -470,11 +451,12 @@ def exhaustive_fixed_points(n: int) -> list[dict[Bijection, Sign]]:
 # Sign extraction, recognition, and uniqueness.
 
 def sign_from_delooping(Q: TwoElementFamily, e: Bijection) -> Sign:
-    """+1 exactly when the action of e fixes the charted base point."""
+    """+1 exactly when the action of e fixes the charted base point, that
+    is, when the action is PLUS."""
     base = fin(Q.arity)
     if e.domain != base or e.codomain != base:
         raise ArityMismatch(f"expected a permutation of fin({Q.arity})")
-    return PLUS if Q.action(e)(Q.base_point) == Q.base_point else MINUS
+    return Q.action(e)
 
 
 @dataclass(frozen=True)
@@ -513,7 +495,7 @@ def unswapped_transposition(Q: TwoElementFamily) -> Bijection | None:
     not act as the swap, or None."""
     base = fin(Q.arity)
     transpositions = (transposition_of_pair(base, P) for P in k_subsets(base, 2))
-    return next((t for t in transpositions if Q.action(t) != FIBER_SWAP), None)
+    return next((t for t in transpositions if Q.action(t) is not MINUS), None)
 
 
 def sign_mismatch(Q: TwoElementFamily, perms: Iterable[Bijection]) -> Bijection | None:
@@ -533,7 +515,7 @@ def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
     """
     base = fin(Q.arity)
     perms = enumerate_bijections(base, base)
-    cond3 = any(Q.action(e) != FIBER_IDENTITY for e in perms)
+    cond3 = any(Q.action(e) is not PLUS for e in perms)
     bad_swap = unswapped_transposition(Q)
     bad_sign = sign_mismatch(Q, perms)
     cond4 = bad_swap is None
@@ -558,18 +540,17 @@ def mutate_family(Q: TwoElementFamily, rng: Random) -> TwoElementFamily:
     salt = rng.randrange(1 << 30) if rng.random() < 0.7 else None
     flip_chart = rng.random() < 0.5
 
-    def twist(X: LabeledSet) -> Bijection:
+    def twist(X: LabeledSet) -> Sign:
         if salt is not None and (hash((salt,) + X.elements) >> 3) & 1:
-            return FIBER_SWAP
-        return FIBER_IDENTITY
+            return MINUS
+        return PLUS
 
-    def action(e: Bijection) -> Bijection:
-        # twist(X)^-1 then core then twist(Y): each twist is its own inverse
-        # and S_2 is abelian, so equal twists cancel and unequal ones swap.
-        core = FIBER_IDENTITY if trivialize else Q.action(e)
-        return core if twist(e.domain) is twist(e.codomain) else core.then(FIBER_SWAP)
+    def action(e: Bijection) -> Sign:
+        # twist(X)^-1 then core then twist(Y); each twist is its own inverse.
+        core = PLUS if trivialize else Q.action(e)
+        return twist(e.domain) * core * twist(e.codomain)
 
-    base_point = 1 - Q.base_point if flip_chart else Q.base_point
+    base_point = -Q.base_point if flip_chart else Q.base_point
     tags = [
         tag
         for tag, on in (
@@ -588,15 +569,17 @@ def natural_isomorphism(
     Qp: TwoElementFamily,
     squares: int = 50,
     seed: int = 0,
-) -> Callable[[LabeledSet], Bijection]:
-    """The fiber map X -> (bijection of CLASS_LABELS) of the unique
-    base-point-preserving natural isomorphism between two deloopings.
+) -> Callable[[LabeledSet], Sign]:
+    """The fiber map X -> Sign of the unique base-point-preserving natural
+    isomorphism between two deloopings: over X it multiplies Q's fiber into
+    Qp's by that Sign.
 
-    Over fin(n) the bijection matches charts; over any other carrier it is
-    transported along the order-preserving chart (any chart gives the same
-    answer since both families realize the same sign action).  The function
-    verifies naturality on seeded random squares and verifies uniqueness by
-    checking that flipping the bijection on one fiber breaks a square.
+    Over fin(n) it matches charts, Q.base_point * Qp.base_point; over any
+    other carrier it is transported along the order-preserving chart (any
+    chart gives the same answer since both families realize the same sign
+    action).  The function verifies naturality on seeded random squares and
+    verifies uniqueness by checking that flipping the map on one fiber
+    breaks a square.
     """
     require_natural(squares, "square count")
     if Q.arity != Qp.arity:
@@ -606,15 +589,11 @@ def natural_isomorphism(
             raise NotADelooping(f"{fam.name} fails recognition")
     n = Q.arity
     base = fin(n)
-    phi0 = Bijection(
-        CLASS_LABELS,
-        CLASS_LABELS,
-        tuple(Qp.chart_inverse(Q.chart(x)) for x in CLASS_LABELS),
-    )
+    phi0 = Q.base_point * Qp.base_point
 
-    def at(X: LabeledSet) -> Bijection:
+    def at(X: LabeledSet) -> Sign:
         h = order_bijection(X)
-        return Q.action(h).inverse().then(phi0).then(Qp.action(h))
+        return Q.action(h) * phi0 * Qp.action(h)
 
     rng = Random(seed)
 
@@ -624,13 +603,12 @@ def natural_isomorphism(
     for _ in range(squares):
         X, Y = sample_set(), sample_set()
         e = random_bijection(rng, X, Y)
-        if Q.action(e).then(at(Y)) != at(X).then(Qp.action(e)):
+        if Q.action(e) * at(Y) is not at(X) * Qp.action(e):
             raise NaturalityFailure("family is not natural", square=(X, Y, e))
     for _ in range(4):
         X, Y = sample_set(), sample_set()
         e = random_bijection(rng, X, Y)
-        flipped = at(X).then(FIBER_SWAP)
-        if Q.action(e).then(at(Y)) == flipped.then(Qp.action(e)):
+        if Q.action(e) * at(Y) is -at(X) * Qp.action(e):
             raise NaturalityFailure(
                 "flipped fiber map is also natural; uniqueness violated",
                 square=(X, Y, e),

@@ -218,14 +218,6 @@ def k_subsets(X: LabeledSet, k: int) -> tuple[tuple[Label, ...], ...]:
     return tuple(itertools.combinations(X.elements, k))
 
 
-def swap_two(T: LabeledSet) -> Bijection:
-    """The unique non-identity bijection of a 2-element set with itself."""
-    if len(T) != 2:
-        raise WrongCardinality(f"swap needs exactly 2 elements, got {len(T)}")
-    a, b = T.elements
-    return Bijection(T, T, (b, a))
-
-
 def transposition_of_pair(X: LabeledSet, pair: Iterable[Label]) -> Bijection:
     """The endo-bijection of X swapping the two labels of `pair`.
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .cycles import cycle_decompose
-from .errors import ContractError, DomainMismatch
+from .errors import DomainMismatch
 from .finite import (
     ENUMERATION_BOUND,
     Bijection,
@@ -27,13 +27,13 @@ from .finite import (
     LabeledSet,
     fin,
     identity,
-    require_int,
     transposition_of_pair,
 )
 
 
 class Sign(Enum):
-    """The two-element group {+1, -1} under multiplication."""
+    """The two-element group {+1, -1} under multiplication: S_2, whose
+    elements are also the classes and fiber maps of every delooping."""
 
     PLUS = 1
     MINUS = -1
@@ -48,17 +48,6 @@ class Sign(Enum):
 
     def __str__(self) -> str:
         return "+1" if self is Sign.PLUS else "-1"
-
-    @property
-    def fin2(self) -> int:
-        """Chart onto fin(2): +1 goes to 0, -1 goes to 1."""
-        return 0 if self is Sign.PLUS else 1
-
-    @classmethod
-    def from_fin2(cls, bit: int) -> "Sign":
-        if require_int(bit, "fin(2) label") not in (0, 1):
-            raise ContractError(f"expected 0 or 1, got {bit!r}")
-        return cls.PLUS if bit == 0 else cls.MINUS
 
     @classmethod
     def of_parity(cls, count: int) -> "Sign":

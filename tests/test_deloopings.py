@@ -33,16 +33,11 @@ from signdeloop.finite import (
     order_bijection,
     random_bijection,
     random_labeled_set,
-    swap_two,
     transposition_of_pair,
 )
-from signdeloop.perms import MINUS, PLUS, sign_inversions, transposition
+from signdeloop.perms import MINUS, PLUS, chart_sign, sign_inversions, transposition
 from signdeloop.deloopings import (
-    CLASS_LABELS,
     CONSTRUCTIONS,
-    FIBER_IDENTITY,
-    FIBER_MAPS,
-    FIBER_SWAP,
     Construction,
     FixedPointElement,
     Orientation,
@@ -55,7 +50,6 @@ from signdeloop.deloopings import (
     exhaustive_fixed_points,
     fixed_point_class,
     fixed_point_delooping,
-    fixed_point_elements,
     mutate_family,
     natural_isomorphism,
     orbit_class,
@@ -65,7 +59,6 @@ from signdeloop.deloopings import (
     orientation_representative,
     relative_inversions,
     sign_from_delooping,
-    simpson_class,
     simpson_delooping,
     simpson_representative,
 )
@@ -177,14 +170,14 @@ class TestOrientation:
         for n in range(2, 5):
             per_class = [0, 0]
             for u in all_orientations(fin(n)):
-                per_class[orientation_class(u)] += 1
+                per_class[orientation_class(u) is MINUS] += 1
             half = 1 << (math.comb(n, 2) - 1)
             assert per_class == [half, half]
 
     def test_representatives(self):
         X = LabeledSet.of([3, 8, 11])
-        assert orientation_class(orientation_representative(X, 0)) == 0
-        assert orientation_class(orientation_representative(X, 1)) == 1
+        assert orientation_class(orientation_representative(X, PLUS)) is PLUS
+        assert orientation_class(orientation_representative(X, MINUS)) is MINUS
         with pytest.raises(ContractError):
             orientation_representative(X, 7)
 
@@ -193,23 +186,23 @@ class TestOrientation:
             d = canonical_orientation(fin(n))
             for e in perms_of(n):
                 moved = orientation_action(e, d)
-                assert orientation_class(moved) == sign_inversions(e).fin2
+                assert orientation_class(moved) is sign_inversions(e)
 
 
 class TestSimpson:
     def test_order_chart_is_class_zero(self):
         X = LabeledSet.of([4, 6, 9])
-        assert simpson_class(order_bijection(X)) == 0
+        assert simpson_delooping.classify(order_bijection(X)) is PLUS
 
     def test_odd_precomposition_flips(self):
         X = LabeledSet.of([4, 6, 9])
         h = transposition(3, 0, 1).then(order_bijection(X))
-        assert simpson_class(h) == 1
+        assert simpson_delooping.classify(h) is MINUS
 
     def test_representatives(self):
         X = LabeledSet.of([4, 6, 9])
-        for label in (0, 1):
-            assert simpson_class(simpson_representative(X, label)) == label
+        for s in (PLUS, MINUS):
+            assert simpson_delooping.classify(simpson_representative(X, s)) is s
         with pytest.raises(ContractError):
             simpson_representative(X, 2)
 
@@ -218,16 +211,16 @@ class TestSimpson:
             X = LabeledSet.of(range(50, 50 + n))
             counts = [0, 0]
             for h in enumerate_bijections(fin(n), X):
-                counts[simpson_class(h)] += 1
+                counts[simpson_delooping.classify(h) is MINUS] += 1
             assert counts == [math.factorial(n) // 2] * 2
 
 
 class TestOrbit:
     def test_representatives(self):
         X = LabeledSet.of([4, 6, 9])
-        for label in (0, 1):
+        for label in (PLUS, MINUS):
             h, s = orbit_representative(X, label)
-            assert orbit_class(h, s) == label
+            assert orbit_class(h, s) is label
         with pytest.raises(ContractError):
             orbit_representative(X, -3)
 
@@ -238,15 +231,20 @@ class TestOrbit:
         for h in enumerate_bijections(fin(3), X):
             for s in (PLUS, MINUS):
                 for p in perms_of(3):
-                    assert orbit_class(p.then(h), sign_inversions(p) * s) == orbit_class(h, s)
+                    assert orbit_class(p.then(h), sign_inversions(p) * s) is orbit_class(h, s)
 
     def test_class_census(self):
         X = LabeledSet.of([4, 6, 9])
         counts = [0, 0]
         for h in enumerate_bijections(fin(3), X):
             for s in (PLUS, MINUS):
-                counts[orbit_class(h, s)] += 1
+                counts[orbit_class(h, s) is MINUS] += 1
         assert counts == [6, 6]
+
+
+def fixed_point_elements(X):
+    """The fixed record's representatives over X, PLUS then MINUS."""
+    return tuple(fixed_point_delooping.representative(X, s) for s in (PLUS, MINUS))
 
 
 class TestFixedPointElements:
@@ -255,7 +253,7 @@ class TestFixedPointElements:
         plus, minus = fixed_point_elements(X)
         h0 = order_bijection(X)
         assert plus.value_at(h0) == PLUS and minus.value_at(h0) == MINUS
-        assert fixed_point_class(plus) == 0 and fixed_point_class(minus) == 1
+        assert fixed_point_class(plus) is PLUS and fixed_point_class(minus) is MINUS
 
     def test_equivariance(self):
         X = LabeledSet.of([2, 7, 8])
@@ -378,28 +376,29 @@ class TestFamilies:
                 for Q in families:
                     assert sign_from_delooping(Q, e) == expected, (Q.name, e.images)
 
-    @pytest.mark.parametrize("label", [-1, 2, True, 1.0, "0"])
+    @pytest.mark.parametrize(
+        "label",
+        [-1, 2, True, 1.0, "0", pytest.param(0, id="int0"), pytest.param(1, id="int1"), None],
+    )
     def test_representative_rejects_non_class_labels(self, label):
-        # Every record checks its class label through Sign.from_fin2.
+        # Every record checks that its class is a Sign.
         X = LabeledSet.of([5, 7, 9])
         for build in CONSTRUCTIONS.values():
             C = build(3).construction
-            assert [C.classify(C.representative(X, c)) for c in (0, 1)] == [0, 1]
-            with pytest.raises(ContractError):
+            assert [C.classify(C.representative(X, s)) for s in (PLUS, MINUS)] == [PLUS, MINUS]
+            with pytest.raises(ContractError, match="must be a Sign"):
                 C.representative(X, label)
 
-    def test_chart(self):
-        Q = cartier_delooping(3)
-        assert Q.chart(0) == PLUS and Q.chart(1) == MINUS
-        assert Q.chart_inverse(PLUS) == 0 and Q.chart_inverse(MINUS) == 1
-        with pytest.raises(ContractError):
-            Q.chart(5)
+    @pytest.mark.parametrize("base_point", [0, 1, True, None, "+1"])
+    def test_family_rejects_a_non_sign_base_point(self, base_point):
+        with pytest.raises(ContractError, match="base point must be a Sign"):
+            TwoElementFamily("hand-built", 3, lambda e: PLUS, base_point)
 
     def test_action_identity_law(self):
         for build in CONSTRUCTIONS.values():
             Q = build(3)
             X = LabeledSet.of([5, 7, 9])
-            assert Q.action(identity(X)) == identity(CLASS_LABELS)
+            assert Q.action(identity(X)) is PLUS
 
     def test_action_arity_checked(self):
         Q = cartier_delooping(3)
@@ -412,16 +411,15 @@ class TestFamilies:
         e, f = chain
         for build in CONSTRUCTIONS.values():
             Q = build(3)
-            assert Q.action(e.then(f)) == Q.action(e).then(Q.action(f))
+            assert Q.action(e.then(f)) is Q.action(e) * Q.action(f)
 
     def test_transpositions_act_as_swap(self):
-        swap = swap_two(CLASS_LABELS)
         for build in CONSTRUCTIONS.values():
             for n in (2, 3, 4):
                 Q = build(n)
                 X = LabeledSet.of(range(30, 30 + n))
                 for P in k_subsets(X, 2):
-                    assert Q.action(transposition_of_pair(X, P)) == swap
+                    assert Q.action(transposition_of_pair(X, P)) is MINUS
 
     def test_sign_agreement(self):
         for build in CONSTRUCTIONS.values():
@@ -429,6 +427,22 @@ class TestFamilies:
                 Q = build(n)
                 for e in perms_of(n):
                     assert sign_from_delooping(Q, e) == sign_inversions(e)
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_sign_is_the_action(self, name):
+        # On the family and on every flip and twist mutant among 16 seeds:
+        # multiplication by the action fixes the base point exactly when
+        # the action is PLUS, whatever the base point.
+        tags = set()
+        for n in (2, 3, 4):
+            Q = CONSTRUCTIONS[name](n)
+            mutants = [mutate_family(Q, Random(seed)) for seed in range(16)]
+            families = [Q] + [m for m in mutants if "flip" in m.name or "twist" in m.name]
+            tags |= {tag for m in families[1:] for tag in ("flip", "twist") if tag in m.name}
+            for F in families:
+                for e in perms_of(n):
+                    assert sign_from_delooping(F, e) is F.action(e), (F.name, e.images)
+        assert tags == {"flip", "twist"}
 
     def test_sign_arity_checked(self):
         Q = simpson_delooping(3)
@@ -439,11 +453,7 @@ class TestFamilies:
 
 
 class TestFiberMaps:
-    """Every computed action is one of the two shared maps of CLASS_LABELS."""
-
-    def test_shared_maps_are_the_two_bijections_of_the_fiber(self):
-        assert FIBER_MAPS == {(0, 1): FIBER_IDENTITY, (1, 0): FIBER_SWAP}
-        assert set(FIBER_MAPS.values()) == set(enumerate_bijections(CLASS_LABELS, CLASS_LABELS))
+    """Every computed action is one of the two Signs, the maps of the fiber."""
 
     @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
     def test_every_action_returns_a_shared_map(self, name):
@@ -454,13 +464,21 @@ class TestFiberMaps:
             others = [random_bijection(rng, A, B) for A, B in ((X, Y), (X, X), (fin(n), Y))]
             for e in (*perms_of(n), *others):
                 acted = Q.action(e)
-                assert acted is FIBER_IDENTITY or acted is FIBER_SWAP, (n, e)
+                assert acted is PLUS or acted is MINUS, (n, e)
 
     @pytest.mark.parametrize(
-        "classify", [lambda x: 0, lambda x: 1, lambda x: bool(simpson_class(x))]
+        "classify",
+        [
+            lambda x: 0,
+            lambda x: 1,
+            lambda x: chart_sign(x) is MINUS,
+            lambda x: True,
+            lambda x: None,
+            lambda x: PLUS,
+        ],
     )
     def test_other_class_images_reach_the_validating_constructor(self, classify):
-        # Both classes on one label, or bool labels that hash like 0 and 1.
+        # Classes that are not Signs, or both representatives in one class.
         record = dataclasses.replace(simpson_delooping, classify=classify)
         for n in (2, 3):
             Q = record(n)
@@ -474,27 +492,32 @@ class TestFiberMaps:
             lambda X: [X],
             lambda X, c: X,
             lambda e, X: e.codomain,
-            lambda X: 0,
+            lambda X: PLUS,
         )
         with pytest.raises(ContractError):
             constant(3).action(transposition(3, 0, 1))
 
 
+FIBER = fin(2)  # 0 names the PLUS class, 1 the MINUS class
+SWAP = Bijection(FIBER, FIBER, (1, 0))
+
+
 def three_step_mutant(Q, rng):
     """mutate_family's action as twist(X)^-1, then core, then twist(Y), from
-    the same draws; returns the action and how it reached each result."""
+    the same draws, composed as bijections of a two-element fiber; returns
+    the action and how it reached each result."""
     trivialize = rng.random() < 0.4
     salt = rng.randrange(1 << 30) if rng.random() < 0.7 else None
     rng.random()  # the chart flip
-    ident, swap = identity(CLASS_LABELS), swap_two(CLASS_LABELS)
+    ident = identity(FIBER)
 
     def twist(X):
-        return swap if salt is not None and (hash((salt,) + X.elements) >> 3) & 1 else ident
+        return SWAP if salt is not None and (hash((salt,) + X.elements) >> 3) & 1 else ident
 
     def action(e):
-        core = ident if trivialize else Q.action(e)
+        core = ident if trivialize or Q.action(e) is PLUS else SWAP
         tx, ty = twist(e.domain), twist(e.codomain)
-        return tx.inverse().then(core).then(ty), (tx == swap, ty == swap, core == swap)
+        return tx.inverse().then(core).then(ty), (tx == SWAP, ty == SWAP, core == SWAP)
 
     return action
 
@@ -511,7 +534,7 @@ class TestMutants:
             for X, Y in itertools.product(carriers, repeat=2):
                 e = random_bijection(Random(seed), X, Y)
                 expected, combination = reference(e)
-                assert mutant.action(e) == expected, (seed, e)
+                assert (mutant.action(e) is MINUS) == (expected == SWAP), (seed, e)
                 seen.add(combination)
         assert len(seen) == 8  # every (twist X, twist Y, core) of S_2^3
 
@@ -520,9 +543,9 @@ def trivial_family(n):
     """Every relabeling acts as the order-preserving fiber map."""
 
     def action(e):
-        return identity(CLASS_LABELS)
+        return PLUS
 
-    return TwoElementFamily("trivial", n, action, base_point=0)
+    return TwoElementFamily("trivial", n, action, base_point=PLUS)
 
 
 def off_base_family(n):
@@ -532,9 +555,7 @@ def off_base_family(n):
 
     def action(e):
         core = Q.action(e)
-        if e.domain != e.codomain:
-            core = core.then(swap_two(CLASS_LABELS))
-        return core
+        return -core if e.domain != e.codomain else core
 
     return TwoElementFamily("off-base", n, action, Q.base_point)
 
@@ -581,17 +602,30 @@ class TestNaturalIsomorphism:
             for Qp in fams.values():
                 phi = natural_isomorphism(Q, Qp, squares=30, seed=7)
                 base_map = phi(fin(3))
-                assert base_map(Q.base_point) == Qp.base_point
+                assert Q.base_point * base_map is Qp.base_point
                 if Q is Qp:
-                    assert base_map == identity(CLASS_LABELS)
+                    assert base_map is PLUS
 
     def test_matches_canonical_representatives_everywhere(self):
-        # every construction labels the class of its canonical representative
-        # 0, and order-preserving transport preserves canonicity, so the
-        # fiber map over any carrier is the identity relabeling
+        # every construction names the class of its canonical representative
+        # PLUS, and order-preserving transport preserves canonicity, so the
+        # fiber map over any carrier is PLUS, the identity
         Q, Qp = cartier_delooping(3), fixed_point_delooping(3)
         phi = natural_isomorphism(Q, Qp, squares=10, seed=1)
-        assert phi(LabeledSet.of([10, 20, 30])) == identity(CLASS_LABELS)
+        assert phi(LabeledSet.of([10, 20, 30])) is PLUS
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_flipped_chart_is_the_swap_everywhere(self, n):
+        rng = Random(n)
+        carriers = [fin(n)] + [random_labeled_set(rng, n) for _ in range(5)]
+        families = [build(n) for build in CONSTRUCTIONS.values()]
+        for Q in families:
+            flipped = dataclasses.replace(Q, base_point=-Q.base_point)
+            phi = natural_isomorphism(Q, flipped, squares=10, seed=n)
+            assert [phi(X) for X in carriers] == [MINUS] * len(carriers)
+            for Qp in families:
+                phi = natural_isomorphism(Q, Qp, squares=10, seed=n)
+                assert [phi(X) for X in carriers] == [PLUS] * len(carriers)
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
@@ -620,7 +654,7 @@ class TestActionTable:
             Q = build(n)
             for _ in range(2):
                 for e in perms_of(n):
-                    assert Q.action(e) == build(n).action(e), (n, e.images)
+                    assert Q.action(e) is build(n).action(e), (n, e.images)
 
     def test_table_is_read_only_over_fin_n(self):
         transported = []
@@ -635,7 +669,7 @@ class TestActionTable:
             Q.action(p)
         assert len(transported) == 2 * math.factorial(n)
         for p in perms_of(n):
-            assert Q.action(p) == simpson_delooping(n).action(p)
+            assert Q.action(p) is simpson_delooping(n).action(p)
         assert len(transported) == 2 * math.factorial(n)  # all from the table
         X = random_labeled_set(Random(n), n)
         for p in perms_of(n):
@@ -646,7 +680,7 @@ class TestActionTable:
             )
             for e in twins:
                 before = len(transported)
-                assert Q.action(e) == simpson_delooping(n).action(e), e
+                assert Q.action(e) is simpson_delooping(n).action(e), e
                 assert len(transported) == before + 2
 
     def test_family_built_after_rebinding_starts_empty(self, monkeypatch):

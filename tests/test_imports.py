@@ -147,18 +147,26 @@ def deloopings_function(trees: dict[str, ast.Module], name: str) -> ast.Function
     return next(n for n in body if isinstance(n, ast.FunctionDef) and n.name == name)
 
 
-def sign_free_roots(trees: dict[str, ast.Module]) -> list:
-    """The cartier record's four callables and sign_from_delooping."""
+def record_callables(trees: dict[str, ast.Module], name: str) -> list:
+    """elements, representative, transport and classify of the Construction
+    record that deloopings binds to name."""
     body = trees["deloopings"].body
     record = next(
         node.value
         for node in body
         if isinstance(node, ast.Assign)
-        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["cartier_delooping"]
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]
     )
     callables = record.args[1:]
     assert len(callables) == 4
-    return callables + [deloopings_function(trees, "sign_from_delooping")]
+    return callables
+
+
+def sign_free_roots(trees: dict[str, ast.Module]) -> list:
+    """The cartier record's four callables and sign_from_delooping."""
+    return record_callables(trees, "cartier_delooping") + [
+        deloopings_function(trees, "sign_from_delooping")
+    ]
 
 
 def parse_package(replace: tuple[str, str] | None = None) -> dict[str, ast.Module]:
@@ -183,13 +191,10 @@ def test_cartier_and_sign_extraction_reach_no_parity_definition():
 
 def test_reachability_sees_parity_where_it_is_used():
     trees = parse_package()
-    simpson_class = [deloopings_function(trees, "simpson_class")]
-    assert {"perms.chart_sign", "perms._sign_of_images"} <= reachable(trees, simpson_class)
+    simpson_classify = record_callables(trees, "simpson_delooping")[3:]
+    assert {"perms.chart_sign", "perms._sign_of_images"} <= reachable(trees, simpson_classify)
+    line = "    return MINUS if (_canonical_bit_count(u.carrier) - u.bits.bit_count()) % 2 else PLUS"
     mutant = parse_package(
-        replace=(
-            "    return (_canonical_bit_count(u.carrier) - u.bits.bit_count()) % 2",
-            "    sign_inversions(order_bijection(u.carrier))\n"
-            "    return (_canonical_bit_count(u.carrier) - u.bits.bit_count()) % 2",
-        )
+        replace=(line, "    sign_inversions(order_bijection(u.carrier))\n" + line)
     )
     assert "perms.sign_inversions" in reachable(mutant, sign_free_roots(mutant))

@@ -55,8 +55,6 @@ class TestSign:
         assert -MINUS == PLUS
 
     def test_two_element_chart(self):
-        assert PLUS.fin2 == 0 and MINUS.fin2 == 1
-        assert Sign.from_fin2(0) == PLUS and Sign.from_fin2(1) == MINUS
         assert Sign.of_parity(0) == PLUS and Sign.of_parity(3) == MINUS
 
     def test_str(self):

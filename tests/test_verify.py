@@ -11,14 +11,13 @@ import pytest
 from signdeloop import verify
 from signdeloop.errors import ContractError
 from signdeloop.deloopings import (
-    CLASS_LABELS,
     TwoElementFamily,
     all_orientations,
     alternating_kernel,
     orbit_class,
 )
-from signdeloop.finite import Bijection, LabeledSet, fin, identity
-from signdeloop.perms import permutation
+from signdeloop.finite import Bijection, LabeledSet, fin
+from signdeloop.perms import MINUS, PLUS, permutation
 from signdeloop.verify import (
     CHECKS,
     Scope,
@@ -65,7 +64,7 @@ class TestOracles:
             for orbit in expand_orbits(3)
             for images, s in orbit
         }
-        assert all_labels == {0, 1}
+        assert all_labels == {PLUS, MINUS}
 
     def test_kernel_closure(self):
         for n in range(2, 6):
@@ -143,7 +142,7 @@ class TestOracles:
         assert ok, detail
 
     def test_recognition_row_reports_its_failure(self):
-        trivial = TwoElementFamily("trivial", 3, lambda e: identity(CLASS_LABELS), 0)
+        trivial = TwoElementFamily("trivial", 3, lambda e: PLUS, PLUS)
         (row,) = [c for c in CHECKS if c.name == "recognition"]
         assert row.run(Scope(3, 0, Random(0), trivial)) == (
             False, "booleans (False, False, False), counterexample (1, 0, 2)"
@@ -237,13 +236,15 @@ class TestRunVerification:
                 assert golden.get(key) == (True, detail), (workload, key)
 
     def test_inverse_calls_at_five(self, monkeypatch):
-        # 2 460 calls; cartier's transport reads preimage positions off the
-        # images, where an inverse per transport would add about 4 200.
+        # 724 calls: 400 relabelings in label-independence, 240 in
+        # equivariance, 60 kernel members and 24 charts in relation-validity.
+        # Inverting fiber maps or a chart per relation query would add about
+        # 1 700, and an inverse per cartier transport about 4 200.
         calls = []
         inverse = Bijection.inverse
         monkeypatch.setattr(Bijection, "inverse", lambda e: calls.append(e) or inverse(e))
         run_verification(5, "all", 311)
-        assert len(calls) <= 2500
+        assert len(calls) <= 750
 
     def test_seed_changes_are_still_green(self):
         for seed in (1, 2):
