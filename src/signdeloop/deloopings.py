@@ -382,6 +382,25 @@ CENSUS_BOUND = 4
 _COLUMN_BYTES = (0xAA, 0xCC, 0xF0)
 _NOT = bytes(range(255, -1, -1))
 
+# The census decides 2^_BLOCK_BITS tables at a time (fewer when n! is smaller).
+_BLOCK_BITS = 16
+
+
+def _column_period(i: int) -> bytes:
+    """The shortest byte string that repeats to column i."""
+    if i < 3:
+        return bytes([_COLUMN_BYTES[i]])
+    return bytes(1 << (i - 3)) + b"\xff" * (1 << (i - 3))
+
+
+def _repeat(period: bytes, width: int) -> int:
+    return int.from_bytes(period * (width // len(period)), "little")
+
+
+def _column_bits(i: int, width: int) -> int:
+    """The width-byte integer whose bit k is bit i of k."""
+    return _repeat(_column_period(i), width)
+
 
 def _pair_bits(i: int, j: int, width: int) -> int:
     """The width-byte integer whose bit k is bit i of k XOR bit j of k, i < j;
@@ -389,13 +408,10 @@ def _pair_bits(i: int, j: int, width: int) -> int:
     if j < 3:
         period = bytes([_COLUMN_BYTES[i] ^ _COLUMN_BYTES[j]])
     else:
-        if i < 3:
-            column = bytes([_COLUMN_BYTES[i]])
-        else:
-            column = bytes(1 << (i - 3)) + b"\xff" * (1 << (i - 3))
+        column = _column_period(i)
         half = column * ((1 << (j - 3)) // len(column))
         period = half + half.translate(_NOT)
-    return int.from_bytes(period * (width // len(period)), "little")
+    return _repeat(period, width)
 
 
 def exhaustive_fixed_points(n: int) -> list[dict[Bijection, Sign]]:
@@ -410,17 +426,22 @@ def exhaustive_fixed_points(n: int) -> list[dict[Bijection, Sign]]:
     and j, and j_g is a fixed-point-free involution, so the n!(n-1)
     conditions fold to half as many pairs i < j: 36 at n = 4.
 
-    The scan is bit-sliced: bit k of `alive` stands for table k, and each
-    pair in turn does `alive &= d`, where bit k of d is bit i of k XOR bit j
-    of k, testing every table at once.  d repeats every 2^(j+1) bits: over
-    the first half of a period bit j of k is clear and d is column i (bit i
-    of every k), over the second it is column i's complement, a
-    bytes.translate through a NOT table.  Column i repeats the byte 0xAA,
-    0xCC or 0xF0 for i < 3, so for j < 3 a period is one byte, the XOR of
-    two of them; for i >= 3 it repeats 2^(i-3) bytes 0x00 and as many 0xFF.
-    A period is repeated to the full width and read as one integer, so only
-    one such integer is alive beside `alive`: about 8 MiB traced at n = 4,
-    where each is 2 MiB.  Survivors are read off in ascending k.
+    The scan is bit-sliced over blocks of 2^b tables, b = min(16, n!): block
+    B holds tables k = B * 2^b + t, and bit t of `alive` stands for table k,
+    so each `alive &= d` tests a whole block against one pair.  For j < b,
+    bit k of d is bit i of t XOR bit j of t, the same in every block, so
+    all such pairs are ANDed once into `low`, where each block starts.  d
+    repeats every 2^(j+1) bits: over the first half of a period bit j is
+    clear and d is column i (bit i of every t), over the second it is
+    column i's complement, a bytes.translate through a NOT table.  Column i
+    repeats the byte 0xAA, 0xCC or 0xF0 for i < 3, so for j < 3 a period is
+    one byte, the XOR of two of them; for i >= 3 it repeats 2^(i-3) bytes
+    0x00 and as many 0xFF.  For j >= b, bit j of k is bit j - b of B, fixed
+    over the block, so d is column i or its complement when i < b, and all
+    ones or zero when i >= b too.  Every table still meets every pair; a
+    block already at zero skips its remaining ANDs.  At n = 4 a block is
+    8 KiB, and the scan traces under 1 MiB.  Survivors are read off block
+    by block and bit by bit, in ascending k.
     """
     if n > CENSUS_BOUND:
         raise SizeGuard(f"census scans 2^(n!) tables; bound is n <= {CENSUS_BOUND}")
@@ -433,17 +454,39 @@ def exhaustive_fixed_points(n: int) -> list[dict[Bijection, Sign]]:
         for g in (transposition(n, a, a + 1) for a in range(n - 1))
         for i, p in enumerate(perms)
     }
-    width = max(1, (1 << m) >> 3)  # bytes, 8 tables each
-    alive = (1 << (1 << m)) - 1
+    b = min(_BLOCK_BITS, m)
+    width = max(1, (1 << b) >> 3)  # bytes, 8 tables each
+    full = (1 << (1 << b)) - 1
+    low = full
+    high = []
     for i, j in sorted(pairs):
-        alive &= _pair_bits(i, j, width)
+        if j < b:
+            low &= _pair_bits(i, j, width)
+        else:
+            high.append((i, j))
+    # Column i and its complement, indexed by bit j of k, for each i < b.
+    columns = {}
+    for i in {i for i, _ in high if i < b}:
+        column = _column_bits(i, width) & full
+        columns[i] = (column, column ^ full)
     tables = []
-    while alive:
-        mask = (alive & -alive).bit_length() - 1
-        alive &= alive - 1
-        tables.append(
-            {p: (MINUS if (mask >> i) & 1 else PLUS) for i, p in enumerate(perms)}
-        )
+    for block in range(1 << (m - b)):
+        alive = low
+        for i, j in high:
+            if not alive:
+                break
+            bit_j = (block >> (j - b)) & 1
+            if i < b:
+                alive &= columns[i][bit_j]
+            elif (block >> (i - b)) & 1 == bit_j:
+                alive = 0
+        while alive:
+            t = (alive & -alive).bit_length() - 1
+            alive &= alive - 1
+            mask = (block << b) | t
+            tables.append(
+                {p: (MINUS if (mask >> i) & 1 else PLUS) for i, p in enumerate(perms)}
+            )
     return tables
 
 

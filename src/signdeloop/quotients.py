@@ -75,9 +75,13 @@ def partition_from_relation(X: LabeledSet, rel: Relation) -> Partition:
     for x, y in itertools.combinations(elems, 2):
         if (y in related[x]) != (x in related[y]):
             raise NotSymmetric("relation is not symmetric", (x, y))
-    for x, y, z in itertools.product(elems, repeat=3):
-        if y in related[x] and z in related[y] and z not in related[x]:
-            raise NotTransitive("relation is not transitive", (x, y, z))
+    # x ~ y ~ z forces x ~ z exactly when related[y] is inside related[x];
+    # the least z outside it completes the first failing triple.
+    for x in elems:
+        for y in elems:
+            if y in related[x] and not related[y] <= related[x]:
+                z = min(related[y] - related[x])
+                raise NotTransitive("relation is not transitive", (x, y, z))
     blocks = []
     assigned: set[Label] = set()
     for x in elems:

@@ -190,19 +190,27 @@ def parity_triangle_holds(n: int, rng: Random, trials: int = 10_000) -> tuple[bo
     """Disagreement counts add mod 2 over any triple of orientations.
 
     For n <= 4 every ordered triple of the 2^width orientations is decided:
-    each ordered pair's parity is computed once into a table, and every
-    triple, in product order, is checked against it, so the first failing
-    triple is the one a triple-by-triple scan would report.  Beyond, seeded
-    random triples are checked one by one.
+    each ordered pair's parity is computed once, bit k of rows[i] being the
+    parity from pool[i] to pool[k].  For each (i, j) in product order, bit k
+    of rows[i] ^ rows[j], flipped everywhere when bit j of rows[i] is set,
+    marks the k that break the triple (i, j, k), so its lowest set bit is
+    the first failing triple a triple-by-triple scan would report.  Beyond,
+    seeded random triples are checked one by one.
     """
     require_natural(trials, "trial count")
     X = fin(n)
     width = n * (n - 1) // 2
     if n <= 4:
         pool = list(all_orientations(X))
-        odd = [[relative_inversions(u, w) % 2 for w in pool] for u in pool]
-        for i, j, k in itertools.product(range(len(pool)), repeat=3):
-            if odd[i][k] != odd[i][j] ^ odd[j][k]:
+        rows = [
+            sum((relative_inversions(u, w) % 2) << k for k, w in enumerate(pool))
+            for u in pool
+        ]
+        ones = (1 << len(pool)) - 1
+        for i, j in itertools.product(range(len(pool)), repeat=2):
+            bad = rows[i] ^ rows[j] ^ (ones if (rows[i] >> j) & 1 else 0)
+            if bad:
+                k = (bad & -bad).bit_length() - 1
                 triple = (pool[i].bits, pool[j].bits, pool[k].bits)
                 return False, f"triple {triple!r} breaks additivity"
         return True, "additive mod 2"
@@ -366,11 +374,11 @@ def fixed_equivariance(n: int) -> tuple[bool, str]:
     perms = enumerate_bijections(base, base)
     # Through the family, as for every record: see CONSTRUCTIONS.
     representative = fixed_point_delooping(n).construction.representative
+    # One sign and one inverse per permutation, shared by both elements.
+    steps = [(alpha, sign_inversions(alpha), alpha.inverse()) for alpha in perms]
     for elem in (representative(base, s) for s in (PLUS, MINUS)):
         value = {h.images: elem.value_at(h) for h in perms}  # one read per chart
-        for alpha in perms:
-            s = sign_inversions(alpha)
-            alpha_inverse = alpha.inverse()
+        for alpha, s, alpha_inverse in steps:
             for h in perms:
                 if value[alpha_inverse.then(h).images] != s * value[h.images]:
                     return False, f"equivariance fails at {(alpha.images, h.images)!r}"

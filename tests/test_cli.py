@@ -188,8 +188,10 @@ class TestCommands:
         assert peak_kib < 48 * 1024
 
     def test_verify_census_memory(self):
-        # The census holds one 2 MiB constraint integer at a time: about
-        # 26 MiB VmHWM, where all 24 columns at once would add 48 MiB.
+        # The census holds 8 KiB blocks of 2^16 tables: about 17.5 MiB
+        # VmHWM, as with MALLOC_MMAP_THRESHOLD_=131072.  2 MiB integers over
+        # all 2^24 tables peaked near 26 MiB, and all 24 columns at once
+        # would add 48 MiB.
         proc, peak_kib = run_measured("verify", "--n", "4", "--exhaustive-fixed")
         assert "FAIL" not in proc.stdout
         assert peak_kib < 40 * 1024

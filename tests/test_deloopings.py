@@ -294,6 +294,19 @@ class TestFixedPointElements:
                 plus.value_at(h)
 
 
+def per_table_scan(n):
+    """Every table on its own, against every generator at every chart:
+    f is fixed by g when f(h) = -f(h o g) for all h."""
+    perms = perms_of(n)
+    generators = [transposition(n, a, a + 1) for a in range(n - 1)]
+    survivors = []
+    for k in range(1 << len(perms)):
+        f = {p: MINUS if (k >> i) & 1 else PLUS for i, p in enumerate(perms)}
+        if all(f[h] is -f[g.then(h)] for g in generators for h in perms):
+            survivors.append(f)
+    return survivors
+
+
 class TestExhaustiveCensus:
     def test_exactly_two_tables(self):
         for n in range(2, 4):
@@ -315,27 +328,29 @@ class TestExhaustiveCensus:
 
     @pytest.mark.parametrize("n", range(4))
     def test_matches_a_per_table_scan(self, n):
-        # Every table on its own, against every generator at every chart:
-        # f is fixed by g when f(h) = -f(h o g) for all h.
-        perms = perms_of(n)
-        generators = [transposition(n, a, a + 1) for a in range(n - 1)]
-        survivors = []
-        for k in range(1 << len(perms)):
-            f = {p: MINUS if (k >> i) & 1 else PLUS for i, p in enumerate(perms)}
-            if all(f[h] is -f[g.then(h)] for g in generators for h in perms):
-                survivors.append(f)
-        assert exhaustive_fixed_points(n) == survivors
+        assert exhaustive_fixed_points(n) == per_table_scan(n)
+
+    @pytest.mark.parametrize("bits", range(1, 6))
+    def test_blocks_narrower_than_the_tables(self, monkeypatch, bits):
+        # At n = 3 one block of 2^6 tables holds the whole census.  Narrower
+        # blocks send pairs i < j with j >= bits to the block number: column
+        # i or its complement when i < bits, a block-wide 0 or all-ones when
+        # i >= bits too, as at n = 4 with 2^16-table blocks.
+        monkeypatch.setattr(deloopings, "_BLOCK_BITS", bits)
+        assert exhaustive_fixed_points(3) == per_table_scan(3)
 
     def test_holds_one_constraint_at_a_time_at_n4(self):
-        # One 2 MiB pair integer beside `alive` traces about 8 MiB; all 24
-        # columns held at once would be 48 MiB on their own.
+        # 2^16-table blocks of 8 KiB: `low`, one block, and a column with its
+        # complement for each of the six i < 16 paired with a j >= 16 trace
+        # about 150 KiB.  One 2 MiB integer per pair over all 2^24 tables
+        # traced 7.6 MiB, and all 24 columns at once would be 48 MiB.
         tracemalloc.start()
         try:
             exhaustive_fixed_points(4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 2**20
 
     def test_stdlib_only_at_n4(self, monkeypatch):
         # A None entry makes any `import numpy` raise ImportError.

@@ -92,11 +92,16 @@ class TestOracles:
         ok, detail = parity_triangle_holds(3, Random(0))
         assert ok and "additive" in detail
 
-    @pytest.mark.parametrize("n, pair", [(3, (5, 2)), (4, (37, 12))])
+    @pytest.mark.parametrize(
+        "n, pair", [(3, (5, 2)), (4, (37, 12)), (3, (0, 0)), (4, (0, 41))]
+    )
     def test_parity_triangle_reports_the_first_break(self, monkeypatch, n, pair):
         # A disagreement count off by one on the single ordered pair `pair`
-        # breaks additivity on some triples; the per-pair table must report
+        # breaks additivity on some triples; the per-pair rows must report
         # the first of them in product order, as a triple-by-triple scan does.
+        # (5, 2) and (37, 12) first break at (0, j, k) with k > 0, so the
+        # lowest set bit is read past bit 0; (0, 0) breaks (0, 0, 0) through
+        # the all-ones flip; (0, 41) breaks (0, 1, 41) in row 0 itself.
         real = verify.relative_inversions
 
         def tampered(u, v):
@@ -236,7 +241,7 @@ class TestRunVerification:
                 assert golden.get(key) == (True, detail), (workload, key)
 
     def test_inverse_calls_at_five(self, monkeypatch):
-        # 724 calls: 400 relabelings in label-independence, 240 in
+        # 604 calls: 400 relabelings in label-independence, 120 in
         # equivariance, 60 kernel members and 24 charts in relation-validity.
         # Inverting fiber maps or a chart per relation query would add about
         # 1 700, and an inverse per cartier transport about 4 200.
@@ -245,6 +250,15 @@ class TestRunVerification:
         monkeypatch.setattr(Bijection, "inverse", lambda e: calls.append(e) or inverse(e))
         run_verification(5, "all", 311)
         assert len(calls) <= 750
+
+    def test_fixed_equivariance_inverts_each_permutation_once(self, monkeypatch):
+        # Both elements share one inverse per permutation of fin(5); an
+        # inverse per element and permutation makes 240.
+        calls = []
+        inverse = Bijection.inverse
+        monkeypatch.setattr(Bijection, "inverse", lambda e: calls.append(e) or inverse(e))
+        assert verify.fixed_equivariance(5) == (True, "both elements are equivariant")
+        assert len(calls) <= 120
 
     def test_seed_changes_are_still_green(self):
         for seed in (1, 2):
