@@ -4,6 +4,11 @@ Permutations are written either in cycle notation, "(0 1 2)(3 4)" with
 fixed points omitted, or in one-line notation, "1,2,0,4,3" giving the image
 of each point in order.  Exit codes: 0 success, 1 verification failure,
 2 usage error.
+
+Each command is a fresh process, so start-up is most of its cost.  The
+module imports only finite, perms and cycles, which sign, cycles and factor
+need; cartier, orientation-dot and alternating import deloopings when they
+run, and verify imports the verify suite.
 """
 
 from __future__ import annotations
@@ -15,17 +20,8 @@ import re
 import sys
 
 from .cycles import CycleDecomposition, cycle_decompose, recompose
-from .deloopings import (
-    CONSTRUCTIONS,
-    alternating_kernel,
-    canonical_orientation,
-    cartier_delooping,
-    orientation_action,
-    relative_inversions,
-    sign_from_delooping,
-)
 from .errors import ContractError
-from .finite import Bijection, fin
+from .finite import Bijection, fin, require_natural
 from .perms import factor_into_transpositions, permutation, sign_inversions
 
 _CYCLE_TOKEN = re.compile(r"\(([^()]*)\)")
@@ -38,7 +34,7 @@ MAX_ARITY = 1024
 
 
 def _check_arity(n: int) -> None:
-    if n > MAX_ARITY:
+    if require_natural(n, "arity") > MAX_ARITY:
         raise ContractError(f"arity {n} exceeds the limit of {MAX_ARITY}")
 
 
@@ -98,6 +94,19 @@ def _nontrivial_cycles(e: Bijection) -> list[list[int]]:
     return [list(orbit) for orbit in cycle_decompose(e).cycles if len(orbit) > 1]
 
 
+def _construction(name: str) -> str:
+    """A --construction value: "all" or a name in the registry, which is
+    imported only when the verify command parses its arguments."""
+    from .deloopings import CONSTRUCTIONS
+
+    choices = ["all", *CONSTRUCTIONS]
+    if name not in choices:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(map(repr, choices))})"
+        )
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="signdeloop",
@@ -130,11 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--construction",
-        choices=["all", *CONSTRUCTIONS],
-        default="all",
-    )
+    p.add_argument("--construction", type=_construction, default="all")
     p.add_argument("--exhaustive-fixed", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
@@ -175,6 +180,14 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_cartier(args) -> int:
+    from .deloopings import (
+        canonical_orientation,
+        cartier_delooping,
+        orientation_action,
+        relative_inversions,
+        sign_from_delooping,
+    )
+
     e = parse_permutation(args.perm, args.n)
     base = fin(args.n)
     d = canonical_orientation(base)
@@ -189,6 +202,8 @@ def _cmd_cartier(args) -> int:
 
 
 def _cmd_orientation_dot(args) -> int:
+    from .deloopings import canonical_orientation, orientation_action
+
     base = fin(args.n)
     u = canonical_orientation(base)
     if args.perm is not None:
@@ -204,7 +219,7 @@ def _cmd_orientation_dot(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_verification  # only this command loads the suite
+    from .verify import run_verification
 
     reports = run_verification(
         args.n,
@@ -230,6 +245,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_alternating(args) -> int:
+    from .deloopings import alternating_kernel
+
     kernel = alternating_kernel(args.n)
     if args.json:
         print(json.dumps({

@@ -13,11 +13,10 @@ core element.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainMismatch, MalformedDecomposition, NotMember
-from .finite import Bijection, Label, LabeledSet, require_ints
+from .finite import Bijection, Frozen, Label, LabeledSet, require_ints
 
 Orbit = tuple[Label, ...]
 
@@ -35,16 +34,22 @@ def _union_of_orbits(cycles: tuple[Orbit, ...]) -> LabeledSet:
     return LabeledSet(tuple(labels))
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Disjoint cycles; their labels' union is the decomposed carrier."""
+class CycleDecomposition(Frozen):
+    """Disjoint cycles; their labels' union is the decomposed carrier.
 
-    cycles: tuple[Orbit, ...]
-    carrier: LabeledSet = field(init=False, repr=False, compare=False)
+    The carrier is derived, so it is neither compared, hashed nor shown.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "cycles", tuple(map(tuple, self.cycles)))
-        object.__setattr__(self, "carrier", _union_of_orbits(self.cycles))
+    def __init__(self, cycles: Iterable[Iterable[Label]]):
+        cycles = tuple(map(tuple, cycles))
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "carrier", _union_of_orbits(cycles))
+
+    def _values(self) -> tuple:
+        return (self.cycles,)
+
+    def __repr__(self) -> str:
+        return f"CycleDecomposition(cycles={self.cycles!r})"
 
 
 def _orbits(labels: Iterable[Label], step: Callable[[Label], Label]) -> Iterator[Orbit]:
@@ -85,18 +90,16 @@ def canonical_form(dec: CycleDecomposition) -> CycleDecomposition:
     return cycle_decompose(recompose(dec))
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(Frozen):
     """A rooted tree of labels; children sorted by their roots."""
 
-    root: Label
-    children: tuple["RootedTree", ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        roots = [c.root for c in self.children]
+    def __init__(self, root: Label, children: Iterable["RootedTree"] = ()):
+        children = tuple(children)
+        roots = [c.root for c in children]
         if roots != sorted(roots) or len(set(roots)) != len(roots):
             raise MalformedDecomposition("children must be sorted by distinct roots")
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "children", children)
 
     def _preorder(self) -> Iterator["RootedTree"]:
         # Without recursion: trees may be deep.
@@ -114,7 +117,7 @@ class RootedTree:
         """(root, child count) in preorder, which determines the tree."""
         return tuple((tree.root, len(tree.children)) for tree in self._preorder())
 
-    # The generated __eq__, __hash__ and __repr__ would recurse once per level.
+    # Field-wise __eq__, __hash__ and __repr__ would recurse once per level.
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootedTree):
             return NotImplemented
@@ -127,8 +130,7 @@ class RootedTree:
         return f"RootedTree(preorder={self._shape()!r})"
 
 
-@dataclass(frozen=True)
-class EndoDecomposition:
+class EndoDecomposition(Frozen):
     """Cycles plus rooted trees of transient points; the carrier is the tree nodes.
 
     cycles are orbit tuples of the periodic core, as in CycleDecomposition.
@@ -136,17 +138,16 @@ class EndoDecomposition:
     image under the recomposed function.
     """
 
-    cycles: tuple[Orbit, ...]
-    trees: tuple[tuple[RootedTree, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "cycles", tuple(map(tuple, self.cycles)))
-        object.__setattr__(self, "trees", tuple(tuple(row) for row in self.trees))
-        _union_of_orbits(self.cycles)
-        if len(self.trees) != len(self.cycles):
+    def __init__(
+        self, cycles: Iterable[Iterable[Label]], trees: Iterable[Iterable[RootedTree]]
+    ):
+        cycles = tuple(map(tuple, cycles))
+        trees = tuple(tuple(row) for row in trees)
+        _union_of_orbits(cycles)
+        if len(trees) != len(cycles):
             raise MalformedDecomposition("cycles and tree rows must align")
         nodes: list[Label] = []
-        for orbit, row in zip(self.cycles, self.trees):
+        for orbit, row in zip(cycles, trees):
             if len(row) != len(orbit):
                 raise MalformedDecomposition("one tree per cycle element required")
             for anchor, tree in zip(orbit, row):
@@ -157,6 +158,14 @@ class EndoDecomposition:
                 nodes.extend(tree.nodes())
         if len(set(nodes)) != len(nodes):
             raise MalformedDecomposition("tree node sets overlap")
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "trees", trees)
+
+    def _values(self) -> tuple:
+        return (self.cycles, self.trees)
+
+    def __repr__(self) -> str:
+        return f"EndoDecomposition(cycles={self.cycles!r}, trees={self.trees!r})"
 
 
 def decompose_endofunction(carrier: LabeledSet, f: dict[Label, Label]) -> EndoDecomposition:

@@ -10,7 +10,6 @@ and shared freely.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 from typing import Iterable, Iterator
@@ -63,25 +62,51 @@ def require_ints(values: tuple, what: str) -> tuple:
     return values
 
 
-@dataclass(frozen=True)
-class LabeledSet:
+class Frozen:
+    """Base of the package's immutable values: a frozen dataclass by hand,
+    which keeps dataclasses (and the inspect and ast modules it imports)
+    off the import path of the CLI.
+
+    __init__ writes each field once with object.__setattr__, as a frozen
+    dataclass does, which keeps instances in the compact layout of their
+    class; _values returns the compared fields.  Equality (same class, equal
+    values), the hash (of the values) and the refusal to assign or delete an
+    attribute are the dataclass's.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LabeledSet(Frozen):
     """A finite set of unsigned integer labels, kept strictly sorted.
 
     fin(n) is cached, so most comparisons are of a set with itself: __eq__
-    answers those by identity before comparing elements.  The generated
-    __hash__ stays, hashing the elements.
+    answers those by identity before comparing elements.  The hash is
+    that of the field tuple (elements,), as the dataclass version had.
     """
 
-    elements: tuple[Label, ...]
-
-    def __post_init__(self):
-        elems = require_ints(tuple(self.elements), "label")
-        object.__setattr__(self, "elements", elems)
+    def __init__(self, elements: Iterable[Label]):
+        elems = require_ints(tuple(elements), "label")
         for a in elems:
             if a < 0:
                 raise ContractError(f"labels must be unsigned integers, got {a!r}")
         if any(a >= b for a, b in zip(elems, elems[1:])):
             raise ContractError(f"labels must be strictly increasing, got {elems!r}")
+        object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_pos", {a: i for i, a in enumerate(elems)})
 
     @classmethod
@@ -106,6 +131,12 @@ class LabeledSet:
             return NotImplemented
         return self.elements == other.elements
 
+    def __hash__(self) -> int:
+        return hash((self.elements,))
+
+    def __repr__(self) -> str:
+        return f"LabeledSet(elements={self.elements!r})"
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -122,8 +153,7 @@ def fin(n: int) -> LabeledSet:
     return LabeledSet(tuple(range(require_natural(n, "fin size"))))
 
 
-@dataclass(frozen=True)
-class Bijection:
+class Bijection(Frozen):
     """An explicit bijection between two labeled sets.
 
     images[i] is the image of domain.elements[i].  The public constructor
@@ -137,21 +167,26 @@ class Bijection:
     along a validated decomposition).
     """
 
-    domain: LabeledSet
-    codomain: LabeledSet
-    images: tuple[Label, ...]
-
-    def __post_init__(self):
-        imgs = require_ints(tuple(self.images), "image")
+    def __init__(self, domain: LabeledSet, codomain: LabeledSet, images: Iterable[Label]):
+        imgs = require_ints(tuple(images), "image")
+        if len(imgs) != len(domain):
+            raise ContractError(
+                f"expected {len(domain)} images, got {len(imgs)}"
+            )
+        if tuple(sorted(imgs)) != codomain.elements:
+            raise ContractError(
+                f"images {imgs!r} do not enumerate codomain {codomain.elements!r}"
+            )
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "images", imgs)
-        if len(imgs) != len(self.domain):
-            raise ContractError(
-                f"expected {len(self.domain)} images, got {len(imgs)}"
-            )
-        if tuple(sorted(imgs)) != self.codomain.elements:
-            raise ContractError(
-                f"images {imgs!r} do not enumerate codomain {self.codomain.elements!r}"
-            )
+
+    def _values(self) -> tuple:
+        return (self.domain, self.codomain, self.images)
+
+    def __repr__(self) -> str:
+        fields = f"domain={self.domain!r}, codomain={self.codomain!r}, images={self.images!r}"
+        return f"Bijection({fields})"
 
     @classmethod
     def _trusted(

@@ -78,6 +78,11 @@ class TestParsePermutation:
         with pytest.raises(ContractError):
             parse_permutation("   ")
 
+    def test_rejects_a_negative_arity(self):
+        # Cycle notation at n = -1 once parsed as the empty permutation.
+        with pytest.raises(ContractError, match="natural number"):
+            parse_permutation("()", -1)
+
     def test_rejects_overlapping_cycles(self):
         with pytest.raises(ContractError):
             parse_permutation("(0 1)(1 2)")
@@ -330,6 +335,17 @@ class TestExitCodes:
         assert run_command(["sign", "(0 1023)"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sign", "()"], ["cycles", "()", "--json"], ["factor", "()", "--json"],
+         ["cartier", "()"], ["orientation-dot"], ["verify"], ["alternating"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_arity_is_two(self, capsys, argv):
+        # Refused before the command runs, with one ContractError's message.
+        assert run_command([*argv, "--n", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: arity must be a natural number, got -1\n")
+
     @given(
         st.sampled_from(
             ["sign", "cycles", "factor", "cartier", "orientation-dot", "verify",
@@ -384,3 +400,25 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]", "False"]
+
+    def test_the_cli_loads_neither_dataclasses_nor_deloopings(self):
+        # In a child, because pytest has loaded dataclasses.  sign, cycles and
+        # factor need only finite, perms and cycles; none of them loads
+        # dataclasses (with its inspect chain), deloopings or verify.
+        script = (
+            "import contextlib, io, sys\n"
+            "unwanted = {'dataclasses', 'inspect', 'signdeloop.deloopings', 'signdeloop.verify'}\n"
+            "import signdeloop.cli\n"
+            "print(sorted(unwanted & set(sys.modules)))\n"
+            "import signdeloop.finite, signdeloop.cycles, signdeloop.perms\n"
+            "print(sorted(unwanted & set(sys.modules)))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for argv in (['sign', '(0 1)'], ['cycles', '(0 1)', '--json'], ['factor', '(0 1 2)']):\n"
+            "        assert signdeloop.cli.run_command(argv) == 0\n"
+            "print(sorted(unwanted & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]", "[]", "[]"]
