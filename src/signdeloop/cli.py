@@ -8,14 +8,14 @@ of each point in order.  Exit codes: 0 success, 1 verification failure,
 Each command is a fresh process, so start-up is most of its cost.  The
 module imports only finite, perms and cycles, which sign, cycles and factor
 need; cartier, orientation-dot and alternating import deloopings when they
-run, and verify imports the verify suite.
+run, verify imports the verify suite, and json is imported only to write
+JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import re
 import sys
 
@@ -151,6 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(obj) -> None:
+    # Imported here: sign and orientation-dot never write JSON.
+    import json
+
+    print(json.dumps(obj))
+
+
 def _cmd_sign(args) -> int:
     print(sign_inversions(parse_permutation(args.perm, args.n)))
     return 0
@@ -159,7 +166,7 @@ def _cmd_sign(args) -> int:
 def _cmd_cycles(args) -> int:
     e = parse_permutation(args.perm, args.n)
     if args.json:
-        print(json.dumps({"n": len(e.domain), "cycles": _nontrivial_cycles(e)}))
+        _print_json({"n": len(e.domain), "cycles": _nontrivial_cycles(e)})
     else:
         print(format_permutation(e))
     return 0
@@ -169,10 +176,7 @@ def _cmd_factor(args) -> int:
     e = parse_permutation(args.perm, args.n)
     factors = factor_into_transpositions(e)
     if args.json:
-        print(json.dumps({
-            "n": len(e.domain),
-            "factors": [list(f) for f in factors],
-        }))
+        _print_json({"n": len(e.domain), "factors": [list(f) for f in factors]})
     else:
         text = "".join(f"({a} {b})" for a, b in factors)
         print(text or "()")
@@ -194,7 +198,7 @@ def _cmd_cartier(args) -> int:
     m = relative_inversions(d, orientation_action(e, d))
     s = sign_from_delooping(cartier_delooping(args.n), e)
     if args.json:
-        print(json.dumps({"n": args.n, "relative_inversions": m, "sign": str(s)}))
+        _print_json({"n": args.n, "relative_inversions": m, "sign": str(s)})
     else:
         print(f"relative inversions: {m}")
         print(f"class sign: {s}")
@@ -228,13 +232,13 @@ def _cmd_verify(args) -> int:
         exhaustive_fixed=args.exhaustive_fixed,
     )
     if args.json:
-        print(json.dumps({
+        _print_json({
             "n": args.n,
             "seed": args.seed,
             "construction": args.construction,
             "passed": all(r.passed for r in reports),
             "reports": [r.to_json() for r in reports],
-        }))
+        })
     else:
         for report in reports:
             print(f"[{report.construction}] n={report.n} seed={report.seed}")
@@ -249,11 +253,11 @@ def _cmd_alternating(args) -> int:
 
     kernel = alternating_kernel(args.n)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "n": args.n,
             "order": len(kernel),
             "kernel": [list(e.images) for e in kernel],
-        }))
+        })
     else:
         for e in kernel:
             print(format_permutation(e))

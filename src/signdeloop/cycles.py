@@ -86,10 +86,6 @@ def recompose(dec: CycleDecomposition) -> Bijection:
     return Bijection._trusted(dec.carrier, dec.carrier, tuple(image[x] for x in dec.carrier))
 
 
-def canonical_form(dec: CycleDecomposition) -> CycleDecomposition:
-    return cycle_decompose(recompose(dec))
-
-
 class RootedTree(Frozen):
     """A rooted tree of labels; children sorted by their roots."""
 

@@ -378,40 +378,18 @@ CONSTRUCTIONS: dict[str, Callable[[int], TwoElementFamily]] = {
 # The census scans 2^(n!) masks: 2^24 at n = 4, 2^120 beyond.
 CENSUS_BOUND = 4
 
-# Column i (bit i of every table index k) as one byte of 8 tables, i < 3.
-_COLUMN_BYTES = (0xAA, 0xCC, 0xF0)
-_NOT = bytes(range(255, -1, -1))
-
 # The census decides 2^_BLOCK_BITS tables at a time (fewer when n! is smaller).
 _BLOCK_BITS = 16
 
 
-def _column_period(i: int) -> bytes:
-    """The shortest byte string that repeats to column i."""
-    if i < 3:
-        return bytes([_COLUMN_BYTES[i]])
-    return bytes(1 << (i - 3)) + b"\xff" * (1 << (i - 3))
-
-
-def _repeat(period: bytes, width: int) -> int:
-    return int.from_bytes(period * (width // len(period)), "little")
-
-
-def _column_bits(i: int, width: int) -> int:
-    """The width-byte integer whose bit k is bit i of k."""
-    return _repeat(_column_period(i), width)
-
-
-def _pair_bits(i: int, j: int, width: int) -> int:
-    """The width-byte integer whose bit k is bit i of k XOR bit j of k, i < j;
-    exhaustive_fixed_points says how its period is built."""
-    if j < 3:
-        period = bytes([_COLUMN_BYTES[i] ^ _COLUMN_BYTES[j]])
-    else:
-        column = _column_period(i)
-        half = column * ((1 << (j - 3)) // len(column))
-        period = half + half.translate(_NOT)
-    return _repeat(period, width)
+def _column(i: int, width: int) -> int:
+    """The width-bit integer whose bit t is bit i of t, for 2^(i+1) <= width:
+    a period of 2^i clear bits and 2^i set bits, doubled until it fills."""
+    column, period = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+    while period < width:
+        column |= column << period
+        period <<= 1
+    return column
 
 
 def exhaustive_fixed_points(n: int) -> list[dict[Bijection, Sign]]:
@@ -428,20 +406,14 @@ def exhaustive_fixed_points(n: int) -> list[dict[Bijection, Sign]]:
 
     The scan is bit-sliced over blocks of 2^b tables, b = min(16, n!): block
     B holds tables k = B * 2^b + t, and bit t of `alive` stands for table k,
-    so each `alive &= d` tests a whole block against one pair.  For j < b,
-    bit k of d is bit i of t XOR bit j of t, the same in every block, so
-    all such pairs are ANDed once into `low`, where each block starts.  d
-    repeats every 2^(j+1) bits: over the first half of a period bit j is
-    clear and d is column i (bit i of every t), over the second it is
-    column i's complement, a bytes.translate through a NOT table.  Column i
-    repeats the byte 0xAA, 0xCC or 0xF0 for i < 3, so for j < 3 a period is
-    one byte, the XOR of two of them; for i >= 3 it repeats 2^(i-3) bytes
-    0x00 and as many 0xFF.  For j >= b, bit j of k is bit j - b of B, fixed
-    over the block, so d is column i or its complement when i < b, and all
-    ones or zero when i >= b too.  Every table still meets every pair; a
-    block already at zero skips its remaining ANDs.  At n = 4 a block is
-    8 KiB, and the scan traces under 1 MiB.  Survivors are read off block
-    by block and bit by bit, in ascending k.
+    so each `alive &= bits[i] ^ bits[j]` tests a whole block against one
+    pair.  For i < b, bits[i] is column i, whose bit t is bit i of t in
+    every block, so the pairs with j < b are ANDed once into `low`, where
+    each block starts.  For i >= b, bit i of k is bit i - b of B, so bits[i]
+    is all ones or zero over the block.  Every table still meets every pair;
+    a block already at zero skips its remaining ANDs.  At n = 4 a block is
+    8 KiB, and the scan traces under 1 MiB.  Survivors are read off block by
+    block and bit by bit, in ascending k.
     """
     if n > CENSUS_BOUND:
         raise SizeGuard(f"census scans 2^(n!) tables; bound is n <= {CENSUS_BOUND}")
@@ -455,31 +427,23 @@ def exhaustive_fixed_points(n: int) -> list[dict[Bijection, Sign]]:
         for i, p in enumerate(perms)
     }
     b = min(_BLOCK_BITS, m)
-    width = max(1, (1 << b) >> 3)  # bytes, 8 tables each
     full = (1 << (1 << b)) - 1
+    columns = [_column(i, 1 << b) for i in range(b)]
     low = full
     high = []
     for i, j in sorted(pairs):
         if j < b:
-            low &= _pair_bits(i, j, width)
+            low &= columns[i] ^ columns[j]
         else:
             high.append((i, j))
-    # Column i and its complement, indexed by bit j of k, for each i < b.
-    columns = {}
-    for i in {i for i, _ in high if i < b}:
-        column = _column_bits(i, width) & full
-        columns[i] = (column, column ^ full)
     tables = []
     for block in range(1 << (m - b)):
+        bits = columns + [full if (block >> (i - b)) & 1 else 0 for i in range(b, m)]
         alive = low
         for i, j in high:
             if not alive:
                 break
-            bit_j = (block >> (j - b)) & 1
-            if i < b:
-                alive &= columns[i][bit_j]
-            elif (block >> (i - b)) & 1 == bit_j:
-                alive = 0
+            alive &= bits[i] ^ bits[j]
         while alive:
             t = (alive & -alive).bit_length() - 1
             alive &= alive - 1

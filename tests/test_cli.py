@@ -422,3 +422,23 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]", "[]", "[]"]
+
+    def test_json_is_imported_only_to_write_json(self):
+        # In a child, because pytest has loaded json.
+        script = (
+            "import contextlib, io, sys\n"
+            "import signdeloop.cli\n"
+            "seen = ['json' in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for argv in (['sign', '(0 1)'], ['orientation-dot', '(0 1)', '--n', '3']):\n"
+            "        assert signdeloop.cli.run_command(argv) == 0\n"
+            "    seen.append('json' in sys.modules)\n"
+            "    assert signdeloop.cli.run_command(['cycles', '(0 1)', '--json']) == 0\n"
+            "seen.append('json' in sys.modules)\n"
+            "print(seen)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[False, False, True]"

@@ -330,20 +330,35 @@ class TestExhaustiveCensus:
     def test_matches_a_per_table_scan(self, n):
         assert exhaustive_fixed_points(n) == per_table_scan(n)
 
-    @pytest.mark.parametrize("bits", range(1, 6))
+    def test_column_bit_t_is_bit_i_of_t(self):
+        for w in range(11):
+            for i in range(w):
+                column = deloopings._column(i, 1 << w)
+                assert column >> (1 << w) == 0
+                assert all((column >> t) & 1 == (t >> i) & 1 for t in range(1 << w))
+
+    @pytest.mark.parametrize("bits", range(6))
     def test_blocks_narrower_than_the_tables(self, monkeypatch, bits):
-        # At n = 3 one block of 2^6 tables holds the whole census.  Narrower
-        # blocks send pairs i < j with j >= bits to the block number: column
-        # i or its complement when i < bits, a block-wide 0 or all-ones when
-        # i >= bits too, as at n = 4 with 2^16-table blocks.
+        # One block of 2^(n!) tables holds the whole census at n <= 3.
+        # Narrower blocks send every pair i < j with j >= bits through
+        # bits[i] ^ bits[j], where an index past the block reads the block
+        # number, as at n = 4 with 2^16-table blocks.  Width 0 puts every
+        # index past the block.
         monkeypatch.setattr(deloopings, "_BLOCK_BITS", bits)
-        assert exhaustive_fixed_points(3) == per_table_scan(3)
+        for n in range(1, 4):
+            assert exhaustive_fixed_points(n) == per_table_scan(n)
+
+    @pytest.mark.parametrize("bits", (8, 12))
+    def test_blocks_of_other_widths_at_n4(self, monkeypatch, bits):
+        expected = exhaustive_fixed_points(4)
+        monkeypatch.setattr(deloopings, "_BLOCK_BITS", bits)
+        assert exhaustive_fixed_points(4) == expected
 
     def test_holds_one_constraint_at_a_time_at_n4(self):
-        # 2^16-table blocks of 8 KiB: `low`, one block, and a column with its
-        # complement for each of the six i < 16 paired with a j >= 16 trace
-        # about 150 KiB.  One 2 MiB integer per pair over all 2^24 tables
-        # traced 7.6 MiB, and all 24 columns at once would be 48 MiB.
+        # 2^16-table blocks of 8 KiB: the 16 columns, `low`, one block and
+        # one bits[i] ^ bits[j] at a time trace under 200 KiB.  One 2 MiB
+        # integer per pair over all 2^24 tables traced 7.6 MiB, and all 24
+        # columns at once would be 48 MiB.
         tracemalloc.start()
         try:
             exhaustive_fixed_points(4)
