@@ -62,7 +62,8 @@ def test_every_definition_is_read_by_the_package():
 # Cartier's construction never consults permutation parity.  Statically:
 # nothing reachable from the cartier record's four callables or from
 # sign_from_delooping reaches a definition that computes parity; nor does
-# the census oracle, exhaustive_fixed_points.
+# the census oracle, exhaustive_fixed_points, nor the Cayley walk that the
+# sign-homomorphism edge law checks signs along.
 PARITY_DEFINITIONS = {
     "perms.chart_sign",
     "perms.sign_inversions",
@@ -142,8 +143,8 @@ def reachable(trees: dict[str, ast.Module], roots: list) -> set[str]:
     return seen
 
 
-def deloopings_function(trees: dict[str, ast.Module], name: str) -> ast.FunctionDef:
-    body = trees["deloopings"].body
+def module_function(trees: dict[str, ast.Module], module: str, name: str) -> ast.FunctionDef:
+    body = trees[module].body
     return next(n for n in body if isinstance(n, ast.FunctionDef) and n.name == name)
 
 
@@ -165,7 +166,7 @@ def record_callables(trees: dict[str, ast.Module], name: str) -> list:
 def sign_free_roots(trees: dict[str, ast.Module]) -> list:
     """The cartier record's four callables and sign_from_delooping."""
     return record_callables(trees, "cartier_delooping") + [
-        deloopings_function(trees, "sign_from_delooping")
+        module_function(trees, "deloopings", "sign_from_delooping")
     ]
 
 
@@ -184,7 +185,7 @@ def test_cartier_and_sign_extraction_reach_no_parity_definition():
     assert "deloopings.orientation_action" in reached
     assert "deloopings.Construction.__call__.action" in reached
     assert reached & PARITY_DEFINITIONS == set()
-    census = reachable(trees, [deloopings_function(trees, "exhaustive_fixed_points")])
+    census = reachable(trees, [module_function(trees, "deloopings", "exhaustive_fixed_points")])
     assert "finite.enumerate_bijections" in census
     assert census & PARITY_DEFINITIONS == set()
 
@@ -198,3 +199,13 @@ def test_reachability_sees_parity_where_it_is_used():
         replace=(line, "    sign_inversions(order_bijection(u.carrier))\n" + line)
     )
     assert "perms.sign_inversions" in reachable(mutant, sign_free_roots(mutant))
+
+
+def test_the_cayley_walk_reaches_no_parity_definition():
+    # The edge law reads parity only through sign_inversions, once per
+    # permutation; the walk that supplies its edges reads none.
+    trees = parse_package()
+    walk = reachable(trees, [module_function(trees, "verify", "cayley_edges")])
+    assert walk & PARITY_DEFINITIONS == set()
+    edge_law = reachable(trees, [module_function(trees, "verify", "sign_edge_law")])
+    assert {"verify.cayley_edges", "perms.sign_inversions"} <= edge_law

@@ -16,20 +16,23 @@ from signdeloop.deloopings import (
     alternating_kernel,
     orbit_class,
 )
-from signdeloop.finite import Bijection, LabeledSet, fin
-from signdeloop.perms import MINUS, PLUS, permutation
+from signdeloop.finite import Bijection, LabeledSet, enumerate_bijections, fin
+from signdeloop.perms import MINUS, PLUS, permutation, transposition
 from signdeloop.verify import (
     CHECKS,
     Scope,
     VerifyReport,
     _run,
     bridge_parity,
+    cayley_edges,
     expand_orbits,
     kernel_closure,
     orientation_class_census,
     parity_triangle_holds,
     relation_validity,
     run_verification,
+    sign_edge_law,
+    sign_homomorphism,
     transposition_oddness,
     uniqueness_of_deloopings,
 )
@@ -85,6 +88,25 @@ class TestOracles:
         a, b = (0, 1, 3, 4, 2), (1, 0, 4, 3, 2)
         assert tuple(b[i] for i in a) == missing
         assert kernel_closure(5) == (
+            False, f"product of {a!r} and {b!r} escapes the kernel"
+        )
+
+    def test_kernel_closure_bulk_path_agrees_with_the_pair_scan(self, monkeypatch):
+        # At n = 6 the products are composed one right factor at a time over
+        # the whole listing; with an involution left out, the escape it
+        # reports must be the first one a pair-by-pair scan finds.
+        even = alternating_kernel(6)
+        missing = (1, 0, 3, 2, 4, 5)
+        tampered = tuple(e for e in even if e.images != missing)
+        assert len(tampered) == len(even) - 1
+        monkeypatch.setattr(verify, "alternating_kernel", lambda n: tampered)
+        listed = {e.images for e in tampered}
+        a, b = next(
+            (a.images, b.images)
+            for a, b in itertools.product(tampered, repeat=2)
+            if a.then(b).images not in listed
+        )
+        assert kernel_closure(6) == (
             False, f"product of {a!r} and {b!r} escapes the kernel"
         )
 
@@ -152,6 +174,73 @@ class TestOracles:
         assert row.run(Scope(3, 0, Random(0), trivial)) == (
             False, "booleans (False, False, False), counterexample (1, 0, 2)"
         )
+
+
+class TestCayleyWalk:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_walks_every_edge_once(self, n):
+        edges = list(cayley_edges(n))
+        assert len(edges) == math.factorial(n) * (n - 1)
+        assert len({(p, i) for p, i, _ in edges}) == len(edges)
+        for p, i, q in edges:
+            # p*s_i applies the swap <i i+1> first, then p.
+            assert q == transposition(n, i, i + 1).then(permutation(p)).images
+        listing = {e.images for e in enumerate_bijections(fin(n), fin(n))}
+        assert {tuple(range(n))} | {q for _, _, q in edges} == listing
+
+    def test_walk_is_breadth_first_from_the_identity(self):
+        starts = list(dict.fromkeys(p for p, _, _ in cayley_edges(3)))
+        assert starts[0] == (0, 1, 2)
+        assert starts[1:3] == [(1, 0, 2), (0, 2, 1)]
+
+
+class TestSignHomomorphism:
+    def test_edge_law_holds_where_the_pair_scan_runs(self):
+        for n in range(0, 6):
+            assert sign_edge_law(n) == (True, "sign is multiplicative")
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_edge_law_draws_nothing(self, n):
+        rng = Random(17)
+        state = rng.getstate()
+        assert sign_homomorphism(n, rng) == (True, "sign is multiplicative")
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize(
+        "planted", [(0, 2, 1, 3), (3, 1, 0, 2), (2, 0, 1, 4, 3), (4, 3, 2, 1, 0), (5, 0, 4, 1, 3, 2)]
+    )
+    def test_edge_law_names_the_first_edge_at_a_missigned_permutation(self, monkeypatch, planted):
+        n = len(planted)
+        real = verify.sign_inversions
+        monkeypatch.setattr(
+            verify, "sign_inversions", lambda e: -real(e) if e.images == planted else real(e)
+        )
+        # The walk reaches planted before it leaves it, so the first edge
+        # touching it ends there.
+        p, i, q = next(edge for edge in cayley_edges(n) if planted in (edge[0], edge[2]))
+        assert q == planted
+        ok, detail = sign_edge_law(n)
+        assert (ok, detail) == (
+            False, f"sign does not flip on edge {p!r} -> {q!r} (swap {i}, {i + 1})"
+        )
+        if n <= 5:
+            ok, detail = sign_homomorphism(n, Random(0))
+            assert not ok and detail.startswith("multiplicativity fails at")
+        else:
+            assert sign_homomorphism(n, Random(0)) == (False, detail)
+
+    def test_edge_law_requires_the_identity_to_be_even(self, monkeypatch):
+        real = verify.sign_inversions
+        monkeypatch.setattr(
+            verify, "sign_inversions", lambda e: -real(e) if e.images == (0, 1, 2) else real(e)
+        )
+        assert sign_edge_law(3) == (False, "sign of the identity is not +1")
+
+    def test_edge_law_requires_the_walk_to_reach_every_permutation(self, monkeypatch):
+        # Every edge of a walk cut short still flips the sign.
+        real = verify.cayley_edges
+        monkeypatch.setattr(verify, "cayley_edges", lambda n: itertools.islice(real(n), n - 1))
+        assert sign_edge_law(4) == (False, "walk reaches 4 of 24 permutations")
 
 
 class TestRunWrapper:
