@@ -459,50 +459,37 @@ def cayley_edges(n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]
                 frontier.append(q)
 
 
-def sign_edge_law(n: int) -> tuple[bool, str]:
-    """sign is multiplicative on S_n, proved on the Cayley graph.
+def sign_homomorphism(n: int, rng: Random) -> tuple[bool, str]:
+    """sign(a*b) = sign(a) * sign(b) on S_n.
 
-    sign_inversions is read once per permutation of the listing.  The
-    identity must map to +1 and every edge (p, i, p*s_i) must flip the
-    sign, so sign(a*w) = sign(a) * (-1)^len(w) for every word w in the s_i.
-    The walk from the identity must reach the whole listing, so every b is
-    such a word, with sign(b) = (-1)^len(w) (take a = id): hence
+    Up to ENUMERATION_BOUND it is proved on the Cayley graph, with no rng
+    draws: sign_inversions is read once per permutation of the listing, the
+    identity must map to +1 and every edge (p, i, p*s_i) must flip the sign,
+    so sign(a*w) = sign(a) * (-1)^len(w) for every word w in the s_i.  The
+    walk expands each permutation it reaches once, with n - 1 edges, so
+    taking all n!(n - 1) edges means it reached the whole listing: every b
+    is such a word, with sign(b) = (-1)^len(w) (take a = id), hence
     sign(a*b) = sign(a) * sign(b).  A failure names the first offending
-    edge in walk order.
+    edge in walk order.  Beyond ENUMERATION_BOUND, 10 000 seeded random
+    pairs are checked.
     """
     base = fin(n)
+    if n > ENUMERATION_BOUND:
+        for _ in range(10_000):
+            a, b = random_bijection(rng, base, base), random_bijection(rng, base, base)
+            if sign_inversions(a.then(b)) != sign_inversions(a) * sign_inversions(b):
+                return False, f"multiplicativity fails at {(a.images, b.images)!r}"
+        return True, "sign is multiplicative"
     sign = {e.images: sign_inversions(e) for e in enumerate_bijections(base, base)}
-    start = tuple(range(n))
-    if sign[start] is not PLUS:
+    if sign[tuple(range(n))] is not PLUS:
         return False, "sign of the identity is not +1"
-    reached = {start}
-    for p, i, q in cayley_edges(n):
-        if sign.get(q) is not -sign[p]:
+    walked = 0
+    for walked, (p, i, q) in enumerate(cayley_edges(n), 1):
+        if sign.get(q) in (sign[p], None):  # two signs: anything else is -sign[p]
             return False, f"sign does not flip on edge {p!r} -> {q!r} (swap {i}, {i + 1})"
-        reached.add(q)
-    if len(reached) != len(sign):
-        return False, f"walk reaches {len(reached)} of {len(sign)} permutations"
-    return True, "sign is multiplicative"
-
-
-def sign_homomorphism(n: int, rng: Random) -> tuple[bool, str]:
-    """sign(a*b) = sign(a) * sign(b): over all ordered pairs for n <= 5, on
-    every Cayley edge (sign_edge_law, no rng draws) up to
-    ENUMERATION_BOUND, and on 10 000 seeded random pairs beyond."""
-    base = fin(n)
-    if n <= 5:
-        perms = enumerate_bijections(base, base)
-        candidates = itertools.product(perms, repeat=2)
-    elif n <= ENUMERATION_BOUND:
-        return sign_edge_law(n)
-    else:
-        candidates = (
-            (random_bijection(rng, base, base), random_bijection(rng, base, base))
-            for _ in range(10_000)
-        )
-    for a, b in candidates:
-        if sign_inversions(a.then(b)) != sign_inversions(a) * sign_inversions(b):
-            return False, f"multiplicativity fails at {(a.images, b.images)!r}"
+    edges = len(sign) * max(n - 1, 0)
+    if walked != edges:
+        return False, f"walk takes {walked} of {edges} edges"
     return True, "sign is multiplicative"
 
 

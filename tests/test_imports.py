@@ -207,5 +207,5 @@ def test_the_cayley_walk_reaches_no_parity_definition():
     trees = parse_package()
     walk = reachable(trees, [module_function(trees, "verify", "cayley_edges")])
     assert walk & PARITY_DEFINITIONS == set()
-    edge_law = reachable(trees, [module_function(trees, "verify", "sign_edge_law")])
+    edge_law = reachable(trees, [module_function(trees, "verify", "sign_homomorphism")])
     assert {"verify.cayley_edges", "perms.sign_inversions"} <= edge_law

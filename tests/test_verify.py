@@ -31,7 +31,6 @@ from signdeloop.verify import (
     parity_triangle_holds,
     relation_validity,
     run_verification,
-    sign_edge_law,
     sign_homomorphism,
     transposition_oddness,
     uniqueness_of_deloopings,
@@ -195,11 +194,11 @@ class TestCayleyWalk:
 
 
 class TestSignHomomorphism:
-    def test_edge_law_holds_where_the_pair_scan_runs(self):
+    def test_holds_on_every_edge_at_small_n(self):
         for n in range(0, 6):
-            assert sign_edge_law(n) == (True, "sign is multiplicative")
+            assert sign_homomorphism(n, Random(0)) == (True, "sign is multiplicative")
 
-    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("n", [5, 6, 7])
     def test_edge_law_draws_nothing(self, n):
         rng = Random(17)
         state = rng.getstate()
@@ -209,7 +208,7 @@ class TestSignHomomorphism:
     @pytest.mark.parametrize(
         "planted", [(0, 2, 1, 3), (3, 1, 0, 2), (2, 0, 1, 4, 3), (4, 3, 2, 1, 0), (5, 0, 4, 1, 3, 2)]
     )
-    def test_edge_law_names_the_first_edge_at_a_missigned_permutation(self, monkeypatch, planted):
+    def test_names_the_first_edge_at_a_missigned_permutation(self, monkeypatch, planted):
         n = len(planted)
         real = verify.sign_inversions
         monkeypatch.setattr(
@@ -219,28 +218,40 @@ class TestSignHomomorphism:
         # touching it ends there.
         p, i, q = next(edge for edge in cayley_edges(n) if planted in (edge[0], edge[2]))
         assert q == planted
-        ok, detail = sign_edge_law(n)
-        assert (ok, detail) == (
+        assert sign_homomorphism(n, Random(0)) == (
             False, f"sign does not flip on edge {p!r} -> {q!r} (swap {i}, {i + 1})"
         )
         if n <= 5:
-            ok, detail = sign_homomorphism(n, Random(0))
-            assert not ok and detail.startswith("multiplicativity fails at")
-        else:
-            assert sign_homomorphism(n, Random(0)) == (False, detail)
+            # The planted sign really breaks multiplicativity on some pair.
+            perms = enumerate_bijections(fin(n), fin(n))
+            assert any(
+                verify.sign_inversions(a.then(b))
+                != verify.sign_inversions(a) * verify.sign_inversions(b)
+                for a, b in itertools.product(perms, repeat=2)
+            )
 
-    def test_edge_law_requires_the_identity_to_be_even(self, monkeypatch):
+    def test_requires_the_identity_to_be_even(self, monkeypatch):
         real = verify.sign_inversions
         monkeypatch.setattr(
             verify, "sign_inversions", lambda e: -real(e) if e.images == (0, 1, 2) else real(e)
         )
-        assert sign_edge_law(3) == (False, "sign of the identity is not +1")
+        assert sign_homomorphism(3, Random(0)) == (False, "sign of the identity is not +1")
 
-    def test_edge_law_requires_the_walk_to_reach_every_permutation(self, monkeypatch):
+    @pytest.mark.parametrize("n", [4, verify.ENUMERATION_BOUND])
+    def test_requires_the_walk_to_take_every_edge(self, monkeypatch, n):
         # Every edge of a walk cut short still flips the sign.
         real = verify.cayley_edges
         monkeypatch.setattr(verify, "cayley_edges", lambda n: itertools.islice(real(n), n - 1))
-        assert sign_edge_law(4) == (False, "walk reaches 4 of 24 permutations")
+        edges = math.factorial(n) * (n - 1)
+        assert sign_homomorphism(n, Random(0)) == (False, f"walk takes {n - 1} of {edges} edges")
+
+    def test_samples_pairs_beyond_the_enumeration_bound(self, monkeypatch):
+        monkeypatch.setattr(verify, "sign_inversions", lambda e: MINUS)
+        n = verify.ENUMERATION_BOUND + 1
+        ok, detail = sign_homomorphism(n, Random(5))
+        rng = Random(5)
+        a, b = (verify.random_bijection(rng, fin(n), fin(n)) for _ in range(2))
+        assert (ok, detail) == (False, f"multiplicativity fails at {(a.images, b.images)!r}")
 
 
 class TestRunWrapper:
