@@ -207,15 +207,15 @@ def test_c11_unique_natural_isomorphisms():
 
 def test_c12_alternating_kernel_order_and_closure():
     bad = 0
-    for n in range(2, 8):
+    for n in range(2, 9):
         kernel = alternating_kernel(n)
         if len(kernel) != math.factorial(n) // 2:
             bad += 1
-        ok, detail = kernel_closure(n)  # exhaustive pairs for n <= 7
+        ok, detail = kernel_closure(n)  # generated by the 3-cycles, exhaustive
         if not ok:
             bad += 1
     conclude(
-        "C12 kernel has order n!/2 and is closed under product/inverse, n=2..7",
+        "C12 kernel has order n!/2 and is closed under product/inverse, n=2..8",
         bad,
         "exhaustive closure at every size",
     )

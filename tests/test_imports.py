@@ -203,9 +203,12 @@ def test_reachability_sees_parity_where_it_is_used():
 
 def test_the_cayley_walk_reaches_no_parity_definition():
     # The edge law reads parity only through sign_inversions, once per
-    # permutation; the walk that supplies its edges reads none.
+    # permutation; the walk that supplies its edges, to the edge law and to
+    # the kernel's generation proof, reads none.
     trees = parse_package()
     walk = reachable(trees, [module_function(trees, "verify", "cayley_edges")])
     assert walk & PARITY_DEFINITIONS == set()
     edge_law = reachable(trees, [module_function(trees, "verify", "sign_homomorphism")])
     assert {"verify.cayley_edges", "perms.sign_inversions"} <= edge_law
+    closure = reachable(trees, [module_function(trees, "verify", "kernel_closure")])
+    assert "verify.cayley_edges" in closure

@@ -17,7 +17,7 @@ from signdeloop.deloopings import (
     orbit_class,
 )
 from signdeloop.finite import Bijection, LabeledSet, enumerate_bijections, fin
-from signdeloop.perms import MINUS, PLUS, permutation, transposition
+from signdeloop.perms import MINUS, PLUS, permutation, sign_inversions, transposition
 from signdeloop.verify import (
     CHECKS,
     Scope,
@@ -74,40 +74,25 @@ class TestOracles:
             assert ok
             assert detail == f"order {math.factorial(n) // 2}"
 
-    def test_kernel_closure_reports_the_first_escape(self, monkeypatch):
-        # Every listed permutation is even and inverse-closed, so a closure
-        # that judged products by sign would pass; only looking each product
-        # up in the listing finds that (0 1)(2 3) is missing.
-        even = alternating_kernel(5)
-        missing = (1, 0, 3, 2, 4)
-        tampered = tuple(e for e in even if e.images != missing)
-        monkeypatch.setattr(verify, "alternating_kernel", lambda n: tampered)
-        # The identity maps the listing onto itself; the first escaping pair
-        # in listing order therefore starts at the second element.
-        a, b = (0, 1, 3, 4, 2), (1, 0, 4, 3, 2)
-        assert tuple(b[i] for i in a) == missing
-        assert kernel_closure(5) == (
-            False, f"product of {a!r} and {b!r} escapes the kernel"
-        )
-
-    def test_kernel_closure_bulk_path_agrees_with_the_pair_scan(self, monkeypatch):
-        # At n = 6 the products are composed one right factor at a time over
-        # the whole listing; with an involution left out, the escape it
-        # reports must be the first one a pair-by-pair scan finds.
-        even = alternating_kernel(6)
-        missing = (1, 0, 3, 2, 4, 5)
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_kernel_closure_rejects_a_tampered_listing(self, monkeypatch, n):
+        even = alternating_kernel(n)
+        # Every listed permutation is even, so a closure that judged
+        # products by sign would pass; only looking each product up in the
+        # listing finds that (0 1)(2 3) is missing.  The walk escapes on the
+        # first edge that lands on it.
+        missing = (1, 0, 3, 2) + tuple(range(4, n))
         tampered = tuple(e for e in even if e.images != missing)
         assert len(tampered) == len(even) - 1
+        assert all(sign_inversions(e) is PLUS for e in tampered)
         monkeypatch.setattr(verify, "alternating_kernel", lambda n: tampered)
-        listed = {e.images for e in tampered}
-        a, b = next(
-            (a.images, b.images)
-            for a, b in itertools.product(tampered, repeat=2)
-            if a.then(b).images not in listed
-        )
-        assert kernel_closure(6) == (
-            False, f"product of {a!r} and {b!r} escapes the kernel"
-        )
+        moves = three_cycles(n)
+        p, g = next((p, moves[i]) for p, i, q in cayley_edges(n, moves) if q == missing)
+        assert kernel_closure(n) == (False, f"product of {p!r} and {g!r} escapes the kernel")
+        # An odd transposition added is never reached by the even moves.
+        odd = transposition(n, 0, 1)
+        monkeypatch.setattr(verify, "alternating_kernel", lambda n: even + (odd,))
+        assert kernel_closure(n) == (False, f"{odd.images!r} is not reached from the identity")
 
     def test_parity_triangle_exhaustive(self):
         ok, detail = parity_triangle_holds(3, Random(0))
@@ -175,20 +160,38 @@ class TestOracles:
         )
 
 
+def adjacent_swaps(n):
+    return [transposition(n, i, i + 1).images for i in range(n - 1)]
+
+
+def three_cycles(n):
+    """The 3-cycles (0 1 i), 2 <= i < n: apply <1 i>, then <0 1>."""
+    return [transposition(n, 1, i).then(transposition(n, 0, 1)).images for i in range(2, n)]
+
+
 class TestCayleyWalk:
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_walks_every_edge_once(self, n):
-        edges = list(cayley_edges(n))
-        assert len(edges) == math.factorial(n) * (n - 1)
+    @pytest.mark.parametrize(
+        "n, moves, listing",
+        [
+            pytest.param(n, adjacent_swaps(n), enumerate_bijections(fin(n), fin(n)), id=str(n))
+            for n in range(1, 6)
+        ] + [
+            pytest.param(n, three_cycles(n), alternating_kernel(n), id=f"3-cycles-{n}")
+            for n in range(3, 7)
+        ],
+    )
+    def test_walks_every_edge_once(self, n, moves, listing):
+        # n! * (n - 1) edges under the swaps, (n!/2) * (n - 2) under the 3-cycles.
+        edges = list(cayley_edges(n, moves))
+        assert len(edges) == len(listing) * len(moves)
         assert len({(p, i) for p, i, _ in edges}) == len(edges)
         for p, i, q in edges:
-            # p*s_i applies the swap <i i+1> first, then p.
-            assert q == transposition(n, i, i + 1).then(permutation(p)).images
-        listing = {e.images for e in enumerate_bijections(fin(n), fin(n))}
-        assert {tuple(range(n))} | {q for _, _, q in edges} == listing
+            # p*g_i applies g_i first, then p.
+            assert q == permutation(moves[i]).then(permutation(p)).images
+        assert {tuple(range(n))} | {q for _, _, q in edges} == {e.images for e in listing}
 
     def test_walk_is_breadth_first_from_the_identity(self):
-        starts = list(dict.fromkeys(p for p, _, _ in cayley_edges(3)))
+        starts = list(dict.fromkeys(p for p, _, _ in cayley_edges(3, adjacent_swaps(3))))
         assert starts[0] == (0, 1, 2)
         assert starts[1:3] == [(1, 0, 2), (0, 2, 1)]
 
@@ -216,7 +219,9 @@ class TestSignHomomorphism:
         )
         # The walk reaches planted before it leaves it, so the first edge
         # touching it ends there.
-        p, i, q = next(edge for edge in cayley_edges(n) if planted in (edge[0], edge[2]))
+        p, i, q = next(
+            edge for edge in cayley_edges(n, adjacent_swaps(n)) if planted in (edge[0], edge[2])
+        )
         assert q == planted
         assert sign_homomorphism(n, Random(0)) == (
             False, f"sign does not flip on edge {p!r} -> {q!r} (swap {i}, {i + 1})"
@@ -241,7 +246,9 @@ class TestSignHomomorphism:
     def test_requires_the_walk_to_take_every_edge(self, monkeypatch, n):
         # Every edge of a walk cut short still flips the sign.
         real = verify.cayley_edges
-        monkeypatch.setattr(verify, "cayley_edges", lambda n: itertools.islice(real(n), n - 1))
+        monkeypatch.setattr(
+            verify, "cayley_edges", lambda n, moves: itertools.islice(real(n, moves), n - 1)
+        )
         edges = math.factorial(n) * (n - 1)
         assert sign_homomorphism(n, Random(0)) == (False, f"walk takes {n - 1} of {edges} edges")
 
