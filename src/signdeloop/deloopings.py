@@ -584,9 +584,9 @@ def natural_isomorphism(
     Over fin(n) it matches charts, Q.base_point * Qp.base_point; over any
     other carrier it is transported along the order-preserving chart (any
     chart gives the same answer since both families realize the same sign
-    action).  The function verifies naturality on seeded random squares and
-    verifies uniqueness by checking that flipping the map on one fiber
-    breaks a square.
+    action).  The function verifies naturality on seeded random squares;
+    uniqueness is forced: the base point fixes the value over fin(n), and
+    naturality along X's order chart fixes it over X.
     """
     require_natural(squares, "square count")
     if Q.arity != Qp.arity:
@@ -612,14 +612,6 @@ def natural_isomorphism(
         e = random_bijection(rng, X, Y)
         if Q.action(e) * at(Y) is not at(X) * Qp.action(e):
             raise NaturalityFailure("family is not natural", square=(X, Y, e))
-    for _ in range(4):
-        X, Y = sample_set(), sample_set()
-        e = random_bijection(rng, X, Y)
-        if Q.action(e) * at(Y) is -at(X) * Qp.action(e):
-            raise NaturalityFailure(
-                "flipped fiber map is also natural; uniqueness violated",
-                square=(X, Y, e),
-            )
     return at
 
 

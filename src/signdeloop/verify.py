@@ -64,6 +64,7 @@ from .perms import (
     permutation,
     product_of_transpositions,
     sign_inversions,
+    transposition,
 )
 from .quotients import partition_from_relation
 
@@ -120,32 +121,25 @@ def _run(report: VerifyReport, name: str, check: Callable[[], tuple[bool, str]])
 # Oracles.
 
 def expand_orbits(n: int) -> list[set[tuple]]:
-    """Orbits of (chart, sign) pairs by explicit closure under generators.
+    """The orbits of (identity, PLUS) and (identity, MINUS) under the moves
+    (h, s) -> (h*tau, -s), tau any transposition.
 
-    Independent of the class-label shortcut: applies every transposition
-    move until nothing new appears.
+    Independent of the class-label shortcut: the walk under all the moves
+    colours the identity PLUS and each permutation -colour[p] from the edge
+    that first reaches it.  An edge within one colour merges the orbits;
+    moves that fail to generate S_n leave them smaller than n!.
     """
     base = fin(n)
-    perms = enumerate_bijections(base, base)
-    taus = [transposition_of_pair(base, P) for P in k_subsets(base, 2)]
-    todo = {(h.images, s) for h in perms for s in (PLUS, MINUS)}
-    by_images = {h.images: h for h in perms}
-    orbits = []
-    while todo:
-        seed_elem = todo.pop()
-        orbit = {seed_elem}
-        frontier = [seed_elem]
-        while frontier:
-            images, s = frontier.pop()
-            h = by_images[images]
-            for tau in taus:
-                moved = (tau.then(h).images, -s)  # tau is its own inverse
-                if moved not in orbit:
-                    orbit.add(moved)
-                    frontier.append(moved)
-        todo -= orbit
-        orbits.append(orbit)
-    return orbits
+    moves = [transposition_of_pair(base, P).images for P in k_subsets(base, 2)]
+    colour = {tuple(range(n)): PLUS}
+    merged = False
+    for p, _, q in cayley_edges(n, moves):
+        if q not in colour:
+            colour[q] = -colour[p]
+        elif colour[q] is colour[p]:
+            merged = True
+    plus, minus = set(colour.items()), {(p, -s) for p, s in colour.items()}
+    return [plus | minus] if merged else [plus, minus]
 
 
 def kernel_closure(n: int) -> tuple[bool, str]:
@@ -359,18 +353,24 @@ def orbit_structure(n: int) -> tuple[bool, str]:
 
 
 def fixed_equivariance(n: int) -> tuple[bool, str]:
+    """value(h*a^-1) = sign(a) * value(h) for both fixed elements, every
+    chart h and every a in S_n, proved on the edges: value(h*s_i) = -value(h)
+    for every adjacent swap s_i.  The swaps generate S_n and the sign is
+    multiplicative (sign_homomorphism's walk proves both in the same run),
+    so a is a word in the s_i whose length has the parity of sign(a).  A
+    failure names the first chart and swap in listing order.
+    """
     base = fin(n)
     perms = enumerate_bijections(base, base)
     # Through the family, as for every record: see CONSTRUCTIONS.
     representative = fixed_point_delooping(n).construction.representative
-    # One sign and one inverse per permutation, shared by both elements.
-    steps = [(alpha, sign_inversions(alpha), alpha.inverse()) for alpha in perms]
+    swaps = [itemgetter(*g) for g in adjacent_swaps(n)]
     for elem in (representative(base, s) for s in (PLUS, MINUS)):
         value = {h.images: elem.value_at(h) for h in perms}  # one read per chart
-        for alpha, s, alpha_inverse in steps:
-            for h in perms:
-                if value[alpha_inverse.then(h).images] != s * value[h.images]:
-                    return False, f"equivariance fails at {(alpha.images, h.images)!r}"
+        for h, v in value.items():
+            for i, swap in enumerate(swaps):
+                if value[swap(h)] is not -v:
+                    return False, f"equivariance fails at chart {h!r}, swap ({i}, {i + 1})"
     return True, "both elements are equivariant"
 
 
@@ -450,6 +450,11 @@ def cayley_edges(
                 frontier.append(q)
 
 
+def adjacent_swaps(n: int) -> list[tuple[int, ...]]:
+    """The images of the n - 1 adjacent swaps s_i = <i i+1>, which generate S_n."""
+    return [transposition(n, i, i + 1).images for i in range(n - 1)]
+
+
 def sign_homomorphism(n: int, rng: Random) -> tuple[bool, str]:
     """sign(a*b) = sign(a) * sign(b) on S_n.
 
@@ -475,7 +480,7 @@ def sign_homomorphism(n: int, rng: Random) -> tuple[bool, str]:
     sign = {e.images: sign_inversions(e) for e in enumerate_bijections(base, base)}
     if sign[tuple(range(n))] is not PLUS:
         return False, "sign of the identity is not +1"
-    moves = [tuple({i: i + 1, i + 1: i}.get(k, k) for k in range(n)) for i in range(n - 1)]
+    moves = adjacent_swaps(n)
     walked = 0
     for walked, (p, i, q) in enumerate(cayley_edges(n, moves), 1):
         if sign.get(q) in (sign[p], None):  # two signs: anything else is -sign[p]
@@ -527,7 +532,7 @@ def uniqueness_of_deloopings(n: int, seed: int) -> tuple[bool, str]:
     count = 0
     for a, b in itertools.product(CONSTRUCTIONS, repeat=2):
         fam_a, fam_b = families[a], families[b]
-        phi = natural_isomorphism(fam_a, fam_b, squares=20, seed=seed)(base)
+        phi = natural_isomorphism(fam_a, fam_b, squares=24, seed=seed)(base)
         if fam_a.base_point * phi is not fam_b.base_point:
             return False, f"{a}->{b} does not preserve the base point"
         if a == b and phi is not PLUS:

@@ -630,7 +630,7 @@ class TestNaturalIsomorphism:
         fams = {name: build(3) for name, build in CONSTRUCTIONS.items()}
         for Q in fams.values():
             for Qp in fams.values():
-                phi = natural_isomorphism(Q, Qp, squares=30, seed=7)
+                phi = natural_isomorphism(Q, Qp, squares=34, seed=7)
                 base_map = phi(fin(3))
                 assert Q.base_point * base_map is Qp.base_point
                 if Q is Qp:
@@ -641,7 +641,7 @@ class TestNaturalIsomorphism:
         # PLUS, and order-preserving transport preserves canonicity, so the
         # fiber map over any carrier is PLUS, the identity
         Q, Qp = cartier_delooping(3), fixed_point_delooping(3)
-        phi = natural_isomorphism(Q, Qp, squares=10, seed=1)
+        phi = natural_isomorphism(Q, Qp, squares=14, seed=1)
         assert phi(LabeledSet.of([10, 20, 30])) is PLUS
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -651,10 +651,10 @@ class TestNaturalIsomorphism:
         families = [build(n) for build in CONSTRUCTIONS.values()]
         for Q in families:
             flipped = dataclasses.replace(Q, base_point=-Q.base_point)
-            phi = natural_isomorphism(Q, flipped, squares=10, seed=n)
+            phi = natural_isomorphism(Q, flipped, squares=14, seed=n)
             assert [phi(X) for X in carriers] == [MINUS] * len(carriers)
             for Qp in families:
-                phi = natural_isomorphism(Q, Qp, squares=10, seed=n)
+                phi = natural_isomorphism(Q, Qp, squares=14, seed=n)
                 assert [phi(X) for X in carriers] == [PLUS] * len(carriers)
 
     def test_arity_mismatch(self):

@@ -212,3 +212,12 @@ def test_the_cayley_walk_reaches_no_parity_definition():
     assert {"verify.cayley_edges", "perms.sign_inversions"} <= edge_law
     closure = reachable(trees, [module_function(trees, "verify", "kernel_closure")])
     assert "verify.cayley_edges" in closure
+
+
+def test_the_orbit_oracle_walks_and_reads_no_parity():
+    # expand_orbits colours the walk by edges alone, independent of the
+    # class-label shortcut that orbit_structure checks it against.
+    trees = parse_package()
+    orbits = reachable(trees, [module_function(trees, "verify", "expand_orbits")])
+    assert "verify.cayley_edges" in orbits
+    assert orbits & PARITY_DEFINITIONS == set()
