@@ -33,8 +33,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     ArityMismatch,
@@ -79,7 +80,11 @@ class Orientation:
 
     Encoded as a bitmask over the lexicographically sorted pairs: bit k set
     means the larger element of pair k is chosen.  Over an n-point carrier
-    the pair at positions x < y is pair k = x*(2n-x-3)//2 - 1 + y.
+    the pair at positions x < y is pair k = x*(2n-x-3)//2 - 1 + y.  The
+    public constructor validates the bits; code whose bits fit the
+    carrier's pairs by construction builds through _trusted:
+    all_orientations, canonical_orientation, flip (once its position is
+    checked), orientation_action and verify's sampled triangle law.
     """
 
     carrier: LabeledSet
@@ -92,11 +97,20 @@ class Orientation:
                 f"orientation needs {width} bits, got {self.bits!r}"
             )
 
+    @classmethod
+    def _trusted(cls, carrier: LabeledSet, bits: int) -> "Orientation":
+        """An Orientation from bits already known to fit the carrier's pairs."""
+        u = object.__new__(cls)
+        fields = u.__dict__
+        fields["carrier"] = carrier
+        fields["bits"] = bits
+        return u
+
     def flip(self, position: int) -> "Orientation":
         """Reverse the choice at one pair position."""
         if not 0 <= require_int(position, "pair position") < math.comb(len(self.carrier), 2):
             raise ContractError(f"no pair at position {position}")
-        return Orientation(self.carrier, self.bits ^ (1 << position))
+        return Orientation._trusted(self.carrier, self.bits ^ (1 << position))
 
     def choices(self) -> Iterator[tuple[Label, Label]]:
         """(unchosen, chosen) per pair, in pair order, as a lazy iterator."""
@@ -114,13 +128,13 @@ def _canonical_bit_count(X: LabeledSet) -> int:
 
 def canonical_orientation(X: LabeledSet) -> Orientation:
     """The orientation choosing the larger element of every pair."""
-    return Orientation(X, (1 << _canonical_bit_count(X)) - 1)
+    return Orientation._trusted(X, (1 << _canonical_bit_count(X)) - 1)
 
 
 def all_orientations(X: LabeledSet):
     """Every orientation of X, in increasing bitmask order."""
     for bits in range(1 << math.comb(len(X), 2)):
-        yield Orientation(X, bits)
+        yield Orientation._trusted(X, bits)
 
 
 def relative_inversions(u: Orientation, v: Orientation) -> int:
@@ -159,7 +173,7 @@ def orientation_action(e: Bijection, u: Orientation) -> Orientation:
         for k, x in enumerate(preimage)
         for y in preimage[k + 1 :]
     ]
-    return Orientation(e.codomain, int("".join(reversed(chosen)) or "0", 2))
+    return Orientation._trusted(e.codomain, int("".join(reversed(chosen)) or "0", 2))
 
 
 def orientation_class(u: Orientation) -> Sign:
@@ -500,8 +514,8 @@ class RecognitionReport:
 def unswapped_transposition(Q: TwoElementFamily) -> Bijection | None:
     """Condition 4's scan: the first transposition of fin(arity) that does
     not act as the swap, or None."""
-    base = fin(Q.arity)
-    transpositions = (transposition_of_pair(base, P) for P in k_subsets(base, 2))
+    n = Q.arity
+    transpositions = (transposition(n, a, b) for a, b in k_subsets(fin(n), 2))
     return next((t for t in transpositions if Q.action(t) is not MINUS), None)
 
 
@@ -510,6 +524,15 @@ def sign_mismatch(Q: TwoElementFamily, perms: Iterable[Bijection]) -> Bijection 
     fin(arity), whose extracted sign differs from its inversion-count sign,
     or None."""
     return next((e for e in perms if sign_from_delooping(Q, e) != sign_inversions(e)), None)
+
+
+@lru_cache(maxsize=1)
+def _permutations(n: int) -> tuple[Bijection, ...]:
+    """The listing of S_n that check_recognition scans.  A run recognizes
+    hundreds of families of one arity (236 at n = 5: mutants and natural
+    isomorphisms), so the last listing is kept, and only that one."""
+    base = fin(n)
+    return enumerate_bijections(base, base)
 
 
 def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
@@ -521,7 +544,7 @@ def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
     on every permutation.
     """
     base = fin(Q.arity)
-    perms = enumerate_bijections(base, base)
+    perms = _permutations(Q.arity)
     cond3 = any(Q.action(e) is not PLUS for e in perms)
     bad_swap = unswapped_transposition(Q)
     bad_sign = sign_mismatch(Q, perms)
@@ -535,40 +558,51 @@ def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
     return RecognitionReport(cond3, cond4, cond5, witness)
 
 
-def mutate_family(Q: TwoElementFamily, rng: Random) -> TwoElementFamily:
-    """A random functorial deformation of a family.
+class Mutation(NamedTuple):
+    """A random functorial deformation, drawn once and applicable to any family.
 
     Deformations: trivialize the action, conjugate every fiber by a
-    pseudorandom involution, and/or flip the chart.  All deformations stay
-    inside the space of genuine functorial two-element families, which is
-    exactly the space where the recognition booleans must co-vary.
+    pseudorandom involution (salt; None for none), and/or flip the chart.
+    All deformations stay inside the space of genuine functorial
+    two-element families, which is exactly the space where the recognition
+    booleans must co-vary.
     """
-    trivialize = rng.random() < 0.4
-    salt = rng.randrange(1 << 30) if rng.random() < 0.7 else None
-    flip_chart = rng.random() < 0.5
 
-    def twist(X: LabeledSet) -> Sign:
-        if salt is not None and (hash((salt,) + X.elements) >> 3) & 1:
-            return MINUS
-        return PLUS
+    trivialize: bool
+    salt: int | None
+    flip_chart: bool
 
-    def action(e: Bijection) -> Sign:
-        # twist(X)^-1 then core then twist(Y); each twist is its own inverse.
-        core = PLUS if trivialize else Q.action(e)
-        return twist(e.domain) * core * twist(e.codomain)
+    @classmethod
+    def draw(cls, rng: Random) -> "Mutation":
+        trivialize = rng.random() < 0.4
+        salt = rng.randrange(1 << 30) if rng.random() < 0.7 else None
+        return cls(trivialize, salt, rng.random() < 0.5)
 
-    base_point = -Q.base_point if flip_chart else Q.base_point
-    tags = [
-        tag
-        for tag, on in (
-            ("trivial", trivialize),
-            ("twist", salt is not None),
-            ("flip", flip_chart),
-        )
-        if on
-    ]
-    name = f"{Q.name}/mutant[{','.join(tags) or 'none'}]"
-    return TwoElementFamily(name, Q.arity, action, base_point)
+    def apply(self, Q: TwoElementFamily) -> TwoElementFamily:
+        trivialize, salt, flip_chart = self
+
+        def twist(X: LabeledSet) -> Sign:
+            if salt is not None and (hash((salt,) + X.elements) >> 3) & 1:
+                return MINUS
+            return PLUS
+
+        def action(e: Bijection) -> Sign:
+            # twist(X)^-1 then core then twist(Y); each twist is its own inverse.
+            core = PLUS if trivialize else Q.action(e)
+            return twist(e.domain) * core * twist(e.codomain)
+
+        base_point = -Q.base_point if flip_chart else Q.base_point
+        tags = [
+            tag
+            for tag, on in (
+                ("trivial", trivialize),
+                ("twist", salt is not None),
+                ("flip", flip_chart),
+            )
+            if on
+        ]
+        name = f"{Q.name}/mutant[{','.join(tags) or 'none'}]"
+        return TwoElementFamily(name, Q.arity, action, base_point)
 
 
 def natural_isomorphism(

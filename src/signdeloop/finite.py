@@ -110,6 +110,15 @@ class LabeledSet(Frozen):
         object.__setattr__(self, "_pos", {a: i for i, a in enumerate(elems)})
 
     @classmethod
+    def _trusted(cls, elements: tuple[Label, ...]) -> "LabeledSet":
+        """A LabeledSet from labels already known to be strictly increasing naturals."""
+        X = object.__new__(cls)
+        fields = X.__dict__
+        fields["elements"] = elements
+        fields["_pos"] = {a: i for i, a in enumerate(elements)}
+        return X
+
+    @classmethod
     def of(cls, labels: Iterable[Label]) -> "LabeledSet":
         elems = tuple(sorted(require_ints(tuple(labels), "label")))
         if len(set(elems)) != len(elems):
@@ -276,9 +285,16 @@ def order_bijection(X: LabeledSet) -> Bijection:
 
 
 def random_labeled_set(rng: Random, size: int) -> LabeledSet:
-    """A fresh n-element set with labels far away from {0, ..., n-1}."""
-    sample = rng.sample(range(100, 1_000_000), require_natural(size, "set size"))
-    return LabeledSet(tuple(sorted(sample)))
+    """A fresh n-element set with labels far away from {0, ..., n-1}.
+
+    The labels are drawn from 100 <= label < 1 000 000, so a larger size
+    raises SizeGuard before anything is drawn.  A sorted sample of that
+    range is strictly increasing naturals: it is built through _trusted.
+    """
+    pool = range(100, 1_000_000)
+    if require_natural(size, "set size") > len(pool):
+        raise SizeGuard(f"cannot draw {size} distinct labels from {len(pool)}")
+    return LabeledSet._trusted(tuple(sorted(rng.sample(pool, size))))
 
 
 def random_bijection(rng: Random, A: LabeledSet, B: LabeledSet) -> Bijection:

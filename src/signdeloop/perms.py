@@ -65,7 +65,16 @@ def permutation(images: Iterable[int]) -> Bijection:
     return Bijection(n, n, imgs)
 
 
+@lru_cache(maxsize=math.comb(ENUMERATION_BOUND, 2), typed=True)
 def transposition(n: int, i: int, j: int) -> Bijection:
+    """The transposition <i j> of fin(n).
+
+    Built once and shared: recognition scans every transposition of
+    fin(n), and simpson's MINUS representative starts from <0 1>, on every
+    call.  The cache has room for every transposition of one fin(n) up to
+    ENUMERATION_BOUND points.  typed keeps True and 1.0 from reusing the
+    entry of 1, so they still raise ContractError.
+    """
     return transposition_of_pair(fin(n), (i, j))
 
 

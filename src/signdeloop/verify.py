@@ -13,9 +13,11 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 from random import Random
-from typing import Callable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Generator, Iterator, Mapping, NamedTuple
 
 from .cycles import (
     cycle_decompose,
@@ -26,6 +28,8 @@ from .cycles import (
 from .deloopings import (
     CENSUS_BOUND,
     CONSTRUCTIONS,
+    Construction,
+    Mutation,
     Orientation,
     TwoElementFamily,
     all_orientations,
@@ -35,7 +39,6 @@ from .deloopings import (
     check_recognition,
     exhaustive_fixed_points,
     fixed_point_delooping,
-    mutate_family,
     natural_isomorphism,
     orientation_action,
     orbit_class,
@@ -46,6 +49,7 @@ from .deloopings import (
 from .errors import ContractError
 from .finite import (
     ENUMERATION_BOUND,
+    Bijection,
     LabeledSet,
     enumerate_bijections,
     fin,
@@ -106,12 +110,16 @@ class VerifyReport:
         }
 
 
+def _raised(exc: Exception) -> str:
+    return f"raised {type(exc).__name__}: {exc}"
+
+
 def _run(report: VerifyReport, name: str, check: Callable[[], tuple[bool, str]]):
     start = time.perf_counter()
     try:
         passed, detail = check()
     except Exception as exc:  # a crash is a failure with the exception as witness
-        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        passed, detail = False, _raised(exc)
     report.checks.append(
         CheckResult(name, passed, detail, time.perf_counter() - start)
     )
@@ -198,7 +206,7 @@ def parity_triangle_holds(n: int, rng: Random, trials: int = 10_000) -> tuple[bo
                 return False, f"triple {triple!r} breaks additivity"
         return True, "additive mod 2"
     for _ in range(trials):
-        u, v, w = (Orientation(X, rng.getrandbits(width)) for _ in range(3))
+        u, v, w = (Orientation._trusted(X, rng.getrandbits(width)) for _ in range(3))
         lhs = relative_inversions(u, w) % 2
         rhs = (relative_inversions(u, v) + relative_inversions(v, w)) % 2
         if lhs != rhs:
@@ -242,75 +250,105 @@ def bridge_parity(n: int) -> tuple[bool, str]:
 
 
 # --------------------------------------------------------------------------
-# Family checks.
+# Family checks on shared draws.  Each row draws its seeded inputs once per
+# run and yields one probe per input; the runner hands every probe to each
+# selected family before the next input is drawn, and the row's return value
+# is its passing detail.
 
-def functor_laws(Q: TwoElementFamily, rng: Random) -> tuple[bool, str]:
-    n = Q.arity
+# A probe judges one drawn input for one family: None when the law holds,
+# else the failure detail.
+Probe = Callable[[TwoElementFamily], str | None]
+
+
+def _identity_law(ident: Bijection, failure: str, Q: TwoElementFamily) -> str | None:
+    return None if Q.action(ident) is PLUS else failure
+
+
+def _composite_law(e: Bijection, f: Bijection, ef: Bijection, Q: TwoElementFamily) -> str | None:
+    if Q.action(ef) is not Q.action(e) * Q.action(f):
+        return f"composite law fails on {(e.images, f.images)!r}"
+    return None
+
+
+def functor_laws(n: int, rng: Random) -> Generator[Probe, None, str]:
+    """The action of the identity is PLUS and the action of e.then(f) is
+    the product of theirs: on every pair of S_n for n <= 4, else on 300
+    seeded pairs between random carriers; then the identity of 10 random
+    carriers acts as PLUS."""
     base = fin(n)
-    if Q.action(identity(base)) is not PLUS:
-        return False, "action of the identity is not the identity"
+    yield partial(_identity_law, identity(base), "action of the identity is not the identity")
     if n <= 4:
         perms = enumerate_bijections(base, base)
-        composable = itertools.product(perms, repeat=2)
+        for e, f in itertools.product(perms, repeat=2):
+            yield partial(_composite_law, e, f, e.then(f))
     else:
-        def sampled():
-            for _ in range(300):
-                X = random_labeled_set(rng, n)
-                Y = random_labeled_set(rng, n)
-                Z = random_labeled_set(rng, n)
-                yield random_bijection(rng, X, Y), random_bijection(rng, Y, Z)
-        composable = sampled()
-    for e, f in composable:
-        if Q.action(e.then(f)) is not Q.action(e) * Q.action(f):
-            return False, f"composite law fails on {(e.images, f.images)!r}"
+        for _ in range(300):
+            X = random_labeled_set(rng, n)
+            Y = random_labeled_set(rng, n)
+            Z = random_labeled_set(rng, n)
+            e, f = random_bijection(rng, X, Y), random_bijection(rng, Y, Z)
+            yield partial(_composite_law, e, f, e.then(f))
     for _ in range(10):
         X = random_labeled_set(rng, n)
-        if Q.action(identity(X)) is not PLUS:
-            return False, f"identity law fails over {X.elements!r}"
-    return True, "identity and composite laws hold"
+        yield partial(_identity_law, identity(X), f"identity law fails over {X.elements!r}")
+    return "identity and composite laws hold"
 
 
-def fiber_two_elements(Q: TwoElementFamily, rng: Random) -> tuple[bool, str]:
+def _two_equal_classes(X: LabeledSet, Q: TwoElementFamily) -> str | None:
+    counts = Q.construction.census(X)
+    if counts[0] != counts[1] or counts[0] == 0:
+        return f"class sizes {counts!r} over {X.elements!r}"
+    return None
+
+
+def fiber_two_elements(n: int, rng: Random) -> Generator[Probe, None, str]:
     """The quotient really has two classes over random carriers.
 
     Classifies every element of the family's construction rather than
     trusting the family's two-element fiber to say so.
     """
-    C = Q.construction
     sets = 10
     for _ in range(sets):
-        X = random_labeled_set(rng, Q.arity)
-        counts = C.census(X)
-        if counts[0] != counts[1] or counts[0] == 0:
-            return False, f"class sizes {counts!r} over {X.elements!r}"
-    return True, f"two equal classes over {sets} random carriers"
+        yield partial(_two_equal_classes, random_labeled_set(rng, n))
+    return f"two equal classes over {sets} random carriers"
 
 
-def recognition_covariance(Q: TwoElementFamily, rng: Random) -> tuple[bool, str]:
+def _covaries(k: int, mutation: Mutation, Q: TwoElementFamily) -> str | None:
+    mutant = mutation.apply(Q)
+    report = check_recognition(mutant)
+    if not report.consistent:
+        return f"mutant #{k} ({mutant.name}) booleans {report.booleans!r}"
+    return None
+
+
+def recognition_covariance(n: int, rng: Random) -> Generator[Probe, None, str]:
+    """The recognition booleans co-vary on 50 seeded mutants of each family."""
     count = 50
     for k in range(count):
-        mutant = mutate_family(Q, rng)
-        report = check_recognition(mutant)
-        if not report.consistent:
-            return False, f"mutant #{k} ({mutant.name}) booleans {report.booleans!r}"
-    return True, f"booleans co-vary on {count} mutants"
+        yield partial(_covaries, k, Mutation.draw(rng))
+    return f"booleans co-vary on {count} mutants"
 
 
-def label_independence(Q: TwoElementFamily, rng: Random) -> tuple[bool, str]:
+def _relabeling_square(
+    e: Bijection, r: Bijection, s: Bijection, transported: Bijection, Q: TwoElementFamily
+) -> str | None:
+    if Q.action(transported) is not Q.action(r) * Q.action(e) * Q.action(s):
+        X, Y = e.domain.elements, e.codomain.elements
+        return f"square fails for e={e.images!r} over {X!r}->{Y!r}"
+    return None
+
+
+def label_independence(n: int, rng: Random) -> Generator[Probe, None, str]:
     """Relabeling carriers and transporting commutes with every action."""
-    n, trials = Q.arity, 100
+    trials = 100
     for _ in range(trials):
         X, Y = random_labeled_set(rng, n), random_labeled_set(rng, n)
         Xp, Yp = random_labeled_set(rng, n), random_labeled_set(rng, n)
         e = random_bijection(rng, X, Y)
         r = random_bijection(rng, X, Xp)
         s = random_bijection(rng, Y, Yp)
-        transported = r.inverse().then(e).then(s)
-        if Q.action(transported) is not Q.action(r) * Q.action(e) * Q.action(s):
-            return False, (
-                f"square fails for e={e.images!r} over {X.elements!r}->{Y.elements!r}"
-            )
-    return True, f"{trials} relabeling squares commute"
+        yield partial(_relabeling_square, e, r, s, r.inverse().then(e).then(s))
+    return f"{trials} relabeling squares commute"
 
 
 # The most elements a projection square enumerates over one carrier: all 6!
@@ -318,21 +356,33 @@ def label_independence(Q: TwoElementFamily, rng: Random) -> tuple[bool, str]:
 SQUARE_POOL_LIMIT = 720
 
 
-def quotient_naturality(Q: TwoElementFamily, rng: Random) -> tuple[bool, str]:
-    """Projecting to the class then acting equals acting then projecting."""
-    C = Q.construction
-    n, moves = Q.arity, 20
-    for _ in range(moves):
-        X, Y = random_labeled_set(rng, n), random_labeled_set(rng, n)
-        e = random_bijection(rng, X, Y)
+def quotient_naturality(n: int, rng: Random) -> Generator[Probe, None, str]:
+    """Projecting to the class then acting equals acting then projecting.
+
+    Every n-element carrier has as many elements as fin(n), so the row
+    counts each construction's elements over fin(n) once: a pool of every
+    element when there are at most SQUARE_POOL_LIMIT, else the two class
+    representatives.
+    """
+    moves = 20
+    whole: dict[Construction, bool] = {}  # does the pool hold every element
+
+    def square(X: LabeledSet, e: Bijection, Q: TwoElementFamily) -> str | None:
+        C = Q.construction
         act = Q.action(e)
-        pool = list(itertools.islice(C.elements(X), SQUARE_POOL_LIMIT + 1))
-        if len(pool) > SQUARE_POOL_LIMIT:
-            pool = [C.representative(X, s) for s in (PLUS, MINUS)]
+        if C not in whole:
+            count = sum(1 for _ in itertools.islice(C.elements(fin(n)), SQUARE_POOL_LIMIT + 1))
+            whole[C] = count <= SQUARE_POOL_LIMIT
+        pool = C.elements(X) if whole[C] else (C.representative(X, s) for s in (PLUS, MINUS))
         for x in pool:
             if C.classify(C.transport(e, x)) is not act * C.classify(x):
-                return False, f"element {x!r} breaks the square"
-    return True, f"projection squares commute on {moves} moves"
+                return f"element {x!r} breaks the square"
+        return None
+
+    for _ in range(moves):
+        X, Y = random_labeled_set(rng, n), random_labeled_set(rng, n)
+        yield partial(square, X, random_bijection(rng, X, Y))
+    return f"projection squares commute on {moves} moves"
 
 
 def orbit_structure(n: int) -> tuple[bool, str]:
@@ -526,13 +576,16 @@ def relation_validity(n: int, rng: Random) -> tuple[bool, str]:
     return True, "both relations validate with two blocks"
 
 
-def uniqueness_of_deloopings(n: int, seed: int) -> tuple[bool, str]:
-    base = fin(n)
-    families = {name: build(n) for name, build in CONSTRUCTIONS.items()}
+def uniqueness_of_deloopings(
+    families: Mapping[str, TwoElementFamily], seed: int
+) -> tuple[bool, str]:
+    """A base-point-preserving natural isomorphism between every ordered
+    pair of the families, each over fin(n) for its arity n; a family to
+    itself is the identity."""
     count = 0
-    for a, b in itertools.product(CONSTRUCTIONS, repeat=2):
+    for a, b in itertools.product(families, repeat=2):
         fam_a, fam_b = families[a], families[b]
-        phi = natural_isomorphism(fam_a, fam_b, squares=24, seed=seed)(base)
+        phi = natural_isomorphism(fam_a, fam_b, squares=24, seed=seed)(fin(fam_a.arity))
         if fam_a.base_point * phi is not fam_b.base_point:
             return False, f"{a}->{b} does not preserve the base point"
         if a == b and phi is not PLUS:
@@ -545,43 +598,49 @@ def uniqueness_of_deloopings(n: int, seed: int) -> tuple[bool, str]:
 # Runner.
 
 class Scope(NamedTuple):
-    """What the checks of one report read; family is None in the core report."""
+    """What a check reads.
+
+    rng is one Random(seed) for the core rows and a second one for the
+    family rows.  family is the one family a "family" row judges, None
+    elsewhere.  families maps each selected construction to the run's one
+    family of it, built once and read by every row.
+    """
 
     n: int
     seed: int
     rng: Random
     family: TwoElementFamily | None
+    families: Mapping[str, TwoElementFamily] = MappingProxyType({})
 
 
 class Check(NamedTuple):
     """One verify check and how far it runs.
 
-    report is "core", "family" (every construction's report) or the name of
-    the one construction that carries it.  The check runs for n <= max_n
-    (None: every n), or n <= fixed_max_n under exhaustive_fixed when set;
-    an all_only check needs every construction selected.  run looks library
+    report is "core", "family" (run once per selected family, on its
+    scope), "shared" (run once per run: a generator that draws each input
+    once and yields its probe, which every selected family judges, and
+    returns the passing detail; see _run_shared) or the name of the one
+    construction that carries it.  The check runs for n <= max_n (None:
+    every n), or n <= fixed_max_n under exhaustive_fixed when set; an
+    all_only check needs every construction selected.  run looks library
     functions up by their module-level names when it is called.
     """
 
     name: str
     report: str
-    run: Callable[[Scope], tuple[bool, str]]
+    run: Callable[[Scope], tuple[bool, str] | Generator[Probe, None, str]]
     max_n: int | None = None
     fixed_max_n: int | None = None
     all_only: bool = False
 
-    def applies(self, report: str, scope: Scope, every: bool, exhaustive_fixed: bool) -> bool:
-        on_family = scope.family is not None and self.report == "family"
+    def applies(self, n: int, every: bool, exhaustive_fixed: bool) -> bool:
         limit = self.fixed_max_n if exhaustive_fixed and self.fixed_max_n else self.max_n
-        return (
-            (self.report == report or on_family)
-            and (limit is None or scope.n <= limit)
-            and (every or not self.all_only)
-        )
+        return (limit is None or n <= limit) and (every or not self.all_only)
 
 
-# In report order: the checks of one report share its rng, so this is also
-# the order of their draws.
+# In row order, which is the order of every report.  The core rows share one
+# Random(seed); the family rows draw from a second Random(seed) in this
+# order, once per run for all the families, and only the shared rows draw.
 CHECKS: tuple[Check, ...] = (
     Check("cycle-roundtrip", "core", lambda s: cycle_roundtrip(s.n), max_n=7),
     Check("endofunction-roundtrip", "core", lambda s: endofunction_roundtrip(s.n), max_n=4),
@@ -593,10 +652,10 @@ CHECKS: tuple[Check, ...] = (
     Check("orientation-classes", "core", lambda s: orientation_class_census(s.n), max_n=6),
     Check("bridge-parity", "core", lambda s: bridge_parity(s.n), max_n=6),
     Check("relation-validity", "core", lambda s: relation_validity(s.n, s.rng)),
-    Check("uniqueness", "core", lambda s: uniqueness_of_deloopings(s.n, s.seed),
+    Check("uniqueness", "core", lambda s: uniqueness_of_deloopings(s.families, s.seed),
           max_n=5, all_only=True),
-    Check("functor-laws", "family", lambda s: functor_laws(s.family, s.rng)),
-    Check("fiber-two-elements", "family", lambda s: fiber_two_elements(s.family, s.rng), max_n=6),
+    Check("functor-laws", "shared", lambda s: functor_laws(s.n, s.rng)),
+    Check("fiber-two-elements", "shared", lambda s: fiber_two_elements(s.n, s.rng), max_n=6),
     Check("transpositions-swap", "family", lambda s: (
         (t := unswapped_transposition(s.family)) is None,
         f"transposition {t.moved()!r} does not swap the fiber" if t
@@ -614,14 +673,57 @@ CHECKS: tuple[Check, ...] = (
         "all three conditions hold" if r.is_delooping
         else f"booleans {r.booleans!r}, counterexample {r.counterexample.images!r}",
     ), max_n=6),
-    Check("recognition-covariance", "family",
-          lambda s: recognition_covariance(s.family, s.rng), max_n=6),
-    Check("label-independence", "family", lambda s: label_independence(s.family, s.rng)),
-    Check("quotient-naturality", "family", lambda s: quotient_naturality(s.family, s.rng), max_n=6),
+    Check("recognition-covariance", "shared",
+          lambda s: recognition_covariance(s.n, s.rng), max_n=6),
+    Check("label-independence", "shared", lambda s: label_independence(s.n, s.rng)),
+    Check("quotient-naturality", "shared", lambda s: quotient_naturality(s.n, s.rng), max_n=6),
     Check("orbit-structure", "orbit", lambda s: orbit_structure(s.n), max_n=5),
     Check("equivariance", "fixed", lambda s: fixed_equivariance(s.n), max_n=5),
     Check("fixed-census", "fixed", lambda s: fixed_census(s.n), max_n=3, fixed_max_n=CENSUS_BOUND),
 )
+
+
+def _run_shared(reports: Mapping[str, VerifyReport], check: Check, scope: Scope) -> None:
+    """Run a shared row once: every family judges each probe before the next
+    input is drawn, so no sample list is held.
+
+    A family stops judging at its first failure, or at a probe that raises;
+    the others go on, and the row draws all its inputs whatever fails, so a
+    failure never shifts a later row's draws.  A draw that raises fails
+    every family still passing.  Each family's duration is the time of its
+    own probes plus an equal share of the rest of the row, its draws
+    included, so the durations add up to the row's whole time.
+    """
+    start = time.perf_counter()
+    spent = dict.fromkeys(scope.families, 0.0)
+    failed: dict[str, str] = {}
+    try:
+        probes = check.run(scope)
+        while True:
+            probe = next(probes)
+            for name, Q in scope.families.items():
+                if name in failed:
+                    continue
+                t = time.perf_counter()
+                try:
+                    detail = probe(Q)
+                except Exception as exc:  # a crash fails this family, as in _run
+                    detail = _raised(exc)
+                spent[name] += time.perf_counter() - t
+                if detail is not None:
+                    failed[name] = detail
+    except StopIteration as end:
+        passing = end.value
+    except Exception as exc:
+        passing = None
+        for name in scope.families:
+            failed.setdefault(name, _raised(exc))
+    share = (time.perf_counter() - start - sum(spent.values())) / len(spent)
+    for name in scope.families:
+        detail = failed.get(name, passing)
+        reports[name].checks.append(
+            CheckResult(check.name, name not in failed, detail, spent[name] + share)
+        )
 
 
 def run_verification(
@@ -634,12 +736,20 @@ def run_verification(
         raise ContractError(f"unknown construction {construction!r}")
     every = construction == "all"
     selected = list(CONSTRUCTIONS) if every else [construction]
-    reports = []
-    for name, build in [("core", None)] + [(c, CONSTRUCTIONS[c]) for c in selected]:
-        report = VerifyReport(name, n, seed)
-        scope = Scope(n, seed, Random(seed), build(n) if build else None)
-        for check in CHECKS:
-            if check.applies(name, scope, every, exhaustive_fixed):
-                _run(report, check.name, lambda: check.run(scope))
-        reports.append(report)
-    return reports
+    families = {c: CONSTRUCTIONS[c](n) for c in selected}
+    reports = {name: VerifyReport(name, n, seed) for name in ("core", *selected)}
+    core = Scope(n, seed, Random(seed), None, families)
+    shared = core._replace(rng=Random(seed))
+    for check in CHECKS:
+        if not check.applies(n, every, exhaustive_fixed):
+            continue
+        if check.report == "core":
+            _run(reports["core"], check.name, lambda: check.run(core))
+        elif check.report == "shared":
+            _run_shared(reports, check, shared)
+        else:
+            for c in selected:
+                if check.report in ("family", c):
+                    scope = shared._replace(family=families[c])
+                    _run(reports[c], check.name, lambda: check.run(scope))
+    return list(reports.values())

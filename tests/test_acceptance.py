@@ -9,9 +9,9 @@ from random import Random
 
 from signdeloop.deloopings import (
     CONSTRUCTIONS,
+    Mutation,
     alternating_kernel,
     check_recognition,
-    mutate_family,
     natural_isomorphism,
     sign_mismatch,
     simpson_delooping,
@@ -177,7 +177,7 @@ def test_c10_recognition_covariance():
     for seed in range(200):
         rng = Random(seed)
         n = rng.randrange(2, 6)
-        Q = mutate_family(CONSTRUCTIONS[names[seed % 4]](n), rng)
+        Q = Mutation.draw(rng).apply(CONSTRUCTIONS[names[seed % 4]](n))
         if not check_recognition(Q).consistent:
             bad += 1
     conclude(

@@ -40,6 +40,7 @@ from signdeloop.deloopings import (
     CONSTRUCTIONS,
     Construction,
     FixedPointElement,
+    Mutation,
     Orientation,
     TwoElementFamily,
     all_orientations,
@@ -50,7 +51,6 @@ from signdeloop.deloopings import (
     exhaustive_fixed_points,
     fixed_point_class,
     fixed_point_delooping,
-    mutate_family,
     natural_isomorphism,
     orbit_class,
     orbit_representative,
@@ -100,6 +100,22 @@ class TestOrientation:
         X = LabeledSet.of([5, 9, 12])
         u = canonical_orientation(X).flip(0)
         assert tuple(u.choices()) == ((9, 5), (5, 12), (9, 12))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_built_orientations_equal_validated_ones(self, n):
+        # all_orientations, canonical_orientation, flip and orientation_action
+        # skip the bits check; each result must pass it and compare and hash
+        # as the validated twin does.
+        X = random_labeled_set(Random(n), n)
+        built = list(all_orientations(X))
+        if n >= 2:
+            d = canonical_orientation(X)
+            built += [d] + [d.flip(k) for k in range(math.comb(n, 2))]
+        built += [orientation_action(e, u) for e in enumerate_bijections(X, fin(n)) for u in built[:8]]
+        for u in built:
+            checked = Orientation(u.carrier, u.bits)
+            assert u == checked and hash(u) == hash(checked)
+        assert [u.bits for u in all_orientations(X)] == list(range(1 << math.comb(n, 2)))
 
     def test_bits_validation(self):
         with pytest.raises(ContractError):
@@ -466,7 +482,7 @@ class TestFamilies:
         tags = set()
         for n in (2, 3, 4):
             Q = CONSTRUCTIONS[name](n)
-            mutants = [mutate_family(Q, Random(seed)) for seed in range(16)]
+            mutants = [Mutation.draw(Random(seed)).apply(Q) for seed in range(16)]
             families = [Q] + [m for m in mutants if "flip" in m.name or "twist" in m.name]
             tags |= {tag for m in families[1:] for tag in ("flip", "twist") if tag in m.name}
             for F in families:
@@ -533,7 +549,7 @@ SWAP = Bijection(FIBER, FIBER, (1, 0))
 
 
 def three_step_mutant(Q, rng):
-    """mutate_family's action as twist(X)^-1, then core, then twist(Y), from
+    """A drawn Mutation's action as twist(X)^-1, then core, then twist(Y), from
     the same draws, composed as bijections of a two-element fiber; returns
     the action and how it reached each result."""
     trivialize = rng.random() < 0.4
@@ -559,7 +575,7 @@ class TestMutants:
         carriers = [fin(3)] + [random_labeled_set(carrier_rng, 3) for _ in range(6)]
         for seed in range(30):
             Q = CONSTRUCTIONS[sorted(CONSTRUCTIONS)[seed % 4]](3)
-            mutant = mutate_family(Q, Random(seed))
+            mutant = Mutation.draw(Random(seed)).apply(Q)
             reference = three_step_mutant(Q, Random(seed))
             for X, Y in itertools.product(carriers, repeat=2):
                 e = random_bijection(Random(seed), X, Y)
@@ -606,6 +622,20 @@ class TestRecognition:
         assert report.counterexample is not None
         assert check_recognition(trivial_family(3)).counterexample.domain == fin(3)
 
+    def test_recognitions_share_the_last_listing(self, monkeypatch):
+        # Every recognition at one arity scans one listing of S_n; only the
+        # last arity's listing is kept.
+        sizes = []
+        real = deloopings.enumerate_bijections
+        monkeypatch.setattr(
+            deloopings, "enumerate_bijections", lambda A, B: sizes.append(len(A)) or real(A, B)
+        )
+        deloopings._permutations.cache_clear()
+        for n in (4, 4, 3, 3, 4):
+            for build in CONSTRUCTIONS.values():
+                assert check_recognition(build(n)).is_delooping
+        assert sizes == [4, 3, 4]
+
     def test_size_guard(self):
         assert check_recognition(cartier_delooping(7)).is_delooping
         with pytest.raises(SizeGuard):
@@ -614,7 +644,8 @@ class TestRecognition:
     def test_mutants_stay_consistent(self):
         for seed in range(40):
             rng = Random(seed)
-            Q = mutate_family(CONSTRUCTIONS[rng.choice(sorted(CONSTRUCTIONS))](3), rng)
+            family = CONSTRUCTIONS[rng.choice(sorted(CONSTRUCTIONS))](3)
+            Q = Mutation.draw(rng).apply(family)
             report = check_recognition(Q)
             assert report.consistent
             assert report.is_delooping == ("trivial" not in Q.name)

@@ -271,6 +271,26 @@ class TestEnumerateBijections:
             enumerate_bijections(fin(9), fin(9))
 
 
+class TestRandomLabeledSet:
+    @pytest.mark.parametrize("size", [0, 1, 5, 40])
+    def test_is_a_validated_sorted_sample(self, size):
+        rng, twin = Random(size), Random(size)
+        X = random_labeled_set(rng, size)
+        assert X == LabeledSet(X.elements) and hash(X) == hash(LabeledSet(X.elements))
+        assert X.elements == tuple(sorted(twin.sample(range(100, 1_000_000), size)))
+        assert [X.position(a) for a in X] == list(range(size))
+        assert rng.getstate() == twin.getstate()
+
+    def test_more_labels_than_the_range_holds_is_a_size_guard(self):
+        # 999 900 labels lie in 100 <= label < 1 000 000; one more cannot be
+        # drawn, and nothing is drawn before the refusal.
+        rng = Random(0)
+        state = rng.getstate()
+        with pytest.raises(SizeGuard):
+            random_labeled_set(rng, 999_901)
+        assert rng.getstate() == state
+
+
 class TestRandomBijection:
     @pytest.mark.parametrize("seed", range(10))
     def test_is_a_validated_sample_of_the_codomain(self, seed):

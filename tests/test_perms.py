@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from signdeloop import perms
-from signdeloop.errors import DomainMismatch
+from signdeloop.errors import ContractError, DomainMismatch
 from signdeloop.finite import (
     LabeledSet,
     Bijection,
@@ -79,6 +79,15 @@ class TestInversions:
         e = permutation((3, 2, 1, 0))
         assert len(inversions(e)) == 6
         assert sign_inversions(e) == PLUS  # 6 inversions, even
+
+    def test_transpositions_are_built_once(self):
+        assert transposition(5, 0, 1) is transposition(5, 0, 1)
+        assert transposition(5, 0, 1).images == (1, 0, 2, 3, 4)
+        # Arguments equal to cached ones, but not ints, still reach the
+        # label checks instead of the cached entry.
+        for i in (True, 1.0):
+            with pytest.raises(ContractError):
+                transposition(5, 0, i)
 
     def test_single_transposition(self):
         assert sign_inversions(transposition(4, 0, 3)) == MINUS

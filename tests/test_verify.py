@@ -1,17 +1,23 @@
+import dataclasses
 import gc
 import itertools
 import json
 import math
 import runpy
+from collections import defaultdict
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
 from signdeloop import verify
 from signdeloop.errors import ContractError
 from signdeloop.deloopings import (
+    CONSTRUCTIONS,
+    Construction,
     FixedPointElement,
+    Mutation,
     TwoElementFamily,
     all_orientations,
     alternating_kernel,
@@ -195,7 +201,8 @@ class TestOracles:
         assert ok, detail
 
     def test_uniqueness_of_deloopings(self):
-        ok, detail = uniqueness_of_deloopings(3, seed=0)
+        families = {name: build(3) for name, build in CONSTRUCTIONS.items()}
+        ok, detail = uniqueness_of_deloopings(families, seed=0)
         assert ok, detail
 
     def test_recognition_row_reports_its_failure(self):
@@ -399,8 +406,8 @@ class TestRunVerification:
                 assert golden.get(key) == (True, detail), (workload, key)
 
     def test_inverse_calls_at_five(self, monkeypatch):
-        # 424 calls: 400 relabelings in label-independence and 24 charts in
-        # relation-validity.  Inverting fiber maps or a chart per relation
+        # 124 calls: 100 relabelings in label-independence, each inverted once
+        # for all four families, and 24 charts in relation-validity.  Inverting fiber maps or a chart per relation
         # query would add about 1 700, and an inverse per cartier transport
         # about 4 200.
         calls = []
@@ -433,3 +440,224 @@ class TestRunVerification:
         after_one = live_labeled_sets()
         run_verification(5, "all", 102)
         assert live_labeled_sets() <= after_one
+
+
+def replay(n, seed):
+    """The inputs of the shared rows at n >= 5, drawn from Random(seed)
+    without the package, in row order: per row, the off-base bijections
+    (domain, codomain, images) each family's action receives in order, the
+    carriers each census classifies, or the (trivialize, salt, flip_chart)
+    of each mutation."""
+    rng = Random(seed)
+
+    def carrier():
+        return tuple(sorted(rng.sample(range(100, 1_000_000), n)))
+
+    def bijection(X, Y):
+        return X, Y, tuple(rng.sample(Y, n))
+
+    def then(e, f):
+        image = dict(zip(f[0], f[2]))
+        return e[0], f[1], tuple(image[y] for y in e[2])
+
+    def inverse(e):
+        preimage = dict(zip(e[2], e[0]))
+        return e[1], e[0], tuple(preimage[y] for y in e[1])
+
+    rows = {}
+    laws = []
+    for _ in range(300):
+        X, Y, Z = carrier(), carrier(), carrier()
+        e, f = bijection(X, Y), bijection(Y, Z)
+        laws += [then(e, f), e, f]
+    for _ in range(10):
+        X = carrier()
+        laws.append((X, X, X))
+    rows["functor-laws"] = laws
+    if n <= 6:
+        rows["fiber-two-elements"] = [carrier() for _ in range(10)]
+        mutations = []
+        for _ in range(50):
+            trivialize = rng.random() < 0.4
+            salt = rng.randrange(1 << 30) if rng.random() < 0.7 else None
+            mutations.append((trivialize, salt, rng.random() < 0.5))
+        rows["recognition-covariance"] = mutations
+    squares = []
+    for _ in range(100):
+        X, Y, Xp, Yp = carrier(), carrier(), carrier(), carrier()
+        e, r, s = bijection(X, Y), bijection(X, Xp), bijection(Y, Yp)
+        squares += [then(then(inverse(r), e), s), r, e, s]
+    rows["label-independence"] = squares
+    if n <= 6:
+        moves = []
+        for _ in range(20):
+            X, Y = carrier(), carrier()
+            moves.append(bijection(X, Y))
+        rows["quotient-naturality"] = moves
+    return rows
+
+
+class DrawRecorder:
+    """Records, per family and shared row, what replay lists: the off-base
+    bijections the family's action receives, the carriers its census
+    classifies and the mutations applied to it.  planted, a (constructions,
+    bijection) pair, negates those families' actions on that one bijection."""
+
+    ROWS = {
+        "functor_laws": "functor-laws",
+        "fiber_two_elements": "fiber-two-elements",
+        "recognition_covariance": "recognition-covariance",
+        "label_independence": "label-independence",
+        "quotient_naturality": "quotient-naturality",
+    }
+
+    def __init__(self, monkeypatch, planted=((), None)):
+        self.rows = defaultdict(lambda: defaultdict(list))
+        self.row = None
+        self.planted = planted
+        for attr, row in self.ROWS.items():
+            monkeypatch.setattr(verify, attr, self.tagged(row, getattr(verify, attr)))
+        for name, build in list(CONSTRUCTIONS.items()):
+            monkeypatch.setitem(CONSTRUCTIONS, name, self.recording(name, build))
+        census, apply = Construction.census, Mutation.apply
+        monkeypatch.setattr(
+            Construction, "census", lambda C, X: self.note(C.name, X.elements) or census(C, X)
+        )
+        monkeypatch.setattr(
+            Mutation, "apply", lambda m, Q: self.note(Q.name, tuple(m)) or apply(m, Q)
+        )
+
+    def note(self, family, event):
+        if self.row is not None:
+            self.rows[family][self.row].append(event)
+
+    def tagged(self, row, real):
+        def run(n, rng):  # the row is open while the runner judges its probes
+            self.row = row
+            try:
+                return (yield from real(n, rng))
+            finally:
+                self.row = None
+
+        return run
+
+    def recording(self, name, build):
+        def built(n):
+            Q = build(n)
+
+            def action(e):
+                key = (e.domain.elements, e.codomain.elements, e.images)
+                if (e.domain, e.codomain) != (fin(n), fin(n)):
+                    self.note(name, key)
+                faulty, bad = self.planted
+                return -Q.action(e) if name in faulty and key == bad else Q.action(e)
+
+            return dataclasses.replace(Q, action=action)
+
+        return built
+
+
+def table(reports):
+    return [[r.construction, c.name, c.passed, c.detail] for r in reports for c in r.checks]
+
+
+class TestSharedDraws:
+    @pytest.mark.parametrize("seed", [0, 101])
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_every_family_receives_the_replayed_draws(self, monkeypatch, n, seed):
+        recorder = DrawRecorder(monkeypatch)
+        assert all(r.passed for r in run_verification(n, "all", seed))
+        expected = replay(n, seed)
+        assert list(recorder.rows) == list(CONSTRUCTIONS)
+        for name, rows in recorder.rows.items():
+            assert rows == expected, name
+
+    @pytest.mark.parametrize(
+        "faulty", [(name,) for name in sorted(CONSTRUCTIONS)] + [tuple(CONSTRUCTIONS)],
+        ids=[*sorted(CONSTRUCTIONS), "all"],
+    )
+    def test_a_fault_fails_only_its_families_row(self, monkeypatch, faulty):
+        # Negate the action of one family, or of all four, on the second map
+        # of the 150th sampled composable pair, midway through functor-laws.
+        n, seed = 5, 0
+        clean = table(run_verification(n, "all", seed))
+        laws = replay(n, seed)["functor-laws"]
+        _, e, f = laws[3 * 150 : 3 * 151]
+        recorder = DrawRecorder(monkeypatch, planted=(faulty, f))
+        witness = f"composite law fails on {(e[2], f[2])!r}"
+        assert table(run_verification(n, "all", seed)) == [
+            [c, name, False, witness] if c in faulty and name == "functor-laws" else [c, name, ok, detail]
+            for c, name, ok, detail in clean
+        ]
+        # A faulty family stops judging at the witness, yet its later rows
+        # receive the very draws every other family receives, even when no
+        # family is left judging the row.
+        for name in faulty:
+            assert recorder.rows[name]["functor-laws"] == laws[: 3 * 151]
+        for name, rows in recorder.rows.items():
+            assert {row: got for row, got in rows.items() if row != "functor-laws"} == {
+                row: got for row, got in replay(n, seed).items() if row != "functor-laws"
+            }, name
+
+    def test_one_family_per_construction(self, monkeypatch):
+        # Every row reads the run's families; uniqueness builds none of its own.
+        built = []
+        for name, build in list(CONSTRUCTIONS.items()):
+            monkeypatch.setitem(
+                CONSTRUCTIONS, name, lambda n, name=name, build=build: built.append(name) or build(n)
+            )
+        assert all(r.passed for r in run_verification(5, "all", 0))
+        assert built == list(CONSTRUCTIONS)
+
+    @pytest.mark.parametrize("n, whole", [(5, {"fixed", "orbit", "simpson"}), (6, {"simpson"})])
+    def test_quotient_naturality_pools(self, n, whole):
+        # Each move squares every element when a construction has at most
+        # SQUARE_POOL_LIMIT over an n-set (simpson's 6! charts at n = 6),
+        # else its two class representatives.
+        for name, build in CONSTRUCTIONS.items():
+            Q = build(n)
+            C, squared = Q.construction, []
+            counting = dataclasses.replace(
+                C, transport=lambda e, x, C=C: squared.append(x) or C.transport(e, x)
+            )
+            Q = dataclasses.replace(Q, construction=counting)
+            for probe in verify.quotient_naturality(n, Random(0)):
+                assert probe(Q) is None
+            elements = math.factorial(n) * (1 if name == "simpson" else 2)
+            assert len(squared) == 20 * (elements if name in whole else 2), name
+
+    def test_row_durations_cover_the_draws(self, monkeypatch):
+        # A clock that moves 1 s per bijection drawn and per cartier action,
+        # and not otherwise.  At n = 3, label-independence draws 300
+        # bijections, split evenly over the four families, and cartier makes
+        # 400 actions of its own; quotient-naturality draws 20 and cartier
+        # makes 20 actions; functor-laws draws none, and cartier makes 119.
+        clock = [0.0]
+        monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+
+        def tick(real):
+            def timed(*args):
+                clock[0] += 1.0
+                return real(*args)
+
+            return timed
+
+        def slow_cartier(n, build=CONSTRUCTIONS["cartier"]):
+            Q = build(n)
+            return dataclasses.replace(Q, action=tick(Q.action))
+
+        monkeypatch.setattr(verify, "random_bijection", tick(verify.random_bijection))
+        monkeypatch.setitem(CONSTRUCTIONS, "cartier", slow_cartier)
+        durations = defaultdict(dict)
+        for report in run_verification(3, "all", 0):
+            for c in report.checks:
+                durations[c.name][report.construction] = c.duration
+        for row, drawn, acted in [
+            ("label-independence", 300, 400),
+            ("quotient-naturality", 20, 20),
+            ("functor-laws", 0, 119),
+        ]:
+            share = drawn / len(CONSTRUCTIONS)
+            assert durations[row] == {
+                "fixed": share, "orbit": share, "simpson": share, "cartier": share + acted
+            }, row
