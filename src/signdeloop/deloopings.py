@@ -527,12 +527,20 @@ def sign_mismatch(Q: TwoElementFamily, perms: Iterable[Bijection]) -> Bijection 
 
 
 @lru_cache(maxsize=1)
-def _permutations(n: int) -> tuple[Bijection, ...]:
-    """The listing of S_n that check_recognition scans.  A run recognizes
-    hundreds of families of one arity (236 at n = 5: mutants and natural
-    isomorphisms), so the last listing is kept, and only that one."""
+def _permutations(
+    n: int,
+) -> tuple[tuple[Bijection, ...], tuple[Sign, ...], tuple[int, ...]]:
+    """The listing of S_n that check_recognition scans: the permutations of
+    fin(n), the inversion sign of each, and the positions of the
+    transpositions in condition 4's order.  A run recognizes hundreds of
+    families of one arity (208 at n = 5: 200 mutants, and each family once
+    for its row and once for its natural isomorphisms), so the last
+    listing is kept, and only that one."""
     base = fin(n)
-    return enumerate_bijections(base, base)
+    perms = enumerate_bijections(base, base)
+    position = {e.images: i for i, e in enumerate(perms)}
+    swaps = tuple(position[transposition(n, a, b).images] for a, b in k_subsets(base, 2))
+    return perms, tuple(map(sign_inversions, perms)), swaps
 
 
 def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
@@ -542,12 +550,31 @@ def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
     condition 4: every transposition acts as the swap;
     condition 5: the extracted sign agrees with the inversion-count sign
     on every permutation.
+
+    One pass over the cached listing reads Q.action once per permutation
+    until condition 3 holds and condition 5 has its witness, which is as
+    far as a scan for either condition alone would read.  Condition 4 takes
+    the transpositions from the pass, and reads only those it did not
+    reach.  The listing is fin(arity)'s, so the action is read directly
+    rather than through sign_from_delooping's guard.
     """
     base = fin(Q.arity)
-    perms = _permutations(Q.arity)
-    cond3 = any(Q.action(e) is not PLUS for e in perms)
-    bad_swap = unswapped_transposition(Q)
-    bad_sign = sign_mismatch(Q, perms)
+    perms, signs, swaps = _permutations(Q.arity)
+    acts: list[Sign] = []
+    cond3, bad_sign = False, None
+    for e, sign in zip(perms, signs):
+        acted = Q.action(e)
+        acts.append(acted)
+        cond3 = cond3 or acted is not PLUS
+        if bad_sign is None and acted is not sign:
+            bad_sign = e
+        if cond3 and bad_sign is not None:
+            break
+
+    def act(i: int) -> Sign:
+        return acts[i] if i < len(acts) else Q.action(perms[i])
+
+    bad_swap = next((perms[i] for i in swaps if act(i) is not MINUS), None)
     cond4 = bad_swap is None
     cond5 = bad_sign is None
     witness = None
@@ -605,6 +632,40 @@ class Mutation(NamedTuple):
         return TwoElementFamily(name, Q.arity, action, base_point)
 
 
+@lru_cache(maxsize=len(CONSTRUCTIONS))
+def _naturality_signs(
+    Q: TwoElementFamily, squares: int, state: tuple
+) -> tuple[tuple[tuple[LabeledSet, LabeledSet, Bijection], ...], tuple[Sign, ...]]:
+    """Recognize Q, then draw `squares` squares (X, Y, e) from a Random in
+    `state` and sign each Q(e) * Q(h_X) * Q(h_Y), h_Z being Z's order chart.
+
+    Kept per family for as many families as there are constructions, so
+    verify's 16 natural isomorphisms recognize and square each of its 4
+    families once.  The key holds the generator state, not the seed, so
+    that every seed Random takes (None and bytearray too) names exactly
+    the squares it draws.
+    """
+    if not check_recognition(Q).is_delooping:
+        raise NotADelooping(f"{Q.name} fails recognition")
+    n = Q.arity
+    base = fin(n)
+    rng = Random()
+    rng.setstate(state)
+
+    def sample_set() -> LabeledSet:
+        return base if rng.random() < 0.25 else random_labeled_set(rng, n)
+
+    drawn = []
+    for _ in range(squares):
+        X, Y = sample_set(), sample_set()
+        drawn.append((X, Y, random_bijection(rng, X, Y)))
+    act = Q.action
+    signs = tuple(
+        act(e) * act(order_bijection(X)) * act(order_bijection(Y)) for X, Y, e in drawn
+    )
+    return tuple(drawn), signs
+
+
 def natural_isomorphism(
     Q: TwoElementFamily,
     Qp: TwoElementFamily,
@@ -621,31 +682,30 @@ def natural_isomorphism(
     action).  The function verifies naturality on seeded random squares;
     uniqueness is forced: the base point fixes the value over fin(n), and
     naturality along X's order chart fixes it over X.
+
+    The square (X, Y, e) commutes when Q(e) * at(Y) is at(X) * Qp(e).  As
+    at(Z) = Q(h_Z) * phi0 * Qp(h_Z) and Signs commute and square to PLUS,
+    that is Q(e) * Q(h_X) * Q(h_Y) is Qp(e) * Qp(h_X) * Qp(h_Y): a sign per
+    family, kept by _naturality_signs with the family's recognition, and
+    NaturalityFailure names the first square in draw order whose signs
+    differ.  The square count, the arities and the seed are checked before
+    anything is looked up.
     """
     require_natural(squares, "square count")
     if Q.arity != Qp.arity:
         raise ArityMismatch("families have different arities")
-    for fam in (Q, Qp):
-        if not check_recognition(fam).is_delooping:
-            raise NotADelooping(f"{fam.name} fails recognition")
-    n = Q.arity
-    base = fin(n)
+    state = Random(seed).getstate()
+    drawn, left = _naturality_signs(Q, squares, state)
+    right = _naturality_signs(Qp, squares, state)[1]
+    if left != right:
+        k = next(k for k, (s, t) in enumerate(zip(left, right)) if s is not t)
+        raise NaturalityFailure("family is not natural", square=drawn[k])
     phi0 = Q.base_point * Qp.base_point
 
     def at(X: LabeledSet) -> Sign:
         h = order_bijection(X)
         return Q.action(h) * phi0 * Qp.action(h)
 
-    rng = Random(seed)
-
-    def sample_set() -> LabeledSet:
-        return base if rng.random() < 0.25 else random_labeled_set(rng, n)
-
-    for _ in range(squares):
-        X, Y = sample_set(), sample_set()
-        e = random_bijection(rng, X, Y)
-        if Q.action(e) * at(Y) is not at(X) * Qp.action(e):
-            raise NaturalityFailure("family is not natural", square=(X, Y, e))
     return at
 
 

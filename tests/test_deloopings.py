@@ -53,6 +53,7 @@ from signdeloop.deloopings import (
     fixed_point_delooping,
     natural_isomorphism,
     orbit_class,
+    orbit_delooping,
     orbit_representative,
     orientation_action,
     orientation_class,
@@ -635,6 +636,79 @@ class TestRecognition:
             for build in CONSTRUCTIONS.values():
                 assert check_recognition(build(n)).is_delooping
         assert sizes == [4, 3, 4]
+        assert deloopings._permutations.cache_info().currsize == 1
+        # The listing kept is S_4 with each inversion sign and the positions
+        # of its transpositions in k_subsets order.
+        perms, signs, swaps = deloopings._permutations(4)
+        assert perms == perms_of(4)
+        assert signs == tuple(sign_inversions(e) for e in perms)
+        assert [perms[i] for i in swaps] == [
+            transposition_of_pair(fin(4), pair) for pair in k_subsets(fin(4), 2)
+        ]
+        assert sizes == [4, 3, 4]  # read from the cache: no fourth listing
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_one_wrong_odd_permutation_fails_condition_5(self, n, where):
+        # The sign everywhere but at one odd permutation that is not a
+        # transposition, the first or the last in the listing: condition 5
+        # fails with that permutation as its witness.
+        odd = [e for e in perms_of(n) if sign_inversions(e) is MINUS and len(e.moved()) > 2]
+        wrong = odd[where]
+        Q = TwoElementFamily(
+            "one-wrong", n, lambda e: PLUS if e == wrong else sign_inversions(e), PLUS
+        )
+        report = check_recognition(Q)
+        assert report.booleans == (True, True, False)
+        assert report.counterexample == wrong
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_an_action_that_raises_still_raises(self, n):
+        class Planted(Exception):
+            pass
+
+        last = perms_of(n)[-1]
+
+        def action(e):
+            if e == last:
+                raise Planted(e.images)
+            return sign_inversions(e)
+
+        with pytest.raises(Planted):
+            check_recognition(TwoElementFamily("raises", n, action, PLUS))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_each_permutation_is_read_once(self, n):
+        # Conditions 3, 4 and 5 share one read of each permutation; the pass
+        # reads all n! of them when every condition holds.
+        for build in CONSTRUCTIONS.values():
+            Q, reads = build(n), []
+            counted = dataclasses.replace(
+                Q, action=lambda e, Q=Q: reads.append(e.images) or Q.action(e)
+            )
+            assert check_recognition(counted).is_delooping
+            assert sorted(reads) == sorted(e.images for e in perms_of(n))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_the_pass_stops_where_the_later_scan_stops(self, n):
+        # A scan for condition 3 stops at the first transposition, one for
+        # condition 5 at the first wrong sign; the pass reads up to the later
+        # of the two, then only the transpositions past it, each once.
+        perms = perms_of(n)
+        k = next(
+            k for k, e in enumerate(perms) if sign_inversions(e) is MINUS and len(e.moved()) > 2
+        )
+        reads = []
+
+        def action(e):
+            reads.append(e.images)
+            return PLUS if e == perms[k] else sign_inversions(e)
+
+        report = check_recognition(TwoElementFamily("one-wrong", n, action, PLUS))
+        assert report.counterexample == perms[k]
+        swaps = {transposition_of_pair(fin(n), p).images for p in k_subsets(fin(n), 2)}
+        assert len(reads) == len(set(reads))
+        assert set(reads) == {e.images for e in perms[: k + 1]} | swaps
 
     def test_size_guard(self):
         assert check_recognition(cartier_delooping(7)).is_delooping
@@ -703,6 +777,100 @@ class TestNaturalIsomorphism:
             natural_isomorphism(simpson_delooping(3), off_base_family(3))
         X, Y, e = info.value.square
         assert e.domain == X and e.codomain == Y
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 5, 2027])
+    def test_every_pair_verdict_matches_a_square_by_square_oracle(self, n, seed):
+        # Every ordered pair of the constructions, a family broken off
+        # fin(n), a twisted mutant and a non-delooping, against naturality
+        # decided square by square in Random(seed) draw order.
+        families = [build(n) for build in CONSTRUCTIONS.values()] + [
+            off_base_family(n),
+            Mutation(False, 12345, False).apply(orbit_delooping(n)),
+            trivial_family(n),
+        ]
+        rng = Random(seed)
+        drawn = []
+        for _ in range(24):
+            X, Y = (fin(n) if rng.random() < 0.25 else random_labeled_set(rng, n) for _ in "XY")
+            drawn.append((X, Y, random_bijection(rng, X, Y)))
+        verdicts = set()
+        for Q, Qp in itertools.product(families, repeat=2):
+            bad = next((F for F in (Q, Qp) if not check_recognition(F).is_delooping), None)
+            phi0 = Q.base_point * Qp.base_point
+
+            def at(Z):
+                h = order_bijection(Z)
+                return Q.action(h) * phi0 * Qp.action(h)
+
+            def commutes(X, Y, e):
+                return Q.action(e) * at(Y) is at(X) * Qp.action(e)
+
+            failing = next((square for square in drawn if not commutes(*square)), None)
+            try:
+                phi = natural_isomorphism(Q, Qp, squares=24, seed=seed)
+            except NotADelooping as exc:
+                assert bad is not None and str(exc) == f"{bad.name} fails recognition"
+                verdicts.add("not a delooping")
+            except NaturalityFailure as exc:
+                assert bad is None and exc.square == failing, (Q.name, Qp.name)
+                verdicts.add("not natural")
+            else:
+                assert bad is None and failing is None, (Q.name, Qp.name)
+                assert [phi(X) for X, _, _ in drawn] == [at(X) for X, _, _ in drawn]
+                verdicts.add("natural")
+        assert verdicts == {"not a delooping", "not natural", "natural"}
+
+    def test_families_of_one_construction_get_their_own_verdicts(self):
+        # Two families of the simpson record, one with a fault planted off
+        # fin(3): their results are kept apart, however often and in
+        # whichever order they are asked for.
+        good = simpson_delooping(3)
+        faulty = dataclasses.replace(
+            simpson_delooping(3),
+            action=lambda e, Q=simpson_delooping(3): (
+                -Q.action(e) if e.codomain != fin(3) and e.domain != fin(3) else Q.action(e)
+            ),
+        )
+        assert good.construction is faulty.construction is simpson_delooping
+        assert faulty.name == good.name
+        cartier = cartier_delooping(3)
+        for _ in range(2):
+            for Qp in (good, faulty, good):
+                if Qp is good:
+                    assert natural_isomorphism(cartier, Qp, squares=24)(fin(3)) is PLUS
+                else:
+                    with pytest.raises(NaturalityFailure):
+                        natural_isomorphism(cartier, Qp, squares=24)
+                    with pytest.raises(NaturalityFailure):
+                        natural_isomorphism(Qp, good, squares=24)
+
+    @pytest.mark.parametrize("seed", [None, bytearray(b"seed"), b"seed", "seed", 2.5, -3])
+    def test_takes_every_seed_random_takes(self, seed):
+        Q, Qp = cartier_delooping(3), fixed_point_delooping(3)
+        assert natural_isomorphism(Q, Qp, squares=14, seed=seed)(fin(3)) is PLUS
+        with pytest.raises(NaturalityFailure):
+            natural_isomorphism(Q, off_base_family(3), squares=24, seed=seed)
+
+    def test_equal_seeds_of_other_types_draw_their_own_squares(self):
+        # 2^70 and float(2^70) compare equal but seed Random differently;
+        # each call still checks the squares its own seed draws.
+        big = 1 << 70
+        Q, Qp = simpson_delooping(4), off_base_family(4)
+
+        def verdict(seed):
+            try:
+                natural_isomorphism(Q, Qp, squares=3, seed=seed)
+            except NaturalityFailure as exc:
+                return exc.square
+            return None
+
+        fresh = []
+        for seed in (big, float(big)):
+            deloopings._naturality_signs.cache_clear()
+            fresh.append(verdict(seed))
+        assert fresh[0] != fresh[1]
+        assert [verdict(seed) for seed in (big, float(big), big, float(big))] == fresh * 2
 
 
 class TestActionTable:

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from hypothesis import example, given
 
 from signdeloop.errors import (
+    ArityMismatch,
     ContractError,
     DomainMismatch,
     NotMember,
@@ -63,6 +64,10 @@ NON_INTEGER_ENTRY_POINTS = {
     "natural_isomorphism": lambda v: natural_isomorphism(
         cartier_delooping(3), cartier_delooping(3), squares=v
     ),
+    # The square count is checked before the seed, unhashable here, is read.
+    "natural_isomorphism/seed": lambda v: natural_isomorphism(
+        cartier_delooping(3), cartier_delooping(3), squares=v, seed=[v]
+    ),
     "parity_triangle_holds": lambda v: parity_triangle_holds(6, Random(0), trials=v),
 }
 
@@ -71,9 +76,20 @@ NEGATIVE_SIZE_ENTRY_POINTS = {
     name: NON_INTEGER_ENTRY_POINTS[name]
     for name in (
         "fin", "k_subsets", "random_labeled_set", "natural_isomorphism",
-        "parity_triangle_holds",
+        "natural_isomorphism/seed", "parity_triangle_holds",
     )
 }
+
+
+@pytest.mark.parametrize("seed", [[0], {}, {0: 1}, set(), object()])
+def test_natural_isomorphism_refuses_what_random_refuses(seed):
+    # A seed Random refuses, hashable or not, fails as Random fails, and only
+    # after the arity check.
+    Q = cartier_delooping(3)
+    with pytest.raises(TypeError, match="supported seed types"):
+        natural_isomorphism(Q, Q, squares=3, seed=seed)
+    with pytest.raises(ArityMismatch):
+        natural_isomorphism(Q, cartier_delooping(4), squares=3, seed=seed)
 
 
 @st.composite

@@ -63,6 +63,20 @@ class TestSign:
     def test_multiplication_by_a_non_sign_fails(self):
         with pytest.raises(TypeError):
             PLUS * 1
+        with pytest.raises(TypeError):
+            1 * PLUS
+        with pytest.raises(TypeError):
+            MINUS * -1
+
+    def test_products_and_negations_are_the_two_members(self):
+        # The whole 2x2 table and both negations, by identity: every result
+        # is one of the module's two members, never a fresh value.
+        table = {
+            (PLUS, PLUS): PLUS, (PLUS, MINUS): MINUS, (MINUS, PLUS): MINUS, (MINUS, MINUS): PLUS
+        }
+        for (a, b), product in table.items():
+            assert a * b is product is Sign(a.value * b.value)
+        assert -PLUS is MINUS is Sign.MINUS and -MINUS is PLUS is Sign.PLUS
 
 
 class TestInversions:

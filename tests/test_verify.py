@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from signdeloop import verify
+from signdeloop import deloopings, verify
 from signdeloop.errors import ContractError
 from signdeloop.deloopings import (
     CONSTRUCTIONS,
@@ -204,6 +204,36 @@ class TestOracles:
         families = {name: build(3) for name, build in CONSTRUCTIONS.items()}
         ok, detail = uniqueness_of_deloopings(families, seed=0)
         assert ok, detail
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_uniqueness_recognizes_each_family_once(self, monkeypatch, n):
+        # 16 natural isomorphisms over 4 families: 4 recognitions, not 32,
+        # and each family's actions on the 24 squares are read once.
+        recognized, paired, reads = [], [], defaultdict(int)
+        check, iso = deloopings.check_recognition, verify.natural_isomorphism
+        monkeypatch.setattr(
+            deloopings, "check_recognition", lambda Q: recognized.append(Q.name) or check(Q)
+        )
+        monkeypatch.setattr(
+            verify, "natural_isomorphism", lambda *a, **kw: paired.append(a) or iso(*a, **kw)
+        )
+
+        def counted(Q):
+            def action(e):
+                reads[Q.name] += e.domain != fin(n) or e.codomain != fin(n)
+                return Q.action(e)
+
+            return dataclasses.replace(Q, action=action)
+
+        families = {name: counted(build(n)) for name, build in CONSTRUCTIONS.items()}
+        assert uniqueness_of_deloopings(families, seed=0) == (
+            True, "16 natural isomorphisms built and checked"
+        )
+        assert sorted(recognized) == sorted(CONSTRUCTIONS)
+        assert len(paired) == 16
+        # One pass over the squares per family: 3 actions per square at most,
+        # only off fin(n) ones counted, so the same total for every family.
+        assert len(set(reads.values())) == 1 and 0 < reads["fixed"] <= 3 * 24
 
     def test_recognition_row_reports_its_failure(self):
         trivial = TwoElementFamily("trivial", 3, lambda e: PLUS, PLUS)
