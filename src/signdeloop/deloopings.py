@@ -59,7 +59,6 @@ from .finite import (
     random_labeled_set,
     require_int,
     require_natural,
-    transposition_of_pair,
 )
 from .perms import MINUS, PLUS, Sign, chart_sign, sign_inversions, transposition
 
@@ -485,8 +484,10 @@ class RecognitionReport:
     """Results of the three decidable recognition conditions.
 
     For genuine families the booleans always co-vary: either all hold (the
-    family is a delooping) or none do.  counterexample carries a witness
-    permutation when some condition fails.
+    family is a delooping) or none do.  When some condition fails,
+    counterexample is the first transposition that does not swap, else the
+    first permutation whose sign disagrees.  Only at arity 1, where the
+    trivial action fails condition 3 alone, is there neither.
     """
 
     condition3_surjective: bool
@@ -558,7 +559,6 @@ def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
     reach.  The listing is fin(arity)'s, so the action is read directly
     rather than through sign_from_delooping's guard.
     """
-    base = fin(Q.arity)
     perms, signs, swaps = _permutations(Q.arity)
     acts: list[Sign] = []
     cond3, bad_sign = False, None
@@ -577,11 +577,7 @@ def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
     bad_swap = next((perms[i] for i in swaps if act(i) is not MINUS), None)
     cond4 = bad_swap is None
     cond5 = bad_sign is None
-    witness = None
-    if not (cond3 and cond4 and cond5):
-        witness = bad_swap or bad_sign
-        if witness is None and len(base) >= 2:
-            witness = transposition_of_pair(base, k_subsets(base, 2)[0])
+    witness = None if cond3 and cond4 and cond5 else bad_swap or bad_sign
     return RecognitionReport(cond3, cond4, cond5, witness)
 
 

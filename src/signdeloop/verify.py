@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from random import Random
-from types import MappingProxyType
 from typing import Callable, Generator, Iterator, Mapping, NamedTuple
 
 from .cycles import (
@@ -250,13 +249,13 @@ def bridge_parity(n: int) -> tuple[bool, str]:
 
 
 # --------------------------------------------------------------------------
-# Family checks on shared draws.  Each row draws its seeded inputs once per
-# run and yields one probe per input; the runner hands every probe to each
-# selected family before the next input is drawn, and the row's return value
-# is its passing detail.
+# Family checks.  Each row draws its seeded inputs, if any, once per run and
+# yields one probe per input; the runner hands every probe to each selected
+# family before the next input is drawn, and the row's return value is its
+# passing detail.
 
-# A probe judges one drawn input for one family: None when the law holds,
-# else the failure detail.
+# A probe judges one input for one family: None when the law holds, else the
+# failure detail.
 Probe = Callable[[TwoElementFamily], str | None]
 
 
@@ -311,6 +310,15 @@ def fiber_two_elements(n: int, rng: Random) -> Generator[Probe, None, str]:
     for _ in range(sets):
         yield partial(_two_equal_classes, random_labeled_set(rng, n))
     return f"two equal classes over {sets} random carriers"
+
+
+def _one_probe(
+    find: Callable[[TwoElementFamily], object], failure: Callable[[object], str], passing: str
+) -> Generator[Probe, None, str]:
+    """A row that draws nothing: each selected family judges one probe,
+    which fails with failure(w) when find(Q) returns a witness w, not None."""
+    yield lambda Q: None if (w := find(Q)) is None else failure(w)
+    return passing
 
 
 def _covaries(k: int, mutation: Mutation, Q: TwoElementFamily) -> str | None:
@@ -600,27 +608,25 @@ def uniqueness_of_deloopings(
 class Scope(NamedTuple):
     """What a check reads.
 
-    rng is one Random(seed) for the core rows and a second one for the
-    family rows.  family is the one family a "family" row judges, None
-    elsewhere.  families maps each selected construction to the run's one
-    family of it, built once and read by every row.
+    rng is one Random(seed) for the core and construction rows and a second
+    one for the family rows.  families maps each selected construction to
+    the run's one family of it, built once and read by every row.
     """
 
     n: int
     seed: int
     rng: Random
-    family: TwoElementFamily | None
-    families: Mapping[str, TwoElementFamily] = MappingProxyType({})
+    families: Mapping[str, TwoElementFamily]
 
 
 class Check(NamedTuple):
     """One verify check and how far it runs.
 
-    report is "core", "family" (run once per selected family, on its
-    scope), "shared" (run once per run: a generator that draws each input
-    once and yields its probe, which every selected family judges, and
-    returns the passing detail; see _run_shared) or the name of the one
-    construction that carries it.  The check runs for n <= max_n (None:
+    report is "core", "family" (a generator that yields probes, which every
+    selected family judges, and returns the passing detail; see
+    _run_family) or the name of the one construction whose report carries
+    it, run only when that construction is selected; core and construction
+    rows return (passed, detail).  The check runs for n <= max_n (None:
     every n), or n <= fixed_max_n under exhaustive_fixed when set; an
     all_only check needs every construction selected.  run looks library
     functions up by their module-level names when it is called.
@@ -640,7 +646,7 @@ class Check(NamedTuple):
 
 # In row order, which is the order of every report.  The core rows share one
 # Random(seed); the family rows draw from a second Random(seed) in this
-# order, once per run for all the families, and only the shared rows draw.
+# order, once per run for all the families; the construction rows draw none.
 CHECKS: tuple[Check, ...] = (
     Check("cycle-roundtrip", "core", lambda s: cycle_roundtrip(s.n), max_n=7),
     Check("endofunction-roundtrip", "core", lambda s: endofunction_roundtrip(s.n), max_n=4),
@@ -654,37 +660,36 @@ CHECKS: tuple[Check, ...] = (
     Check("relation-validity", "core", lambda s: relation_validity(s.n, s.rng)),
     Check("uniqueness", "core", lambda s: uniqueness_of_deloopings(s.families, s.seed),
           max_n=5, all_only=True),
-    Check("functor-laws", "shared", lambda s: functor_laws(s.n, s.rng)),
-    Check("fiber-two-elements", "shared", lambda s: fiber_two_elements(s.n, s.rng), max_n=6),
-    Check("transpositions-swap", "family", lambda s: (
-        (t := unswapped_transposition(s.family)) is None,
-        f"transposition {t.moved()!r} does not swap the fiber" if t
-        else "every transposition swaps the fiber",
+    Check("functor-laws", "family", lambda s: functor_laws(s.n, s.rng)),
+    Check("fiber-two-elements", "family", lambda s: fiber_two_elements(s.n, s.rng), max_n=6),
+    Check("transpositions-swap", "family", lambda s: _one_probe(
+        unswapped_transposition, lambda t: f"transposition {t.moved()!r} does not swap the fiber",
+        "every transposition swaps the fiber",
     )),
-    Check("sign-agreement", "family", lambda s: (
-        (e := sign_mismatch(s.family, enumerate_bijections(fin(s.n), fin(s.n)))) is None,
-        f"sign mismatch at {e.images!r}" if e
-        else "delooping sign equals inversion sign on all permutations",
+    Check("sign-agreement", "family", lambda s: _one_probe(
+        partial(sign_mismatch, perms=enumerate_bijections(fin(s.n), fin(s.n))),
+        lambda e: f"sign mismatch at {e.images!r}",
+        "delooping sign equals inversion sign on all permutations",
     ), max_n=6),
     # Repeats sign-agreement's scan as condition 5, but stays its own row:
     # each row is reported, and gated by the benchmark, on its own.
-    Check("recognition", "family", lambda s: (
-        (r := check_recognition(s.family)).is_delooping,
-        "all three conditions hold" if r.is_delooping
-        else f"booleans {r.booleans!r}, counterexample {r.counterexample.images!r}",
+    Check("recognition", "family", lambda s: _one_probe(
+        lambda Q: None if (r := check_recognition(Q)).is_delooping else r,
+        lambda r: f"booleans {r.booleans!r}, counterexample {r.counterexample.images!r}",
+        "all three conditions hold",
     ), max_n=6),
-    Check("recognition-covariance", "shared",
+    Check("recognition-covariance", "family",
           lambda s: recognition_covariance(s.n, s.rng), max_n=6),
-    Check("label-independence", "shared", lambda s: label_independence(s.n, s.rng)),
-    Check("quotient-naturality", "shared", lambda s: quotient_naturality(s.n, s.rng), max_n=6),
+    Check("label-independence", "family", lambda s: label_independence(s.n, s.rng)),
+    Check("quotient-naturality", "family", lambda s: quotient_naturality(s.n, s.rng), max_n=6),
     Check("orbit-structure", "orbit", lambda s: orbit_structure(s.n), max_n=5),
     Check("equivariance", "fixed", lambda s: fixed_equivariance(s.n), max_n=5),
     Check("fixed-census", "fixed", lambda s: fixed_census(s.n), max_n=3, fixed_max_n=CENSUS_BOUND),
 )
 
 
-def _run_shared(reports: Mapping[str, VerifyReport], check: Check, scope: Scope) -> None:
-    """Run a shared row once: every family judges each probe before the next
+def _run_family(reports: Mapping[str, VerifyReport], check: Check, scope: Scope) -> None:
+    """Run a family row once: every family judges each probe before the next
     input is drawn, so no sample list is held.
 
     A family stops judging at its first failure, or at a probe that raises;
@@ -732,24 +737,19 @@ def run_verification(
     seed: int = 0,
     exhaustive_fixed: bool = False,
 ) -> list[VerifyReport]:
-    if construction != "all" and construction not in CONSTRUCTIONS:
+    if construction not in ("all", *CONSTRUCTIONS):  # by equality: nothing is hashed
         raise ContractError(f"unknown construction {construction!r}")
     every = construction == "all"
     selected = list(CONSTRUCTIONS) if every else [construction]
     families = {c: CONSTRUCTIONS[c](n) for c in selected}
     reports = {name: VerifyReport(name, n, seed) for name in ("core", *selected)}
-    core = Scope(n, seed, Random(seed), None, families)
-    shared = core._replace(rng=Random(seed))
+    core = Scope(n, seed, Random(seed), families)
+    family = core._replace(rng=Random(seed))
     for check in CHECKS:
         if not check.applies(n, every, exhaustive_fixed):
             continue
-        if check.report == "core":
-            _run(reports["core"], check.name, lambda: check.run(core))
-        elif check.report == "shared":
-            _run_shared(reports, check, shared)
-        else:
-            for c in selected:
-                if check.report in ("family", c):
-                    scope = shared._replace(family=families[c])
-                    _run(reports[c], check.name, lambda: check.run(scope))
+        if check.report == "family":
+            _run_family(reports, check, family)
+        elif check.report in reports:
+            _run(reports[check.report], check.name, lambda: check.run(core))
     return list(reports.values())

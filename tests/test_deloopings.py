@@ -60,8 +60,10 @@ from signdeloop.deloopings import (
     orientation_representative,
     relative_inversions,
     sign_from_delooping,
+    sign_mismatch,
     simpson_delooping,
     simpson_representative,
+    unswapped_transposition,
 )
 
 from strategies import bijection_chains
@@ -622,6 +624,28 @@ class TestRecognition:
         assert report.consistent and not report.is_delooping
         assert report.counterexample is not None
         assert check_recognition(trivial_family(3)).counterexample.domain == fin(3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_sign_table_on_a_small_listing(self, n):
+        # All 2^n! hand-built tables over S_n (2, 4 and 64): from n = 2 the
+        # inversion sign alone is a delooping, and a failing report's witness
+        # is condition 4's witness, else condition 5's.  Only the trivial
+        # table on S_1 fails with neither.
+        perms = perms_of(n)
+        inversion = tuple(sign_inversions(e) for e in perms)
+        unwitnessed = []
+        for signs in itertools.product((PLUS, MINUS), repeat=len(perms)):
+            table = dict(zip((e.images for e in perms), signs))
+            Q = TwoElementFamily("table", n, lambda e: table[e.images], PLUS)
+            report = check_recognition(Q)
+            if n >= 2:
+                assert report.is_delooping == (signs == inversion)
+            if not report.is_delooping:
+                witness = unswapped_transposition(Q) or sign_mismatch(Q, perms)
+                assert report.counterexample == witness
+                if witness is None:
+                    unwitnessed.append(signs)
+        assert unwitnessed == ([(PLUS,)] if n == 1 else [])
 
     def test_recognitions_share_the_last_listing(self, monkeypatch):
         # Every recognition at one arity scans one listing of S_n; only the

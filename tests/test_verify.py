@@ -7,7 +7,7 @@ import runpy
 from collections import defaultdict
 from pathlib import Path
 from random import Random
-from types import SimpleNamespace
+from types import GeneratorType, SimpleNamespace
 
 import pytest
 
@@ -236,11 +236,15 @@ class TestOracles:
         assert len(set(reads.values())) == 1 and 0 < reads["fixed"] <= 3 * 24
 
     def test_recognition_row_reports_its_failure(self):
+        # The row is a stream of one probe, which the trivial family fails.
         trivial = TwoElementFamily("trivial", 3, lambda e: PLUS, PLUS)
         (row,) = [c for c in CHECKS if c.name == "recognition"]
-        assert row.run(Scope(3, 0, Random(0), trivial)) == (
-            False, "booleans (False, False, False), counterexample (1, 0, 2)"
-        )
+        stream = row.run(Scope(3, 0, Random(0), {}))
+        probe = next(stream)
+        assert probe(trivial) == "booleans (False, False, False), counterexample (1, 0, 2)"
+        with pytest.raises(StopIteration) as end:
+            next(stream)
+        assert end.value.value == "all three conditions hold"
 
 
 def adjacent_swaps(n):
@@ -397,8 +401,33 @@ class TestRunVerification:
         assert "fixed-census" not in [c.name for c in without[1].checks]
 
     def test_unknown_construction(self):
-        with pytest.raises(ContractError):
-            run_verification(3, construction="nope")
+        # Unhashable values too: the name is compared, never hashed.
+        for construction in ("nope", "core", ["x"], {}, None):
+            with pytest.raises(ContractError):
+                run_verification(3, construction=construction)
+
+    @pytest.mark.parametrize("construction", sorted(CONSTRUCTIONS))
+    def test_one_construction_runs_its_rows_as_the_all_run_does(self, construction):
+        def rows(report):
+            return [(c.name, c.passed, c.detail) for c in report.checks]
+
+        every = {r.construction: rows(r) for r in run_verification(5, "all", 3)}
+        core, own = run_verification(5, construction, 3)
+        assert own.construction == construction
+        assert rows(own) == every[construction]
+        assert rows(core) == [row for row in every["core"] if row[0] != "uniqueness"]
+
+    def test_every_row_reports_to_core_family_or_one_construction(self):
+        families = {c: build(3) for c, build in CONSTRUCTIONS.items()}
+        scope = Scope(3, 0, Random(0), families)
+        for check in CHECKS:
+            assert check.report in ("core", "family", *CONSTRUCTIONS), check.name
+            result = check.run(scope)
+            if check.report == "family":
+                assert isinstance(result, GeneratorType), check.name
+            else:
+                passed, detail = result
+                assert isinstance(passed, bool) and isinstance(detail, str), check.name
 
     def test_json_serializable(self):
         reports = run_verification(2)
@@ -473,11 +502,11 @@ class TestRunVerification:
 
 
 def replay(n, seed):
-    """The inputs of the shared rows at n >= 5, drawn from Random(seed)
-    without the package, in row order: per row, the off-base bijections
-    (domain, codomain, images) each family's action receives in order, the
-    carriers each census classifies, or the (trivialize, salt, flip_chart)
-    of each mutation."""
+    """The inputs of the sampled family rows at n >= 5, drawn from
+    Random(seed) without the package, in row order: per row, the off-base
+    bijections (domain, codomain, images) each family's action receives in
+    order, the carriers each census classifies, or the (trivialize, salt,
+    flip_chart) of each mutation."""
     rng = Random(seed)
 
     def carrier():
@@ -528,7 +557,7 @@ def replay(n, seed):
 
 
 class DrawRecorder:
-    """Records, per family and shared row, what replay lists: the off-base
+    """Records, per family and sampled row, what replay lists: the off-base
     bijections the family's action receives, the carriers its census
     classifies and the mutations applied to it.  planted, a (constructions,
     bijection) pair, negates those families' actions on that one bijection."""
