@@ -512,6 +512,15 @@ class RecognitionReport:
         return len(set(self.booleans)) == 1
 
 
+@lru_cache(maxsize=1)
+def _permutations(n: int) -> tuple[tuple[Bijection, ...], tuple[Sign, ...]]:
+    """The permutations of fin(n) and their inversion signs, which recognition
+    and sign-agreement scan.  A run recognizes hundreds of families of one
+    arity (208 at n = 5), so the last listing is kept, and only that one."""
+    perms = enumerate_bijections(fin(n), fin(n))
+    return perms, tuple(map(sign_inversions, perms))
+
+
 def unswapped_transposition(Q: TwoElementFamily) -> Bijection | None:
     """Condition 4's scan: the first transposition of fin(arity) that does
     not act as the swap, or None."""
@@ -520,63 +529,27 @@ def unswapped_transposition(Q: TwoElementFamily) -> Bijection | None:
     return next((t for t in transpositions if Q.action(t) is not MINUS), None)
 
 
-def sign_mismatch(Q: TwoElementFamily, perms: Iterable[Bijection]) -> Bijection | None:
-    """Condition 5's scan: the first of perms, the permutations of
-    fin(arity), whose extracted sign differs from its inversion-count sign,
-    or None."""
-    return next((e for e in perms if sign_from_delooping(Q, e) != sign_inversions(e)), None)
-
-
-@lru_cache(maxsize=1)
-def _permutations(
-    n: int,
-) -> tuple[tuple[Bijection, ...], tuple[Sign, ...], tuple[int, ...]]:
-    """The listing of S_n that check_recognition scans: the permutations of
-    fin(n), the inversion sign of each, and the positions of the
-    transpositions in condition 4's order.  A run recognizes hundreds of
-    families of one arity (208 at n = 5: 200 mutants, and each family once
-    for its row and once for its natural isomorphisms), so the last
-    listing is kept, and only that one."""
-    base = fin(n)
-    perms = enumerate_bijections(base, base)
-    position = {e.images: i for i, e in enumerate(perms)}
-    swaps = tuple(position[transposition(n, a, b).images] for a, b in k_subsets(base, 2))
-    return perms, tuple(map(sign_inversions, perms)), swaps
+def sign_mismatch(Q: TwoElementFamily) -> Bijection | None:
+    """Condition 5's scan: the first permutation of fin(arity) whose
+    extracted sign differs from its inversion-count sign, or None."""
+    listing = zip(*_permutations(Q.arity))
+    return next((e for e, sign in listing if sign_from_delooping(Q, e) is not sign), None)
 
 
 def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
     """Decide, by exhaustion over fin(arity), whether a family deloops the sign.
 
     condition 3: some permutation acts non-trivially on the base fiber;
-    condition 4: every transposition acts as the swap;
+    condition 4: every transposition acts as the swap (unswapped_transposition);
     condition 5: the extracted sign agrees with the inversion-count sign
-    on every permutation.
+    on every permutation (sign_mismatch).
 
-    One pass over the cached listing reads Q.action once per permutation
-    until condition 3 holds and condition 5 has its witness, which is as
-    far as a scan for either condition alone would read.  Condition 4 takes
-    the transpositions from the pass, and reads only those it did not
-    reach.  The listing is fin(arity)'s, so the action is read directly
-    rather than through sign_from_delooping's guard.
+    Condition 3 reads the listing before any action, so an arity past
+    ENUMERATION_BOUND raises SizeGuard first.
     """
-    perms, signs, swaps = _permutations(Q.arity)
-    acts: list[Sign] = []
-    cond3, bad_sign = False, None
-    for e, sign in zip(perms, signs):
-        acted = Q.action(e)
-        acts.append(acted)
-        cond3 = cond3 or acted is not PLUS
-        if bad_sign is None and acted is not sign:
-            bad_sign = e
-        if cond3 and bad_sign is not None:
-            break
-
-    def act(i: int) -> Sign:
-        return acts[i] if i < len(acts) else Q.action(perms[i])
-
-    bad_swap = next((perms[i] for i in swaps if act(i) is not MINUS), None)
-    cond4 = bad_swap is None
-    cond5 = bad_sign is None
+    cond3 = any(Q.action(e) is not PLUS for e in _permutations(Q.arity)[0])
+    bad_swap, bad_sign = unswapped_transposition(Q), sign_mismatch(Q)
+    cond4, cond5 = bad_swap is None, bad_sign is None
     witness = None if cond3 and cond4 and cond5 else bad_swap or bad_sign
     return RecognitionReport(cond3, cond4, cond5, witness)
 
@@ -612,7 +585,7 @@ class Mutation(NamedTuple):
         def action(e: Bijection) -> Sign:
             # twist(X)^-1 then core then twist(Y); each twist is its own inverse.
             core = PLUS if trivialize else Q.action(e)
-            return twist(e.domain) * core * twist(e.codomain)
+            return core if e.domain == e.codomain else twist(e.domain) * core * twist(e.codomain)
 
         base_point = -Q.base_point if flip_chart else Q.base_point
         tags = [

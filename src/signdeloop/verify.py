@@ -45,7 +45,7 @@ from .deloopings import (
     sign_mismatch,
     unswapped_transposition,
 )
-from .errors import ContractError
+from .errors import ContractError, SizeGuard
 from .finite import (
     ENUMERATION_BOUND,
     Bijection,
@@ -56,6 +56,7 @@ from .finite import (
     k_subsets,
     random_bijection,
     random_labeled_set,
+    require_int,
     require_natural,
     transposition_of_pair,
 )
@@ -667,11 +668,10 @@ CHECKS: tuple[Check, ...] = (
         "every transposition swaps the fiber",
     )),
     Check("sign-agreement", "family", lambda s: _one_probe(
-        partial(sign_mismatch, perms=enumerate_bijections(fin(s.n), fin(s.n))),
-        lambda e: f"sign mismatch at {e.images!r}",
+        sign_mismatch, lambda e: f"sign mismatch at {e.images!r}",
         "delooping sign equals inversion sign on all permutations",
     ), max_n=6),
-    # Repeats sign-agreement's scan as condition 5, but stays its own row:
+    # Calls sign-agreement's scan as condition 5, but stays its own row:
     # each row is reported, and gated by the benchmark, on its own.
     Check("recognition", "family", lambda s: _one_probe(
         lambda Q: None if (r := check_recognition(Q)).is_delooping else r,
@@ -731,6 +731,10 @@ def _run_family(reports: Mapping[str, VerifyReport], check: Check, scope: Scope)
         )
 
 
+# The largest arity verify runs; cartier's transpositions-swap alone is O(n^4).
+VERIFY_BOUND = 64
+
+
 def run_verification(
     n: int,
     construction: str = "all",
@@ -739,6 +743,8 @@ def run_verification(
 ) -> list[VerifyReport]:
     if construction not in ("all", *CONSTRUCTIONS):  # by equality: nothing is hashed
         raise ContractError(f"unknown construction {construction!r}")
+    if require_int(n, "arity") > VERIFY_BOUND:
+        raise SizeGuard(f"verify runs up to n = {VERIFY_BOUND}, got {n}")
     every = construction == "all"
     selected = list(CONSTRUCTIONS) if every else [construction]
     families = {c: CONSTRUCTIONS[c](n) for c in selected}

@@ -262,6 +262,10 @@ class TestCommands:
         assert "alternating-kernel" not in names
         assert "relation-validity" in names
 
+    def test_verify_above_the_verify_bound_is_two(self, capsys):
+        assert run_command(["verify", "--n", "65", "--construction", "cartier"]) == 2
+        assert "verify runs up to n = 64" in capsys.readouterr().err
+
 
 def readme_cli_examples() -> list[tuple[list[str], str]]:
     """(argv, comment) for every command in the README's ## CLI block."""

@@ -221,3 +221,19 @@ def test_the_orbit_oracle_walks_and_reads_no_parity():
     orbits = reachable(trees, [module_function(trees, "verify", "expand_orbits")])
     assert "verify.cayley_edges" in orbits
     assert orbits & PARITY_DEFINITIONS == set()
+
+
+def test_recognition_runs_the_condition_scans():
+    # check_recognition reads conditions 4 and 5 through the scans the
+    # transpositions-swap and sign-agreement rows run, and loops over the
+    # listing only in condition 3's any(...).
+    trees = parse_package()
+    recognition = module_function(trees, "deloopings", "check_recognition")
+    reached = reachable(trees, [recognition])
+    assert {"deloopings.unswapped_transposition", "deloopings.sign_mismatch"} <= reached
+    loops = [
+        node
+        for node in ast.walk(recognition)
+        if isinstance(node, (ast.For, ast.While, ast.comprehension))
+    ]
+    assert len(loops) == 1

@@ -12,7 +12,7 @@ from types import GeneratorType, SimpleNamespace
 import pytest
 
 from signdeloop import deloopings, verify
-from signdeloop.errors import ContractError
+from signdeloop.errors import ContractError, SizeGuard
 from signdeloop.deloopings import (
     CONSTRUCTIONS,
     Construction,
@@ -399,6 +399,17 @@ class TestRunVerification:
         assert "fixed-census" in names
         without = run_verification(4, construction="fixed")
         assert "fixed-census" not in [c.name for c in without[1].checks]
+
+    def test_refuses_arities_past_the_verify_bound(self, monkeypatch):
+        # Refused before any family is built.
+        built = []
+        for name, build in list(CONSTRUCTIONS.items()):
+            monkeypatch.setitem(
+                CONSTRUCTIONS, name, lambda n, name=name, build=build: built.append(name) or build(n)
+            )
+        with pytest.raises(SizeGuard):
+            run_verification(verify.VERIFY_BOUND + 1)
+        assert built == []
 
     def test_unknown_construction(self):
         # Unhashable values too: the name is compared, never hashed.
