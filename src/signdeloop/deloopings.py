@@ -59,8 +59,9 @@ from .finite import (
     random_labeled_set,
     require_int,
     require_natural,
+    symmetric_group,
 )
-from .perms import MINUS, PLUS, Sign, chart_sign, sign_inversions, transposition
+from .perms import MINUS, PLUS, Sign, chart_sign, listing_signs, transposition
 
 
 def _require_sign(value, what: str = "class") -> Sign:
@@ -430,8 +431,7 @@ def exhaustive_fixed_points(n: int) -> list[dict[Bijection, Sign]]:
     """
     if n > CENSUS_BOUND:
         raise SizeGuard(f"census scans 2^(n!) tables; bound is n <= {CENSUS_BOUND}")
-    base = fin(n)
-    perms = enumerate_bijections(base, base)
+    perms = symmetric_group(n)
     m = len(perms)
     position = {p.images: i for i, p in enumerate(perms)}
     pairs = {
@@ -512,15 +512,6 @@ class RecognitionReport:
         return len(set(self.booleans)) == 1
 
 
-@lru_cache(maxsize=1)
-def _permutations(n: int) -> tuple[tuple[Bijection, ...], tuple[Sign, ...]]:
-    """The permutations of fin(n) and their inversion signs, which recognition
-    and sign-agreement scan.  A run recognizes hundreds of families of one
-    arity (208 at n = 5), so the last listing is kept, and only that one."""
-    perms = enumerate_bijections(fin(n), fin(n))
-    return perms, tuple(map(sign_inversions, perms))
-
-
 def unswapped_transposition(Q: TwoElementFamily) -> Bijection | None:
     """Condition 4's scan: the first transposition of fin(arity) that does
     not act as the swap, or None."""
@@ -530,24 +521,25 @@ def unswapped_transposition(Q: TwoElementFamily) -> Bijection | None:
 
 
 def sign_mismatch(Q: TwoElementFamily) -> Bijection | None:
-    """Condition 5's scan: the first permutation of fin(arity) whose
-    extracted sign differs from its inversion-count sign, or None."""
-    listing = zip(*_permutations(Q.arity))
+    """Condition 5's scan: the first permutation of symmetric_group(arity)
+    whose extracted sign differs from its sign in listing_signs, or None."""
+    listing = zip(symmetric_group(Q.arity), listing_signs(Q.arity))
     return next((e for e, sign in listing if sign_from_delooping(Q, e) is not sign), None)
 
 
 def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
-    """Decide, by exhaustion over fin(arity), whether a family deloops the sign.
+    """Decide, by exhaustion over S_arity, whether a family deloops the sign.
 
     condition 3: some permutation acts non-trivially on the base fiber;
     condition 4: every transposition acts as the swap (unswapped_transposition);
     condition 5: the extracted sign agrees with the inversion-count sign
     on every permutation (sign_mismatch).
 
-    Condition 3 reads the listing before any action, so an arity past
-    ENUMERATION_BOUND raises SizeGuard first.
+    Conditions 3 and 5 scan the one listing symmetric_group(arity); condition 3
+    reads it before any action, so an arity past ENUMERATION_BOUND raises
+    SizeGuard first.
     """
-    cond3 = any(Q.action(e) is not PLUS for e in _permutations(Q.arity)[0])
+    cond3 = any(Q.action(e) is not PLUS for e in symmetric_group(Q.arity))
     bad_swap, bad_sign = unswapped_transposition(Q), sign_mismatch(Q)
     cond4, cond5 = bad_swap is None, bad_sign is None
     witness = None if cond3 and cond4 and cond5 else bad_swap or bad_sign
@@ -682,7 +674,4 @@ def alternating_kernel(n: int) -> tuple[Bijection, ...]:
     """All permutations of fin(n) with sign +1, in enumeration order."""
     if n < 2:
         raise ArityTooSmall("the kernel is only materialized for n >= 2")
-    base = fin(n)
-    return tuple(
-        e for e in enumerate_bijections(base, base) if sign_inversions(e) is PLUS
-    )
+    return tuple(e for e, s in zip(symmetric_group(n), listing_signs(n)) if s is PLUS)

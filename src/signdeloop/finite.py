@@ -25,9 +25,9 @@ from .errors import (
 
 Label = int
 
-# Exhaustive bijection listings refuse to run above this many elements; every
-# exhaustion over permutations (kernel, recognition, verify checks) goes
-# through enumerate_bijections, so this is the one enumeration guard.
+# Exhaustive listings refuse to run above this many elements; every exhaustion
+# over S_n (kernel, recognition, census, verify checks) reads symmetric_group(n),
+# which lists through enumerate_bijections: this is the one enumeration guard.
 ENUMERATION_BOUND = 8
 
 
@@ -254,6 +254,12 @@ def enumerate_bijections(A: LabeledSet, B: LabeledSet) -> tuple[Bijection, ...]:
     return tuple(
         Bijection._trusted(A, B, images) for images in itertools.permutations(B.elements)
     )
+
+
+@lru_cache(maxsize=1, typed=True)  # typed: n=True and n=1.0 miss n=1's entry, and raise
+def symmetric_group(n: int) -> tuple[Bijection, ...]:
+    """S_n, listed once for every exhaustive reader; a run reads one arity."""
+    return enumerate_bijections(fin(n), fin(n))
 
 
 def k_subsets(X: LabeledSet, k: int) -> tuple[tuple[Label, ...], ...]:

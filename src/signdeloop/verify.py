@@ -50,7 +50,6 @@ from .finite import (
     ENUMERATION_BOUND,
     Bijection,
     LabeledSet,
-    enumerate_bijections,
     fin,
     identity,
     k_subsets,
@@ -58,6 +57,7 @@ from .finite import (
     random_labeled_set,
     require_int,
     require_natural,
+    symmetric_group,
     transposition_of_pair,
 )
 from .perms import (
@@ -65,6 +65,7 @@ from .perms import (
     PLUS,
     factor_into_transpositions,
     inversions,
+    listing_signs,
     permutation,
     product_of_transpositions,
     sign_inversions,
@@ -240,9 +241,8 @@ def transposition_oddness(n: int) -> tuple[bool, str]:
 def bridge_parity(n: int) -> tuple[bool, str]:
     """Distance from the canonical orientation to its transport along e has
     the same parity as the inversion count of e, for every permutation."""
-    X = fin(n)
-    d = canonical_orientation(X)
-    for e in enumerate_bijections(X, X):
+    d = canonical_orientation(fin(n))
+    for e in symmetric_group(n):
         m = relative_inversions(d, orientation_action(e, d))
         if m % 2 != len(inversions(e)) % 2:
             return False, f"permutation {e.images!r}: count {m} vs inversions"
@@ -278,8 +278,7 @@ def functor_laws(n: int, rng: Random) -> Generator[Probe, None, str]:
     base = fin(n)
     yield partial(_identity_law, identity(base), "action of the identity is not the identity")
     if n <= 4:
-        perms = enumerate_bijections(base, base)
-        for e, f in itertools.product(perms, repeat=2):
+        for e, f in itertools.product(symmetric_group(n), repeat=2):
             yield partial(_composite_law, e, f, e.then(f))
     else:
         for _ in range(300):
@@ -420,12 +419,11 @@ def fixed_equivariance(n: int) -> tuple[bool, str]:
     failure names the first chart and swap in listing order.
     """
     base = fin(n)
-    perms = enumerate_bijections(base, base)
     # Through the family, as for every record: see CONSTRUCTIONS.
     representative = fixed_point_delooping(n).construction.representative
     swaps = [itemgetter(*g) for g in adjacent_swaps(n)]
     for elem in (representative(base, s) for s in (PLUS, MINUS)):
-        value = {h.images: elem.value_at(h) for h in perms}  # one read per chart
+        value = {h.images: elem.value_at(h) for h in symmetric_group(n)}  # one read per chart
         for h, v in value.items():
             for i, swap in enumerate(swaps):
                 if value[swap(h)] is not -v:
@@ -437,8 +435,7 @@ def fixed_census(n: int) -> tuple[bool, str]:
     tables = exhaustive_fixed_points(n)
     if len(tables) != 2:
         return False, f"{len(tables)} fixed tables found"
-    perms = enumerate_bijections(fin(n), fin(n))
-    signs = tuple(sign_inversions(p) for p in perms)
+    perms, signs = symmetric_group(n), listing_signs(n)
     expected = {signs, tuple(-s for s in signs)}
     got = {tuple(t[p] for p in perms) for t in tables}
     ok = got == expected
@@ -451,8 +448,7 @@ def fixed_census(n: int) -> tuple[bool, str]:
 def cycle_roundtrip(n: int) -> tuple[bool, str]:
     """recompose(cycle_decompose(e)) == e for every permutation e, which
     also makes the canonical forms distinct: cycle_decompose is injective."""
-    base = fin(n)
-    perms = enumerate_bijections(base, base)
+    perms = symmetric_group(n)
     for e in perms:
         if recompose(cycle_decompose(e)) != e:
             return False, f"roundtrip fails at {e.images!r}"
@@ -473,7 +469,7 @@ def endofunction_roundtrip(n: int) -> tuple[bool, str]:
 
 def factorization_sound(n: int) -> tuple[bool, str]:
     base = fin(n)
-    for e in enumerate_bijections(base, base):
+    for e in symmetric_group(n):
         factors = factor_into_transpositions(e)
         if any(len(f) != 2 for f in factors):
             return False, f"non-transposition factor for {e.images!r}"
@@ -536,7 +532,7 @@ def sign_homomorphism(n: int, rng: Random) -> tuple[bool, str]:
             if sign_inversions(a.then(b)) != sign_inversions(a) * sign_inversions(b):
                 return False, f"multiplicativity fails at {(a.images, b.images)!r}"
         return True, "sign is multiplicative"
-    sign = {e.images: sign_inversions(e) for e in enumerate_bijections(base, base)}
+    sign = {e.images: sign_inversions(e) for e in symmetric_group(n)}
     if sign[tuple(range(n))] is not PLUS:
         return False, "sign of the identity is not +1"
     moves = adjacent_swaps(n)
@@ -559,7 +555,7 @@ def relation_validity(n: int, rng: Random) -> tuple[bool, str]:
     base = fin(n)
     # charts relation: even relative parity
     if math.factorial(n) <= 24:
-        charts = enumerate_bijections(base, base)
+        charts = symmetric_group(n)
     else:
         charts = [random_bijection(rng, base, base) for _ in range(24)]
     inverses = [h.inverse() for h in charts]

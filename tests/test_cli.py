@@ -328,6 +328,11 @@ class TestExitCodes:
         assert run_command(["alternating", "--n", "20"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_alternating_past_the_enumeration_bound_is_two(self, capsys):
+        # symmetric_group(9) raises SizeGuard before anything is listed.
+        assert run_command(["alternating", "--n", "9"]) == 2
+        assert "refusing to enumerate 9! bijections" in capsys.readouterr().err
+
     def test_arity_cap_is_two(self, capsys):
         assert run_command(["sign", "(0 1024)"]) == 2
         assert run_command(["sign", ",".join(map(str, range(1025)))]) == 2

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import signdeloop
-from signdeloop import deloopings
+from signdeloop import deloopings, finite
 from signdeloop.errors import (
     ArityMismatch,
     ArityTooSmall,
@@ -33,9 +33,11 @@ from signdeloop.finite import (
     order_bijection,
     random_bijection,
     random_labeled_set,
+    symmetric_group,
     transposition_of_pair,
 )
 from signdeloop.perms import MINUS, PLUS, chart_sign, sign_inversions, transposition
+from signdeloop.verify import run_verification
 from signdeloop.deloopings import (
     CONSTRUCTIONS,
     Construction,
@@ -647,27 +649,25 @@ class TestRecognition:
                     unwitnessed.append(signs)
         assert unwitnessed == ([(PLUS,)] if n == 1 else [])
 
-    def test_recognitions_share_the_last_listing(self, monkeypatch):
-        # Every recognition at one arity scans one listing of S_n, and so
-        # does sign-agreement's scan; only the last arity's listing is kept.
+    def test_a_run_and_its_recognitions_share_one_listing(self, monkeypatch):
+        # symmetric_group looks enumerate_bijections up in finite at call
+        # time, so the patch counts exactly the listings of S_n it makes: one
+        # per run of every row at each arity, and none more for recognizing
+        # and sign-matching each family at that arity afterwards.
         sizes = []
-        real = deloopings.enumerate_bijections
+        real = finite.enumerate_bijections
         monkeypatch.setattr(
-            deloopings, "enumerate_bijections", lambda A, B: sizes.append(len(A)) or real(A, B)
+            finite, "enumerate_bijections", lambda A, B: sizes.append(len(A)) or real(A, B)
         )
-        deloopings._permutations.cache_clear()
-        for n in (4, 4, 3, 3, 4):
+        symmetric_group.cache_clear()
+        for n in range(2, 9):
+            run_verification(n, "all", 101)
+            assert sizes == list(range(2, n + 1))
             for build in CONSTRUCTIONS.values():
-                assert check_recognition(build(n)).is_delooping
-        assert sizes == [4, 3, 4]
-        assert deloopings._permutations.cache_info().currsize == 1
-        # The listing kept is S_4 with each inversion sign.
-        perms, signs = deloopings._permutations(4)
-        assert perms == perms_of(4)
-        assert signs == tuple(sign_inversions(e) for e in perms)
-        for build in CONSTRUCTIONS.values():
-            assert sign_mismatch(build(4)) is None
-        assert sizes == [4, 3, 4]  # read from the cache: no fourth listing
+                Q = build(n)
+                assert check_recognition(Q).is_delooping
+                assert sign_mismatch(Q) is None
+            assert sizes == list(range(2, n + 1))
 
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("where", [0, -1])

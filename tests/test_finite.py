@@ -24,6 +24,7 @@ from signdeloop.finite import (
     order_bijection,
     random_bijection,
     random_labeled_set,
+    symmetric_group,
     transposition_of_pair,
 )
 from signdeloop.deloopings import (
@@ -285,6 +286,27 @@ class TestEnumerateBijections:
     def test_size_guard(self):
         with pytest.raises(SizeGuard):
             enumerate_bijections(fin(9), fin(9))
+
+
+class TestSymmetricGroup:
+    @pytest.mark.parametrize("n", range(7))
+    def test_is_the_listing_of_fin_n(self, n):
+        assert symmetric_group(n) == enumerate_bijections(fin(n), fin(n))
+
+    @pytest.mark.parametrize("n", [True, 1.0, -1])
+    def test_refuses_what_fin_refuses_with_one_cached(self, n):
+        # An untyped cache keys a lone positional int by itself, but keys a
+        # keyword call by its argument tuple: there n=True and n=1.0 would
+        # find the entry of n=1.
+        assert symmetric_group(1) == symmetric_group(n=1) == (identity(fin(1)),)
+        with pytest.raises(ContractError):
+            symmetric_group(n)
+        with pytest.raises(ContractError):
+            symmetric_group(n=n)
+
+    def test_size_guard(self):
+        with pytest.raises(SizeGuard):
+            symmetric_group(9)
 
 
 class TestRandomLabeledSet:

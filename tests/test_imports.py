@@ -186,8 +186,12 @@ def test_cartier_and_sign_extraction_reach_no_parity_definition():
     assert "deloopings.Construction.__call__.action" in reached
     assert reached & PARITY_DEFINITIONS == set()
     census = reachable(trees, [module_function(trees, "deloopings", "exhaustive_fixed_points")])
-    assert "finite.enumerate_bijections" in census
+    assert {"finite.symmetric_group", "finite.enumerate_bijections"} <= census
     assert census & PARITY_DEFINITIONS == set()
+    # The census reads the shared listing of S_n, so the signs stay out of
+    # it, in a cache of their own that does reach the parity reader.
+    signs = reachable(trees, [module_function(trees, "perms", "listing_signs")])
+    assert {"finite.symmetric_group", "perms.sign_inversions"} <= signs
 
 
 def test_reachability_sees_parity_where_it_is_used():

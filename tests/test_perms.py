@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from signdeloop import perms
-from signdeloop.errors import ContractError, DomainMismatch
+from signdeloop.errors import ContractError, DomainMismatch, SizeGuard
 from signdeloop.finite import (
     LabeledSet,
     Bijection,
@@ -12,6 +12,7 @@ from signdeloop.finite import (
     fin,
     identity,
     order_bijection,
+    symmetric_group,
 )
 from signdeloop.perms import (
     MINUS,
@@ -20,6 +21,7 @@ from signdeloop.perms import (
     chart_sign,
     factor_into_transpositions,
     inversions,
+    listing_signs,
     permutation,
     product_of_transpositions,
     sign_inversions,
@@ -205,6 +207,24 @@ class TestChartSign:
         assert chart_sign(h) is PLUS
         after = perms._sign_of_images.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+class TestListingSigns:
+    @pytest.mark.parametrize("n", range(7))
+    def test_signs_each_permutation_of_the_listing(self, n):
+        assert listing_signs(n) == tuple(sign_inversions(e) for e in symmetric_group(n))
+
+    @pytest.mark.parametrize("n", [True, 1.0, -1])
+    def test_refuses_what_fin_refuses_with_one_cached(self, n):
+        assert listing_signs(1) == listing_signs(n=1) == (PLUS,)
+        with pytest.raises(ContractError):
+            listing_signs(n)
+        with pytest.raises(ContractError):
+            listing_signs(n=n)
+
+    def test_size_guard(self):
+        with pytest.raises(SizeGuard):
+            listing_signs(9)
 
 
 def succ_cycle(k):

@@ -11,7 +11,7 @@ from types import GeneratorType, SimpleNamespace
 
 import pytest
 
-from signdeloop import deloopings, verify
+from signdeloop import deloopings, perms, verify
 from signdeloop.errors import ContractError, SizeGuard
 from signdeloop.deloopings import (
     CONSTRUCTIONS,
@@ -494,6 +494,29 @@ class TestRunVerification:
         monkeypatch.setattr(Bijection, "inverse", lambda e: calls.append(e) or inverse(e))
         assert verify.fixed_equivariance(5) == (True, "both elements are equivariant")
         assert calls == []
+
+    def test_the_shared_signs_do_not_hide_a_sign_fault(self, monkeypatch):
+        # <0 1> reads as even wherever sign_inversions is called: by the
+        # shared listing_signs and by sign-homomorphism's own reads.
+        real = perms.sign_inversions
+
+        def planted(e):
+            return -real(e) if e.images == (1, 0, 2, 3) else real(e)
+
+        monkeypatch.setattr(perms, "sign_inversions", planted)
+        monkeypatch.setattr(verify, "sign_inversions", planted)
+        # An earlier call may have cached the true signs of S_4, which would
+        # hide the fault; clearing again afterwards keeps the planted signs
+        # from reaching later tests.
+        perms.listing_signs.cache_clear()
+        try:
+            reports = run_verification(4, "all", 101)
+        finally:
+            perms.listing_signs.cache_clear()
+        failed = {(r.construction, c.name) for r in reports for c in r.checks if not c.passed}
+        assert {("core", "sign-homomorphism"), ("core", "alternating-kernel")} <= failed
+        for name in CONSTRUCTIONS:
+            assert {(name, "sign-agreement"), (name, "recognition")} <= failed
 
     def test_seed_changes_are_still_green(self):
         for seed in (1, 2):
