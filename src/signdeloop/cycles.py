@@ -3,17 +3,18 @@
 A self-bijection of a finite set is the same data as its orbits, so a cycle
 is a plain tuple of labels: its orbit, listed from its minimal label, each
 label followed by its image and the last by the first.  The set is the
-disjoint union of the orbits.  cycle_decompose/recompose realize both
-directions, and the canonical form sorts cycles by minimal label.
-Arbitrary endofunctions extend this picture: an eventually-periodic core
-carrying cycles, with a rooted tree of transient points hanging off every
-core element.
+disjoint union of the orbits: cycle_decompose and recompose keep the set
+they are given, and CycleDecomposition(cycles) derives it from the labels.
+The canonical form sorts cycles by minimal label.  Arbitrary endofunctions
+extend this picture: an eventually-periodic core carrying cycles, with a
+rooted tree of transient points hanging off every core element.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Callable, Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .errors import DomainMismatch, MalformedDecomposition, NotMember
 from .finite import Bijection, Frozen, Label, LabeledSet, require_ints
@@ -21,17 +22,21 @@ from .finite import Bijection, Frozen, Label, LabeledSet, require_ints
 Orbit = tuple[Label, ...]
 
 
-def _union_of_orbits(cycles: tuple[Orbit, ...]) -> LabeledSet:
-    """The labels of the cycles.  Each cycle must be nonempty and listed from
-    its minimum, and no label may appear twice."""
-    labels = sorted(require_ints(tuple(x for orbit in cycles for x in orbit), "label"))
+def _union_of_orbits(cycles: tuple[Orbit, ...], carrier: LabeledSet | None = None) -> LabeledSet:
+    """The labels of the cycles: each cycle nonempty and listed from its minimum,
+    no label twice, and exactly the labels of carrier when one is given."""
+    labels = tuple(sorted(require_ints(tuple(chain.from_iterable(cycles)), "label")))
     for orbit in cycles:
         if not orbit or orbit[0] != min(orbit):
             raise MalformedDecomposition(f"orbit {orbit!r} is not listed from its minimum")
+    if carrier is not None and labels == carrier.elements:
+        return carrier
     repeated = sorted({a for a, b in zip(labels, labels[1:]) if a == b})
     if repeated:
         raise MalformedDecomposition(f"duplicate labels in the cycles: {repeated!r}")
-    return LabeledSet(tuple(labels))
+    if carrier is not None:
+        raise MalformedDecomposition(f"cycles on {labels!r} do not cover {carrier.elements!r}")
+    return LabeledSet(labels)
 
 
 class CycleDecomposition(Frozen):
@@ -45,6 +50,13 @@ class CycleDecomposition(Frozen):
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "carrier", _union_of_orbits(cycles))
 
+    @classmethod
+    def _over(cls, cycles: tuple[Orbit, ...], carrier: LabeledSet) -> "CycleDecomposition":
+        """The cycles as a decomposition of carrier, whose labels they list once each."""
+        dec = object.__new__(cls)
+        dec.__dict__.update(cycles=cycles, carrier=_union_of_orbits(cycles, carrier))
+        return dec
+
     def _values(self) -> tuple:
         return (self.cycles,)
 
@@ -52,19 +64,20 @@ class CycleDecomposition(Frozen):
         return f"CycleDecomposition(cycles={self.cycles!r})"
 
 
-def _orbits(labels: Iterable[Label], step: Callable[[Label], Label]) -> Iterator[Orbit]:
+def _orbits(labels: Iterable[Label], step: dict[Label, Label]) -> list[Orbit]:
     # Ascending scan: each orbit is found at, and listed from, its minimum.
-    seen: set[Label] = set()
+    # Every step taken is popped, so the labels left in step are unvisited.
+    orbits = []
     for x in labels:
-        if x in seen:
+        if x not in step:
             continue
         orbit = [x]
-        y = step(x)
+        y = step.pop(x)
         while y != x:
             orbit.append(y)
-            y = step(y)
-        seen.update(orbit)
-        yield tuple(orbit)
+            y = step.pop(y)
+        orbits.append(tuple(orbit))
+    return orbits
 
 
 def _successors(orbit: Orbit) -> Iterator[tuple[Label, Label]]:
@@ -73,17 +86,19 @@ def _successors(orbit: Orbit) -> Iterator[tuple[Label, Label]]:
 
 
 def cycle_decompose(e: Bijection) -> CycleDecomposition:
-    """Canonical cycle form: cycles sorted by minimal label."""
-    if e.domain != e.codomain:
+    """Canonical cycle form: cycles sorted by minimal label, over e.domain."""
+    if (X := e.domain) is not e.codomain and X != e.codomain:
         raise DomainMismatch("cycle decomposition requires an endo-bijection")
-    pos, images = e.domain._pos, e.images
-    return CycleDecomposition(tuple(_orbits(e.domain, lambda x: images[pos[x]])))
+    cycles = _orbits(X.elements, dict(zip(X.elements, e.images)))
+    return CycleDecomposition._over(tuple(cycles), X)
 
 
 def recompose(dec: CycleDecomposition) -> Bijection:
     """The self-bijection that moves every label one step along its cycle."""
-    image = dict(pair for orbit in dec.cycles for pair in _successors(orbit))
-    return Bijection._trusted(dec.carrier, dec.carrier, tuple(image[x] for x in dec.carrier))
+    image: dict[Label, Label] = {}
+    for orbit in dec.cycles:
+        image.update(_successors(orbit))
+    return Bijection._trusted(dec.carrier, dec.carrier, tuple(map(image.__getitem__, dec.carrier)))
 
 
 class RootedTree(Frozen):
@@ -188,7 +203,7 @@ def decompose_endofunction(carrier: LabeledSet, f: dict[Label, Label]) -> EndoDe
         indegree[y] -= 1
         if not indegree[y]:
             peel.append(y)
-    cycles = tuple(_orbits(sorted(core), table.__getitem__))
+    cycles = tuple(_orbits(sorted(core), dict(table)))
     kids: dict[Label, list[Label]] = defaultdict(list)
     for x in carrier:
         if x not in core:

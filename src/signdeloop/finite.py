@@ -221,7 +221,7 @@ class Bijection(Frozen):
 
     def then(self, other: "Bijection") -> "Bijection":
         """Diagrammatic composite: apply self first, then other."""
-        if self.codomain != other.domain:
+        if other.domain is not self.codomain and other.domain != self.codomain:
             raise DomainMismatch(
                 f"cannot chain {self.codomain.elements!r} into {other.domain.elements!r}"
             )
@@ -287,7 +287,7 @@ def transposition_of_pair(X: LabeledSet, pair: Iterable[Label]) -> Bijection:
 
 def order_bijection(X: LabeledSet) -> Bijection:
     """The order-preserving bijection fin(|X|) -> X; the canonical chart."""
-    return Bijection._trusted(fin(len(X)), X, X.elements)
+    return Bijection._trusted(fin(len(X.elements)), X, X.elements)
 
 
 def random_labeled_set(rng: Random, size: int) -> LabeledSet:

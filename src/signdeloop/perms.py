@@ -40,8 +40,8 @@ class Sign(Enum):
     MINUS = -1
 
     # The two products below run about 100 000 times in one verify at n = 5:
-    # they test the class exactly and read the module-level PLUS and MINUS,
-    # as each Sign.PLUS is an Enum class-attribute lookup.
+    # they test the class exactly and, like of_parity, read the module-level
+    # PLUS and MINUS, as each Sign.PLUS is an Enum class-attribute lookup.
     def __mul__(self, other: "Sign") -> "Sign":
         if other.__class__ is not Sign:
             return NotImplemented
@@ -55,7 +55,7 @@ class Sign(Enum):
 
     @classmethod
     def of_parity(cls, count: int) -> "Sign":
-        return cls.PLUS if count % 2 == 0 else cls.MINUS
+        return PLUS if count % 2 == 0 else MINUS
 
 
 PLUS = Sign.PLUS
@@ -100,7 +100,7 @@ def sign_inversions(e: Bijection) -> Sign:
     identity, and reading sorted labels as their positions keeps their
     order, so the pairs counted are those inversions() lists.
     """
-    if e.domain != e.codomain:
+    if (X := e.domain) is not e.codomain and X != e.codomain:
         raise DomainMismatch("inversions require an endo-bijection")
     return chart_sign(e)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,8 @@ from signdeloop.finite import (
     LabeledSet,
     enumerate_bijections,
     fin,
+    random_bijection,
+    random_labeled_set,
 )
 from signdeloop.perms import permutation
 from signdeloop.quotients import Partition
@@ -98,6 +101,60 @@ class TestDecompositionContracts:
     @pytest.mark.parametrize("label", [True, 1.0, "1", None])
     def test_rejects_a_non_int_label(self, label):
         assert_both_constructors_reject(((0, label),), ContractError)
+
+
+def own_carrier_cases():
+    X = random_labeled_set(Random(6), 6)
+    return [permutation((1, 0, 2, 4, 5, 3)), random_bijection(Random(7), X, X)]
+
+
+class TestOwnCarrier:
+    """cycle_decompose builds over the very carrier it decomposes, through
+    the private CycleDecomposition._over, which checks the cycles as the
+    public constructor does and then that they list the carrier once each."""
+
+    @pytest.mark.parametrize("e", own_carrier_cases(), ids=["fin6", "random6"])
+    def test_decompose_and_recompose_keep_the_carrier_object(self, e):
+        dec = cycle_decompose(e)
+        assert dec.carrier is e.domain
+        back = recompose(dec)
+        assert back.domain is e.domain and back.codomain is e.domain
+        assert back == e
+        public = CycleDecomposition(dec.cycles)
+        assert dec == public and hash(dec) == hash(public) and repr(dec) == repr(public)
+        assert public.carrier == e.domain and public.carrier is not e.domain
+
+    @pytest.mark.parametrize(
+        "cycles, carrier",
+        [
+            (((0, 1),), fin(3)),  # misses 2
+            (((0, 1, 2),), fin(2)),  # 2 lies outside
+            (((0, 1), (3,)), fin(3)),  # 3 instead of 2
+            (((0,), (0,), (1,)), fin(2)),  # a repeated orbit
+            (((0, 1, 0),), fin(2)),  # a repeat inside an orbit
+            (((1, 0),), fin(2)),  # not listed from its minimum
+            (((0, 1), ()), fin(2)),  # an empty orbit
+            ((), fin(1)),  # no cycles over a point
+        ],
+        ids=[
+            "miss", "outside", "other-label", "repeated-orbit", "repeat-in-orbit",
+            "not-from-min", "empty-orbit", "no-cycles",
+        ],
+    )
+    def test_private_builder_rejects_a_carrier_not_covered_exactly(self, cycles, carrier):
+        with pytest.raises(MalformedDecomposition):
+            CycleDecomposition._over(cycles, carrier)
+
+    @pytest.mark.parametrize("label", [True, 1.0, "1", None])
+    def test_private_builder_rejects_a_non_int_label(self, label):
+        with pytest.raises(ContractError):
+            CycleDecomposition._over(((0, label),), fin(2))
+
+    def test_private_builder_accepts_an_exact_cover(self):
+        X = LabeledSet.of([2, 3, 5, 9])
+        dec = CycleDecomposition._over(((5,), (2, 9, 3)), X)
+        assert dec.carrier is X
+        assert dec == CycleDecomposition(([5], (2, 9, 3)))
 
 
 class TestIsCyclic:

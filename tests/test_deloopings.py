@@ -305,6 +305,25 @@ class TestFixedPointElements:
         with pytest.raises(CarrierMismatch):
             plus.transport(identity(fin(4)))
 
+    def test_trusted_values_match_the_public_constructor(self):
+        X = random_labeled_set(Random(32), 4)
+        for h in enumerate_bijections(fin(4), X)[:6]:
+            for s in (PLUS, MINUS):
+                public, trusted = FixedPointElement(h, s), FixedPointElement._trusted(h, s)
+                assert trusted == public and public == trusted
+                assert hash(trusted) == hash(public)
+                assert repr(trusted) == repr(public)
+                assert trusted.reference is h and trusted.value_at_reference is s
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trusted.value_at_reference = PLUS
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_elements_are_all_distinct_over_a_random_carrier(self, n):
+        X = random_labeled_set(Random(n), n)
+        elements = list(fixed_point_delooping.elements(X))
+        assert len(elements) == len(set(elements)) == 2 * math.factorial(n)
+        assert fixed_point_delooping.census(X) == [math.factorial(n)] * 2
+
     def test_value_at_reads_only_charts_of_its_carrier(self):
         # The value is read off the two charts' own signs, so a bijection
         # with either end elsewhere must be refused rather than read.
@@ -501,6 +520,24 @@ class TestFamilies:
             sign_from_delooping(Q, identity(fin(2)))
         with pytest.raises(ArityMismatch):
             sign_from_delooping(Q, order_bijection(LabeledSet.of([4, 5, 6])))
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_sign_guard_compares_carriers_not_objects(self, name):
+        # The guard takes fin(n) by identity first; an equal carrier that is
+        # another object still passes, and a foreign carrier still fails.
+        Q = CONSTRUCTIONS[name](4)
+        foreign = LabeledSet((5, 6, 7, 8))
+        for e in (
+            Bijection(foreign, foreign, (6, 5, 7, 8)),
+            Bijection(fin(4), foreign, (6, 5, 7, 8)),
+            Bijection(foreign, fin(4), (1, 0, 2, 3)),
+        ):
+            with pytest.raises(ArityMismatch):
+                sign_from_delooping(Q, e)
+        fresh = LabeledSet((0, 1, 2, 3))
+        assert fresh is not fin(4) and fresh == fin(4)
+        assert sign_from_delooping(Q, Bijection(fresh, fresh, (1, 0, 2, 3))) is MINUS
+        assert sign_from_delooping(Q, Bijection(fresh, fin(4), (1, 2, 0, 3))) is PLUS
 
 
 class TestFiberMaps:

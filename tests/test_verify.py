@@ -11,7 +11,7 @@ from types import GeneratorType, SimpleNamespace
 
 import pytest
 
-from signdeloop import deloopings, perms, verify
+from signdeloop import cycles, deloopings, perms, verify
 from signdeloop.errors import ContractError, SizeGuard
 from signdeloop.deloopings import (
     CONSTRUCTIONS,
@@ -517,6 +517,24 @@ class TestRunVerification:
         assert {("core", "sign-homomorphism"), ("core", "alternating-kernel")} <= failed
         for name in CONSTRUCTIONS:
             assert {(name, "sign-agreement"), (name, "recognition")} <= failed
+
+    @pytest.mark.parametrize(
+        "plant",
+        [
+            # Rotating an orbit keeps its cyclic order, so only the check
+            # that an orbit is listed from its minimum catches it.
+            lambda orbits: [o[1:] + o[:1] for o in orbits[:1]] + orbits[1:],
+            lambda orbits: orbits + orbits[-1:],
+            lambda orbits: orbits[:-1],
+        ],
+        ids=["rotate", "repeat", "drop"],
+    )
+    def test_a_planted_cycle_fault_fails_the_roundtrip_rows(self, monkeypatch, plant):
+        real = cycles._orbits
+        monkeypatch.setattr(cycles, "_orbits", lambda labels, step: plant(real(labels, step)))
+        core = next(r for r in run_verification(5, "all", 101) if r.construction == "core")
+        failed = {c.name for c in core.checks if not c.passed}
+        assert {"cycle-roundtrip", "factorization"} <= failed
 
     def test_seed_changes_are_still_green(self):
         for seed in (1, 2):
