@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     ArityMismatch,
@@ -81,8 +81,8 @@ class Orientation:
     Encoded as a bitmask over the lexicographically sorted pairs: bit k set
     means the larger element of pair k is chosen.  Over an n-point carrier
     the pair at positions x < y is pair k = x*(2n-x-3)//2 - 1 + y.  The
-    public constructor validates the bits; code whose bits fit the
-    carrier's pairs by construction builds through _trusted:
+    public constructor validates the carrier and the bits; code whose bits
+    fit the carrier's pairs by construction builds through _trusted:
     all_orientations, canonical_orientation, flip (once its position is
     checked), orientation_action and verify's sampled triangle law.
     """
@@ -91,6 +91,8 @@ class Orientation:
     bits: int
 
     def __post_init__(self):
+        if not isinstance(self.carrier, LabeledSet):
+            raise ContractError(f"orientation carrier must be a LabeledSet, got {self.carrier!r}")
         width = math.comb(len(self.carrier), 2)
         if not 0 <= require_int(self.bits, "orientation bits") < (1 << width):
             raise ContractError(
@@ -222,11 +224,19 @@ class FixedPointElement:
     parity is chart_sign(h) * chart_sign(reference), each read against the
     order-preserving chart of X; no relative chart is built.  Any two
     parameterizations of the same function agree on every chart; those
-    fixed_point_delooping builds from a chart and a Sign use _trusted.
+    fixed_point_delooping builds from a chart and a Sign use _trusted.  The
+    public constructor checks that reference is a chart fin(n) -> X and that
+    the value is a Sign.
     """
 
     reference: Bijection
     value_at_reference: Sign
+
+    def __post_init__(self):
+        h = self.reference
+        if not isinstance(h, Bijection) or h.domain != fin(len(h.codomain)):
+            raise ContractError(f"reference must be a chart fin(n) -> X, got {h!r}")
+        _require_sign(self.value_at_reference, "value at reference")
 
     @classmethod
     def _trusted(cls, reference: Bijection, value_at_reference: Sign) -> "FixedPointElement":
@@ -263,7 +273,7 @@ class TwoElementFamily:
     multiplication, PLUS keeping each class and MINUS swapping them;
     base_point is the class over fin(arity) charted to +1, so the chart is
     multiplication by it; construction is the record the family was built
-    from, None for mutants and hand-built families.
+    from, None for hand-built families, verify's trivial mutants among them.
     """
 
     name: str
@@ -548,53 +558,6 @@ def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
     cond4, cond5 = bad_swap is None, bad_sign is None
     witness = None if cond3 and cond4 and cond5 else bad_swap or bad_sign
     return RecognitionReport(cond3, cond4, cond5, witness)
-
-
-class Mutation(NamedTuple):
-    """A random functorial deformation, drawn once and applicable to any family.
-
-    Deformations: trivialize the action, conjugate every fiber by a
-    pseudorandom involution (salt; None for none), and/or flip the chart.
-    All deformations stay inside the space of genuine functorial
-    two-element families, which is exactly the space where the recognition
-    booleans must co-vary.
-    """
-
-    trivialize: bool
-    salt: int | None
-    flip_chart: bool
-
-    @classmethod
-    def draw(cls, rng: Random) -> "Mutation":
-        trivialize = rng.random() < 0.4
-        salt = rng.randrange(1 << 30) if rng.random() < 0.7 else None
-        return cls(trivialize, salt, rng.random() < 0.5)
-
-    def apply(self, Q: TwoElementFamily) -> TwoElementFamily:
-        trivialize, salt, flip_chart = self
-
-        def twist(X: LabeledSet) -> Sign:
-            if salt is not None and (hash((salt,) + X.elements) >> 3) & 1:
-                return MINUS
-            return PLUS
-
-        def action(e: Bijection) -> Sign:
-            # twist(X)^-1 then core then twist(Y); each twist is its own inverse.
-            core = PLUS if trivialize else Q.action(e)
-            return core if e.domain == e.codomain else twist(e.domain) * core * twist(e.codomain)
-
-        base_point = -Q.base_point if flip_chart else Q.base_point
-        tags = [
-            tag
-            for tag, on in (
-                ("trivial", trivialize),
-                ("twist", salt is not None),
-                ("flip", flip_chart),
-            )
-            if on
-        ]
-        name = f"{Q.name}/mutant[{','.join(tags) or 'none'}]"
-        return TwoElementFamily(name, Q.arity, action, base_point)
 
 
 @lru_cache(maxsize=len(CONSTRUCTIONS))

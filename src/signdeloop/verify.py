@@ -28,7 +28,6 @@ from .deloopings import (
     CENSUS_BOUND,
     CONSTRUCTIONS,
     Construction,
-    Mutation,
     Orientation,
     TwoElementFamily,
     all_orientations,
@@ -321,19 +320,26 @@ def _one_probe(
     return passing
 
 
-def _covaries(k: int, mutation: Mutation, Q: TwoElementFamily) -> str | None:
-    mutant = mutation.apply(Q)
-    report = check_recognition(mutant)
+def _covaries(k: int, trivialize: bool, Q: TwoElementFamily) -> str | None:
+    name = f"{Q.name}/mutant[{'trivial' if trivialize else 'none'}]"
+    if trivialize:
+        Q = TwoElementFamily(name, Q.arity, lambda e: PLUS, Q.base_point)
+    report = check_recognition(Q)
     if not report.consistent:
-        return f"mutant #{k} ({mutant.name}) booleans {report.booleans!r}"
+        return f"mutant #{k} ({name}) booleans {report.booleans!r}"
     return None
 
 
 def recognition_covariance(n: int, rng: Random) -> Generator[Probe, None, str]:
-    """The recognition booleans co-vary on 50 seeded mutants of each family."""
+    """The recognition booleans co-vary on 50 seeded mutants of each family.
+
+    Recognition reads neither the base point nor any action off fin(n), so
+    to it a deformed family is the family itself or its trivial action:
+    each mutant draws that one bit.
+    """
     count = 50
     for k in range(count):
-        yield partial(_covaries, k, Mutation.draw(rng))
+        yield partial(_covaries, k, rng.random() < 0.4)
     return f"booleans co-vary on {count} mutants"
 
 

@@ -9,7 +9,6 @@ from random import Random
 
 from signdeloop.deloopings import (
     CONSTRUCTIONS,
-    Mutation,
     alternating_kernel,
     check_recognition,
     natural_isomorphism,
@@ -32,6 +31,8 @@ from signdeloop.verify import (
     parity_triangle_holds,
     transposition_oddness,
 )
+
+from deformations import Mutation
 
 
 def conclude(tag: str, violations: int, detail: str) -> None:

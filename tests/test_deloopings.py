@@ -42,7 +42,6 @@ from signdeloop.deloopings import (
     CONSTRUCTIONS,
     Construction,
     FixedPointElement,
-    Mutation,
     Orientation,
     TwoElementFamily,
     all_orientations,
@@ -68,6 +67,7 @@ from signdeloop.deloopings import (
     unswapped_transposition,
 )
 
+from deformations import Mutation
 from strategies import bijection_chains
 from test_imports import PARITY_DEFINITIONS
 
@@ -125,6 +125,8 @@ class TestOrientation:
     def test_bits_validation(self):
         with pytest.raises(ContractError):
             Orientation(fin(3), 8)
+        with pytest.raises(ContractError):
+            Orientation("ab", 0)  # a string of two labels is not a carrier
         with pytest.raises(ContractError):
             Orientation(fin(3), -1)
         with pytest.raises(ContractError):
@@ -304,6 +306,20 @@ class TestFixedPointElements:
         plus, _ = fixed_point_elements(fin(3))
         with pytest.raises(CarrierMismatch):
             plus.transport(identity(fin(4)))
+
+    @pytest.mark.parametrize(
+        "reference, value",
+        [
+            (order_bijection(fin(3)), 1),
+            ("chart", None),
+            (order_bijection(LabeledSet.of([2, 7, 8])), True),
+            (order_bijection(LabeledSet.of([2, 7, 8])).inverse(), PLUS),
+        ],
+        ids=["int-value", "not-a-chart", "bool-value", "chart-into-fin"],
+    )
+    def test_public_constructor_refuses_what_is_not_a_chart_and_a_sign(self, reference, value):
+        with pytest.raises(ContractError):
+            FixedPointElement(reference, value)
 
     def test_trusted_values_match_the_public_constructor(self):
         X = random_labeled_set(Random(32), 4)

@@ -241,3 +241,36 @@ def test_recognition_runs_the_condition_scans():
         if isinstance(node, (ast.For, ast.While, ast.comprehension))
     ]
     assert len(loops) == 1
+
+
+def hash_callers(source: str) -> list[str]:
+    """The functions, innermost first named, that call the builtin hash()
+    anywhere but in a __hash__ method."""
+    callers = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "hash"
+                and function != "__hash__"
+            ):
+                callers.append(function)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+def test_no_verdict_depends_on_hashing():
+    # Hashes of tuples of ints are stable, but a verdict that branched on one
+    # would be decided by the hash function, not by the mathematics.
+    assert [c for path in SOURCES for c in hash_callers(path.read_text())] == []
+
+
+def test_detects_a_hash_call_outside_hash_methods():
+    deformations = Path(__file__).parent / "deformations.py"
+    assert hash_callers(deformations.read_text()) == ["twist"]
+    source = "class A:\n    def __hash__(self):\n        return hash(1)\n\nk = hash(2)\n"
+    assert hash_callers(source) == ["<module>"]

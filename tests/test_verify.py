@@ -17,10 +17,12 @@ from signdeloop.deloopings import (
     CONSTRUCTIONS,
     Construction,
     FixedPointElement,
-    Mutation,
+    Orientation,
     TwoElementFamily,
     all_orientations,
     alternating_kernel,
+    cartier_delooping,
+    check_recognition,
     orbit_class,
 )
 from signdeloop.finite import Bijection, LabeledSet, enumerate_bijections, fin
@@ -42,6 +44,8 @@ from signdeloop.verify import (
     transposition_oddness,
     uniqueness_of_deloopings,
 )
+
+from deformations import Mutation
 
 # (construction, check, passed, detail) of run_verification(n, "all", 0)
 # for n = 2..8, n = 4 with exhaustive_fixed as the benchmark's census
@@ -245,6 +249,47 @@ class TestOracles:
         with pytest.raises(StopIteration) as end:
             next(stream)
         assert end.value.value == "all three conditions hold"
+
+
+class TestRecognitionCovariance:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_recognition_sees_each_deformation_as_the_rows_mutant(self, monkeypatch, n):
+        # Recognition reads actions only on permutations of fin(n), where a
+        # twist cancels, and never reads the base point: a deformed family
+        # gets the very report of the row's mutant with its trivialize bit.
+        reports = []
+        def recognized(Q):
+            reports.append(check_recognition(Q))
+            return reports[-1]
+
+        monkeypatch.setattr(verify, "check_recognition", recognized)
+        drawn = set()
+        for name, build in CONSTRUCTIONS.items():
+            Q, rng = build(n), Random(f"{name}/{n}")
+            for k in range(50):
+                mutation = Mutation.draw(rng)
+                drawn.add(mutation.apply(Q).name.split("/")[1])
+                assert verify._covaries(k, mutation.trivialize, Q) is None
+                assert reports[-1] == check_recognition(mutation.apply(Q)), mutation
+        assert len(reports) == 4 * 50
+        assert {"mutant[none]", "mutant[trivial]", "mutant[twist,flip]"} <= drawn
+
+    def test_a_family_negated_on_a_three_cycle_fails_the_row(self):
+        # Transpositions still swap, so conditions 3 and 4 hold and 5 fails:
+        # the first mutant that keeps the family's action says so.
+        cartier = cartier_delooping(4)
+        cycle = Bijection(fin(4), fin(4), (1, 2, 0, 3))
+        split = TwoElementFamily(
+            "split", 4, lambda e: -cartier.action(e) if e == cycle else cartier.action(e), PLUS
+        )
+        (row,) = [c for c in CHECKS if c.name == "recognition-covariance"]
+        reports = {"split": VerifyReport("split", 4, 0)}
+        verify._run_family(reports, row, Scope(4, 0, Random(0), {"split": split}))
+        (result,) = reports["split"].checks
+        draws = Random(0)
+        k = next(k for k in range(50) if not draws.random() < 0.4)
+        assert not result.passed
+        assert result.detail == f"mutant #{k} (split/mutant[none]) booleans (True, True, False)"
 
 
 def adjacent_swaps(n):
@@ -536,6 +581,20 @@ class TestRunVerification:
         failed = {c.name for c in core.checks if not c.passed}
         assert {"cycle-roundtrip", "factorization"} <= failed
 
+    def test_no_package_path_builds_through_the_public_constructors(self, monkeypatch):
+        # With the checks of FixedPointElement and Orientation made to raise,
+        # every row stays as it was: the package builds both through _trusted.
+        clean = table(run_verification(5))
+
+        def refuse(value):
+            raise AssertionError(f"public constructor reached for {type(value).__name__}")
+
+        for cls in (FixedPointElement, Orientation):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            Orientation(fin(3), 0)
+        assert table(run_verification(5)) == clean
+
     def test_seed_changes_are_still_green(self):
         for seed in (1, 2):
             assert all(r.passed for r in run_verification(2, seed=seed))
@@ -557,8 +616,8 @@ def replay(n, seed):
     """The inputs of the sampled family rows at n >= 5, drawn from
     Random(seed) without the package, in row order: per row, the off-base
     bijections (domain, codomain, images) each family's action receives in
-    order, the carriers each census classifies, or the (trivialize, salt,
-    flip_chart) of each mutation."""
+    order, the carriers each census classifies, or whether each mutant is
+    the trivial action."""
     rng = Random(seed)
 
     def carrier():
@@ -587,12 +646,7 @@ def replay(n, seed):
     rows["functor-laws"] = laws
     if n <= 6:
         rows["fiber-two-elements"] = [carrier() for _ in range(10)]
-        mutations = []
-        for _ in range(50):
-            trivialize = rng.random() < 0.4
-            salt = rng.randrange(1 << 30) if rng.random() < 0.7 else None
-            mutations.append((trivialize, salt, rng.random() < 0.5))
-        rows["recognition-covariance"] = mutations
+        rows["recognition-covariance"] = [rng.random() < 0.4 for _ in range(50)]
     squares = []
     for _ in range(100):
         X, Y, Xp, Yp = carrier(), carrier(), carrier(), carrier()
@@ -611,8 +665,9 @@ def replay(n, seed):
 class DrawRecorder:
     """Records, per family and sampled row, what replay lists: the off-base
     bijections the family's action receives, the carriers its census
-    classifies and the mutations applied to it.  planted, a (constructions,
-    bijection) pair, negates those families' actions on that one bijection."""
+    classifies and whether each of its mutants is the trivial action.
+    planted, a (constructions, bijection) pair, negates those families'
+    actions on that one bijection."""
 
     ROWS = {
         "functor_laws": "functor-laws",
@@ -630,12 +685,12 @@ class DrawRecorder:
             monkeypatch.setattr(verify, attr, self.tagged(row, getattr(verify, attr)))
         for name, build in list(CONSTRUCTIONS.items()):
             monkeypatch.setitem(CONSTRUCTIONS, name, self.recording(name, build))
-        census, apply = Construction.census, Mutation.apply
+        census, covaries = Construction.census, verify._covaries
         monkeypatch.setattr(
             Construction, "census", lambda C, X: self.note(C.name, X.elements) or census(C, X)
         )
         monkeypatch.setattr(
-            Mutation, "apply", lambda m, Q: self.note(Q.name, tuple(m)) or apply(m, Q)
+            verify, "_covaries", lambda k, t, Q: self.note(Q.name, t) or covaries(k, t, Q)
         )
 
     def note(self, family, event):
