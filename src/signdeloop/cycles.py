@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import DomainMismatch, MalformedDecomposition, NotMember
@@ -89,7 +90,10 @@ def cycle_decompose(e: Bijection) -> CycleDecomposition:
     """Canonical cycle form: cycles sorted by minimal label, over e.domain."""
     if (X := e.domain) is not e.codomain and X != e.codomain:
         raise DomainMismatch("cycle decomposition requires an endo-bijection")
-    cycles = _orbits(X.elements, dict(zip(X.elements, e.images)))
+    labels, positions = X.elements, e.positions
+    # The one permutation of fewer than two points is the identity.
+    images = itemgetter(*positions)(labels) if len(positions) > 1 else labels
+    cycles = _orbits(labels, dict(zip(labels, images)))
     return CycleDecomposition._over(tuple(cycles), X)
 
 
@@ -98,7 +102,8 @@ def recompose(dec: CycleDecomposition) -> Bijection:
     image: dict[Label, Label] = {}
     for orbit in dec.cycles:
         image.update(_successors(orbit))
-    return Bijection._trusted(dec.carrier, dec.carrier, tuple(map(image.__getitem__, dec.carrier)))
+    X = dec.carrier
+    return Bijection._trusted(X, X, tuple(map(X._pos.__getitem__, map(image.__getitem__, X))))
 
 
 class RootedTree(Frozen):

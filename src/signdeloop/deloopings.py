@@ -156,7 +156,7 @@ def orientation_action(e: Bijection, u: Orientation) -> Orientation:
     the preimage of b: the bit of the preimage pair, flipped when e reverses
     its order.  Labels are handled by position: preimage[j] is the domain
     position of the preimage of the j-th codomain label, scattered from e's
-    images without building its inverse, and the pair at
+    positions without building its inverse, and the pair at
     positions x < y of n points is bit row[x] + y, row[x] = x*(2n-x-3)//2 - 1.
     The source bits are read once as a binary string and once flipped, and
     the result is assembled once: O(n^2) for n points, about 0.1 s at
@@ -164,9 +164,9 @@ def orientation_action(e: Bijection, u: Orientation) -> Orientation:
     """
     if u.carrier is not e.domain and u.carrier != e.domain:
         raise CarrierMismatch("orientation does not live over the domain of the map")
-    n = len(e.images)
+    n = len(e.positions)
     preimage = [0] * n
-    for i, j in enumerate(map(e.codomain._pos.__getitem__, e.images)):
+    for i, j in enumerate(e.positions):
         preimage[j] = i
     row = [x * (2 * n - x - 3) // 2 - 1 for x in range(n)]
     source = format(u.bits, f"0{math.comb(n, 2)}b")[::-1]  # source[k] is bit k
@@ -302,7 +302,7 @@ class Construction:
     must land in the other class, else ContractError.
 
     Each family keeps its own table of actions over fin(n), keyed by the
-    image tuple of the permutation; a bijection with another domain or
+    position tuple of the permutation; a bijection with another domain or
     codomain is computed afresh every time.  The table is sound because an
     action is a pure function of e: transport, representative and classify
     compute from their arguments alone, so a permutation of fin(n) acts the
@@ -322,22 +322,22 @@ class Construction:
             raise ArityTooSmall(f"{self.name} family needs arity >= 2")
 
         base = fin(n)
-        table: dict[tuple[Label, ...], Sign] = {}
+        table: dict[tuple[int, ...], Sign] = {}
 
         def action(e: Bijection) -> Sign:
             X, Y = e.domain, e.codomain
             over_base = (X is base or X == base) and (Y is base or Y == base)
-            acted = table.get(e.images) if over_base else None
+            acted = table.get(e.positions) if over_base else None
             if acted is None:
-                # A Bijection has as many images as its domain and codomain have labels.
-                if (size := len(e.images)) != n:
+                # A Bijection has as many positions as its domain and codomain have labels.
+                if (size := len(e.positions)) != n:
                     raise ArityMismatch(f"expected a {n}-element set, got {size} elements")
                 acted = self.classify(self.transport(e, self.representative(X, PLUS)))
                 swapped = self.classify(self.transport(e, self.representative(X, MINUS)))
                 if swapped is not -_require_sign(acted):
                     raise ContractError(f"the classes land in {acted!r} and {swapped!r}")
                 if over_base:
-                    table[e.images] = acted
+                    table[e.positions] = acted
             return acted
 
         return TwoElementFamily(self.name, n, action, base_point=PLUS, construction=self)
@@ -447,9 +447,9 @@ def exhaustive_fixed_points(n: int) -> list[dict[Bijection, Sign]]:
         raise SizeGuard(f"census scans 2^(n!) tables; bound is n <= {CENSUS_BOUND}")
     perms = symmetric_group(n)
     m = len(perms)
-    position = {p.images: i for i, p in enumerate(perms)}
+    position = {p.positions: i for i, p in enumerate(perms)}
     pairs = {
-        tuple(sorted((i, position[g.then(p).images])))
+        tuple(sorted((i, position[g.then(p).positions])))
         for g in (transposition(n, a, a + 1) for a in range(n - 1))
         for i, p in enumerate(perms)
     }

@@ -2,15 +2,17 @@
 
 Labels are plain unsigned integers.  A LabeledSet is a strictly increasing
 tuple of labels standing in for an abstract n-element set; a Bijection
-stores its forward images aligned with the sorted domain.  Everything here
-is immutable and hashable, so values can be used as dict keys, memoized,
-and shared freely.
+stores, aligned with the sorted domain, the codomain positions of its
+images, a permutation of range(n), and derives the label images from them.
+Everything here is immutable and hashable, so values can be used as dict
+keys, memoized, and shared freely.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import itemgetter
 from random import Random
 from typing import Iterable, Iterator
 
@@ -165,18 +167,27 @@ def fin(n: int) -> LabeledSet:
 class Bijection(Frozen):
     """An explicit bijection between two labeled sets.
 
-    images[i] is the image of domain.elements[i].  The public constructor
-    Bijection(domain, codomain, images) validates that the images are
-    integers enumerating the codomain exactly once; it is the constructor for
-    images a caller supplies.  Code whose images enumerate a validated
-    LabeledSet by construction builds through _trusted, which skips that
-    check: then() and inverse(), identity, order_bijection,
-    enumerate_bijections (permutations of the codomain), random_bijection
-    (a sample of the whole codomain) and cycles.recompose (the successors
-    along a validated decomposition).
+    It is stored as positions: positions[i] is the codomain position of the
+    image of domain.elements[i], a permutation of range(n) that composition,
+    inversion and parity read with no label lookup.  The label images,
+    images[i] being the image of domain.elements[i], are derived on first
+    read; over a codomain fin(n) they are the positions tuple itself.
+
+    The public constructor Bijection(domain, codomain, images) validates
+    that the carriers are LabeledSets and that the images are integers
+    enumerating the codomain exactly once, then maps them to positions; it
+    is the constructor for images a caller supplies.  Code whose positions
+    permute range(n) by construction builds through _trusted, which skips
+    that check: then() and inverse(), identity, order_bijection,
+    enumerate_bijections (the permutations of range(n)), random_bijection
+    (a sample of range(n)) and cycles.recompose (the successors along a
+    validated decomposition).
     """
 
     def __init__(self, domain: LabeledSet, codomain: LabeledSet, images: Iterable[Label]):
+        for carrier in (domain, codomain):
+            if not isinstance(carrier, LabeledSet):
+                raise ContractError(f"bijection carriers must be LabeledSets, got {carrier!r}")
         imgs = require_ints(tuple(images), "image")
         if len(imgs) != len(domain):
             raise ContractError(
@@ -188,10 +199,12 @@ class Bijection(Frozen):
             )
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "positions", tuple(map(codomain._pos.__getitem__, imgs)))
         object.__setattr__(self, "images", imgs)
 
     def _values(self) -> tuple:
-        return (self.domain, self.codomain, self.images)
+        # Labels are sorted, so equal positions over equal carriers are equal images.
+        return (self.domain, self.codomain, self.positions)
 
     def __repr__(self) -> str:
         fields = f"domain={self.domain!r}, codomain={self.codomain!r}, images={self.images!r}"
@@ -199,25 +212,33 @@ class Bijection(Frozen):
 
     @classmethod
     def _trusted(
-        cls, domain: LabeledSet, codomain: LabeledSet, images: tuple[Label, ...]
+        cls, domain: LabeledSet, codomain: LabeledSet, positions: tuple[int, ...]
     ) -> "Bijection":
-        """A Bijection from images already known to enumerate codomain."""
+        """A Bijection from a tuple already known to be a permutation of
+        range(n), n being the size of both carriers."""
         e = object.__new__(cls)
         fields = e.__dict__
         fields["domain"] = domain
         fields["codomain"] = codomain
-        fields["images"] = images
+        fields["positions"] = positions
         return e
 
+    @cached_property
+    def images(self) -> tuple[Label, ...]:
+        """images[i] is the image of domain.elements[i]."""
+        labels = self.codomain.elements
+        if not labels or labels[-1] == len(labels) - 1:  # fin(n): labels are positions
+            return self.positions
+        return tuple(map(labels.__getitem__, self.positions))
+
     def __call__(self, label: Label) -> Label:
-        return self.images[self.domain.position(label)]
+        return self.codomain.elements[self.positions[self.domain.position(label)]]
 
     def inverse(self) -> "Bijection":
-        images = [None] * len(self.images)
-        pos = self.codomain._pos
-        for x, y in zip(self.domain.elements, self.images):
-            images[pos[y]] = x
-        return Bijection._trusted(self.codomain, self.domain, tuple(images))
+        positions = [0] * len(self.positions)
+        for i, j in enumerate(self.positions):
+            positions[j] = i
+        return Bijection._trusted(self.codomain, self.domain, tuple(positions))
 
     def then(self, other: "Bijection") -> "Bijection":
         """Diagrammatic composite: apply self first, then other."""
@@ -225,10 +246,11 @@ class Bijection(Frozen):
             raise DomainMismatch(
                 f"cannot chain {self.codomain.elements!r} into {other.domain.elements!r}"
             )
-        pos, images = other.domain._pos, other.images
-        return Bijection._trusted(
-            self.domain, other.codomain, tuple([images[pos[y]] for y in self.images])
-        )
+        outer, inner = other.positions, self.positions
+        # itemgetter of two or more indices returns their tuple in one C call;
+        # below two points the one permutation is the identity.
+        positions = itemgetter(*inner)(outer) if len(inner) > 1 else inner
+        return Bijection._trusted(self.domain, other.codomain, positions)
 
     def moved(self) -> tuple[Label, ...]:
         """Labels not fixed by an endo-bijection."""
@@ -236,11 +258,12 @@ class Bijection(Frozen):
 
 
 def identity(X: LabeledSet) -> Bijection:
-    return Bijection._trusted(X, X, X.elements)
+    return Bijection._trusted(X, X, fin(len(X.elements)).elements)
 
 
 def enumerate_bijections(A: LabeledSet, B: LabeledSet) -> tuple[Bijection, ...]:
-    """All bijections A -> B in lexicographic order of their image tuples.
+    """All bijections A -> B in lexicographic order of their image tuples,
+    which is the order of their position tuples, as labels are sorted.
 
     Empty when the cardinalities differ; refuses to enumerate above
     ENUMERATION_BOUND elements since the listing has |A|! entries.
@@ -252,7 +275,7 @@ def enumerate_bijections(A: LabeledSet, B: LabeledSet) -> tuple[Bijection, ...]:
     if len(A) != len(B):
         return ()
     return tuple(
-        Bijection._trusted(A, B, images) for images in itertools.permutations(B.elements)
+        Bijection._trusted(A, B, positions) for positions in itertools.permutations(range(len(B)))
     )
 
 
@@ -287,7 +310,8 @@ def transposition_of_pair(X: LabeledSet, pair: Iterable[Label]) -> Bijection:
 
 def order_bijection(X: LabeledSet) -> Bijection:
     """The order-preserving bijection fin(|X|) -> X; the canonical chart."""
-    return Bijection._trusted(fin(len(X.elements)), X, X.elements)
+    base = fin(len(X.elements))
+    return Bijection._trusted(base, X, base.elements)
 
 
 def random_labeled_set(rng: Random, size: int) -> LabeledSet:
@@ -308,4 +332,6 @@ def random_bijection(rng: Random, A: LabeledSet, B: LabeledSet) -> Bijection:
         raise WrongCardinality(
             f"no bijection between sizes {len(A)} and {len(B)}"
         )
-    return Bijection._trusted(A, B, tuple(rng.sample(B.elements, len(B))))
+    # sample picks indices from the population's length alone, so sampling
+    # range(n) makes the same draws as sampling B's labels.
+    return Bijection._trusted(A, B, tuple(rng.sample(range(len(B)), len(B))))

@@ -86,10 +86,13 @@ def inversions(e: Bijection) -> tuple[tuple[int, int], ...]:
     """All label pairs i < j that e sends out of order, lexicographically."""
     if e.domain != e.codomain:
         raise DomainMismatch("inversions require an endo-bijection")
+    labels, positions = e.domain.elements, e.positions
+    # Labels are sorted, so e sends i < j out of order exactly when it
+    # sends their positions out of order.
     return tuple(
-        (i, j)
-        for i, j in itertools.combinations(e.domain.elements, 2)
-        if e(i) > e(j)
+        (labels[i], labels[j])
+        for i, j in itertools.combinations(range(len(labels)), 2)
+        if positions[i] > positions[j]
     )
 
 
@@ -114,21 +117,14 @@ def listing_signs(n: int) -> tuple[Sign, ...]:
 def chart_sign(h: Bijection) -> Sign:
     """The sign of h relative to the order-preserving bijection between its ends.
 
-    Read as codomain positions, h's images are the permutation of fin(n)
-    that h becomes between the two order charts; its inversions are counted
-    straight off that tuple.  This is the package's one permutation-parity
-    reader.  The count depends on the position tuple alone, so tuples of at
-    most ENUMERATION_BOUND points are kept in a cache of
-    ENUMERATION_BOUND! entries, room for one full listing of S_n; larger
-    ones are counted afresh on every call.  Labels are strictly increasing
-    naturals, so a codomain whose last label is its size less one is fin(n),
-    and its positions are the images themselves.
+    h's positions are the permutation of fin(n) that h becomes between the
+    two order charts; its inversions are counted straight off that tuple.
+    This is the package's one permutation-parity reader.  The count depends
+    on the position tuple alone, so tuples of at most ENUMERATION_BOUND
+    points are kept in a cache of ENUMERATION_BOUND! entries, room for one
+    full listing of S_n; larger ones are counted afresh on every call.
     """
-    labels = h.codomain.elements
-    if labels and labels[-1] == len(labels) - 1:
-        positions = h.images
-    else:
-        positions = tuple(map(h.codomain._pos.__getitem__, h.images))
+    positions = h.positions
     if len(positions) > ENUMERATION_BOUND:
         return _sign_of_images.__wrapped__(positions)
     return _sign_of_images(positions)

@@ -164,7 +164,7 @@ def kernel_closure(n: int) -> tuple[bool, str]:
     listing order.
     """
     kernel = alternating_kernel(n)
-    members = {e.images for e in kernel}
+    members = {e.positions for e in kernel}  # over fin(n), the image tuples
     moves = [tuple({0: 1, 1: i, i: 0}.get(k, k) for k in range(n)) for i in range(2, n)]
     reached = {tuple(range(n))}
     for p, i, q in cayley_edges(n, moves):
@@ -172,7 +172,7 @@ def kernel_closure(n: int) -> tuple[bool, str]:
             return False, f"product of {p!r} and {moves[i]!r} escapes the kernel"
         reached.add(q)
     for e in kernel:
-        if e.images not in reached:
+        if e.positions not in reached:
             return False, f"{e.images!r} is not reached from the identity"
     return True, f"order {len(kernel)}"
 
@@ -429,7 +429,7 @@ def fixed_equivariance(n: int) -> tuple[bool, str]:
     representative = fixed_point_delooping(n).construction.representative
     swaps = [itemgetter(*g) for g in adjacent_swaps(n)]
     for elem in (representative(base, s) for s in (PLUS, MINUS)):
-        value = {h.images: elem.value_at(h) for h in symmetric_group(n)}  # one read per chart
+        value = {h.positions: elem.value_at(h) for h in symmetric_group(n)}  # one read per chart
         for h, v in value.items():
             for i, swap in enumerate(swaps):
                 if value[swap(h)] is not -v:
@@ -538,7 +538,7 @@ def sign_homomorphism(n: int, rng: Random) -> tuple[bool, str]:
             if sign_inversions(a.then(b)) != sign_inversions(a) * sign_inversions(b):
                 return False, f"multiplicativity fails at {(a.images, b.images)!r}"
         return True, "sign is multiplicative"
-    sign = {e.images: sign_inversions(e) for e in symmetric_group(n)}
+    sign = {e.positions: sign_inversions(e) for e in symmetric_group(n)}
     if sign[tuple(range(n))] is not PLUS:
         return False, "sign of the identity is not +1"
     moves = adjacent_swaps(n)

@@ -37,3 +37,21 @@ def bijection_chains(draw, length=2, min_size=0, max_size=6):
         images = tuple(draw(st.permutations(B.elements)))
         chain.append(Bijection(A, B, images))
     return chain
+
+
+def carriers(n):
+    """fin(n), or an n-element set of arbitrary labels."""
+    return st.one_of(st.just(fin(n)), labeled_sets(n, n))
+
+
+@st.composite
+def labeled_chains(draw, length=2, max_size=6):
+    """Composable bijections, each over fin(n) or an arbitrary carrier,
+    paired with its dict of label images: the label-level oracle."""
+    n = draw(st.integers(0, max_size))
+    sets = [draw(carriers(n)) for _ in range(length + 1)]
+    chain = []
+    for A, B in zip(sets, sets[1:]):
+        images = tuple(draw(st.permutations(B.elements)))
+        chain.append((Bijection(A, B, images), dict(zip(A.elements, images))))
+    return chain

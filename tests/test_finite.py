@@ -37,7 +37,7 @@ from signdeloop.deloopings import (
 from signdeloop.perms import permutation
 from signdeloop.verify import parity_triangle_holds
 
-from strategies import bijection_chains, endo_bijections
+from strategies import bijection_chains, endo_bijections, labeled_chains
 
 # Values that are not integers, among them ones equal to an int (0.0, True).
 non_integers = st.one_of(
@@ -202,6 +202,23 @@ class TestBijection:
         with pytest.raises(ContractError):
             Bijection(fin(2), fin(3), (0, 1))
 
+    @pytest.mark.parametrize(
+        "domain, codomain", [("ab", fin(2)), (fin(2), (0, 1)), ((0, 1), (0, 1)), (fin(2), None)]
+    )
+    def test_carriers_must_be_labeled_sets(self, domain, codomain):
+        with pytest.raises(ContractError):
+            Bijection(domain, codomain, (0, 1))
+
+    def test_stores_codomain_positions(self):
+        X, Y = LabeledSet.of([4, 9, 20]), LabeledSet.of([3, 7, 11])
+        e = Bijection(X, Y, (11, 3, 7))
+        assert e.positions == (2, 0, 1)
+        assert e.inverse().positions == (1, 2, 0)
+        assert e.inverse().images == (9, 20, 4)
+        # Equal positions over other carriers are another bijection.
+        assert e != Bijection(fin(3), fin(3), (2, 0, 1))
+        assert e.then(e.inverse().then(order_bijection(X).inverse())).images == (0, 1, 2)
+
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):
             identity(fin(2)).then(identity(fin(3)))
@@ -246,6 +263,38 @@ class TestBijection:
     def test_identity_laws(self, e):
         assert identity(e.domain).then(e) == e
         assert e.then(identity(e.codomain)) == e
+
+
+def _from_table(A, B, table):
+    """The validated Bijection A -> B with the label images of a dict."""
+    return Bijection(A, B, tuple(table[x] for x in A))
+
+
+class TestLabelOracle:
+    """then, inverse, calls, images, moved, == and hash agree with plain dicts
+    of label images, over fin(n) and arbitrary carriers, for n = 0..6:
+    itemgetter composes at n >= 2 only."""
+
+    @given(labeled_chains(length=2), st.data())
+    def test_agrees_with_dicts_of_labels(self, chain, data):
+        (e, d), (f, g) = chain
+        A, B, C = e.domain, e.codomain, f.codomain
+        cases = (
+            (e, d, A, B),
+            (e.then(f), {x: g[d[x]] for x in A}, A, C),
+            (e.inverse(), {y: x for x, y in d.items()}, B, A),
+            (f.inverse().then(e.inverse()), {g[y]: x for x, y in d.items()}, C, A),
+        )
+        for b, table, X, Y in cases:
+            assert (b.domain, b.codomain) == (X, Y)
+            assert type(b.images) is tuple and b.images == tuple(table[x] for x in X)
+            assert b.positions == tuple(Y.elements.index(table[x]) for x in X)
+            assert [b(x) for x in X] == [table[x] for x in X]
+            assert b.moved() == tuple(x for x in X if table[x] != x)
+            twin = _from_table(X, Y, table)
+            assert b == twin and hash(b) == hash(twin)
+        other = dict(zip(A.elements, data.draw(st.permutations(B.elements))))
+        assert (e == _from_table(A, B, other)) == (d == other)
 
 
 class TestEnumerateBijections:
@@ -340,6 +389,19 @@ class TestRandomBijection:
         assert (e.domain, e.codomain) == (A, B)
         assert e.images == tuple(twin.sample(B.elements, len(B)))
         assert rng.getstate() == twin.getstate()
+
+    def test_draws_do_not_move(self):
+        # random_bijection samples positions, range(n); sample picks its
+        # indices from the population's length alone, so it draws what
+        # sampling B's labels draws, from the same generator state.  With
+        # as many picks as points, sample always takes its pool branch.
+        for n in range(41):
+            A, B = fin(n), LabeledSet(range(7, 7 + 5 * n, 5))
+            for seed in range(500):
+                rng, twin = Random(seed), Random(seed)
+                e = random_bijection(rng, A, B)
+                assert e.positions == tuple(map(B._pos.__getitem__, twin.sample(B.elements, n)))
+                assert rng.getstate() == twin.getstate()
 
     def test_sizes_must_match(self):
         with pytest.raises(WrongCardinality):

@@ -177,19 +177,19 @@ class TestChartSign:
         assert ok
         assert perms._sign_of_images.cache_info() == before
 
-    def test_reads_images_straight_on_fin_n(self):
-        # LabeledSet.of(range(4)) equals fin(4) but is another object; with
-        # its position map emptied, only the fast path can still count.
-        X = LabeledSet.of(range(4))
-        assert X == fin(4) and X is not fin(4)
-        listing = enumerate_bijections(X, X)
-        expected = [Sign.of_parity(len(inversions(e))) for e in listing]
-        object.__setattr__(X, "_pos", {})
-        assert [chart_sign(e) for e in listing] == expected
+    def test_reads_positions_without_label_lookups(self):
+        # With their position maps emptied, carriers can map no label to a
+        # position: chart_sign counts off the stored positions alone, on a
+        # copy of fin(4) and on other labels alike.
+        for X in (LabeledSet.of(range(4)), LabeledSet.of([2, 30, 41, 500])):
+            listing = enumerate_bijections(X, X)
+            expected = [Sign.of_parity(len(inversions(e))) for e in listing]
+            object.__setattr__(X, "_pos", {})
+            assert [chart_sign(e) for e in listing] == expected
 
     def test_maps_labels_to_positions_off_fin_n(self):
-        # {0, 1, 3} starts like fin(3) but is not one: its images are read
-        # as positions, so (0, 3, 1) shares the cache entry of (0, 2, 1).
+        # {0, 1, 3} starts like fin(3) but is not one: the images (0, 3, 1)
+        # are stored as positions (0, 2, 1), and share that cache entry.
         X = LabeledSet.of([0, 1, 3])
         assert chart_sign(permutation((0, 2, 1))) is MINUS
         before = perms._sign_of_images.cache_info()

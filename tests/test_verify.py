@@ -11,7 +11,7 @@ from types import GeneratorType, SimpleNamespace
 
 import pytest
 
-from signdeloop import cycles, deloopings, perms, verify
+from signdeloop import cli, cycles, deloopings, finite, perms, verify
 from signdeloop.errors import ContractError, SizeGuard
 from signdeloop.deloopings import (
     CONSTRUCTIONS,
@@ -56,7 +56,8 @@ GOLDEN = json.loads((Path(__file__).parent / "verify_golden.json").read_text())
 
 # The (construction, check) -> detail tables of the benchmark's correctness
 # gate, read from its file: perfbench is not a package.
-GATED = runpy.run_path(str(Path(__file__).parent.parent / "perfbench" / "gate.py"))["EXPECTED"]
+GATE = runpy.run_path(str(Path(__file__).parent.parent / "perfbench" / "gate.py"))
+GATED = GATE["EXPECTED"]
 
 
 class TestOracles:
@@ -827,3 +828,37 @@ class TestSharedDraws:
             assert durations[row] == {
                 "fixed": share, "orbit": share, "simpson": share, "cartier": share + acted
             }, row
+
+
+class TestTrustedPathInvariant:
+    """Over fin(n) labels and positions are the same tuples, so the golden
+    rows cannot tell a caller of Bijection._trusted that passes labels for
+    positions.  Every such call in verify runs and in one pass of the
+    benchmark's CLI mix must pass a tuple permuting range(n) between two
+    n-element carriers."""
+
+    def test_every_trusted_bijection_is_given_positions(self, monkeypatch, capsys):
+        trusted = Bijection._trusted.__func__
+        calls, violations = [0], []
+
+        def checked(cls, domain, codomain, positions):
+            calls[0] += 1
+            n = len(codomain)
+            if not (
+                type(positions) is tuple
+                and sorted(positions) == list(range(n))
+                and len(domain) == n
+            ):
+                violations.append((domain, codomain, positions))
+            return trusted(cls, domain, codomain, positions)
+
+        monkeypatch.setattr(Bijection, "_trusted", classmethod(checked))
+        # Cached listings and squares are rebuilt under the wrapper.
+        finite.symmetric_group.cache_clear()
+        deloopings._naturality_signs.cache_clear()
+        for n in range(2, 6):
+            assert all(r.passed for r in run_verification(n))
+        for invocation in GATE["cli_pass"](Random(0)):
+            assert cli.run_command(list(invocation.argv)) == 0, invocation.argv
+        capsys.readouterr()
+        assert calls[0] > 0 and violations == []
