@@ -21,7 +21,7 @@ import sys
 
 from .cycles import CycleDecomposition, cycle_decompose, recompose
 from .errors import ContractError
-from .finite import Bijection, fin, require_natural
+from .finite import Bijection, fin, require_natural, symmetric_group
 from .perms import factor_into_transpositions, permutation, sign_inversions
 
 _CYCLE_TOKEN = re.compile(r"\(([^()]*)\)")
@@ -251,7 +251,8 @@ def _cmd_verify(args) -> int:
 def _cmd_alternating(args) -> int:
     from .deloopings import alternating_kernel
 
-    kernel = alternating_kernel(args.n)
+    group = symmetric_group(args.n)
+    kernel = alternating_kernel(group, tuple(map(sign_inversions, group)))
     if args.json:
         _print_json({
             "n": args.n,

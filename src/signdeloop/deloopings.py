@@ -61,7 +61,7 @@ from .finite import (
     require_natural,
     symmetric_group,
 )
-from .perms import MINUS, PLUS, Sign, chart_sign, listing_signs, transposition
+from .perms import MINUS, PLUS, Sign, chart_sign, sign_inversions, transposition
 
 
 def _require_sign(value, what: str = "class") -> Sign:
@@ -420,9 +420,9 @@ def _column(i: int, width: int) -> int:
     return column
 
 
-def exhaustive_fixed_points(n: int) -> list[dict[Bijection, Sign]]:
-    """Scan all 2^(n!) sign-valued tables on permutations and keep the ones
-    fixed by every generator of the twisted action.
+def exhaustive_fixed_points(group: tuple) -> list[dict[Bijection, Sign]]:
+    """Scan all 2^(n!) sign-valued tables on the listing group of S_n, and
+    no sign, and keep the ones fixed by every generator of the twisted action.
 
     Table k sends the i-th permutation to -1 when bit i of k is set.  A
     generator g sends f to h -> -f(h o g), so k is fixed exactly when bit i
@@ -443,15 +443,14 @@ def exhaustive_fixed_points(n: int) -> list[dict[Bijection, Sign]]:
     8 KiB, and the scan traces under 1 MiB.  Survivors are read off block by
     block and bit by bit, in ascending k.
     """
+    n, m = len(group[0].positions), len(group)  # group[0] is the identity
     if n > CENSUS_BOUND:
         raise SizeGuard(f"census scans 2^(n!) tables; bound is n <= {CENSUS_BOUND}")
-    perms = symmetric_group(n)
-    m = len(perms)
-    position = {p.positions: i for i, p in enumerate(perms)}
+    position = {p.positions: i for i, p in enumerate(group)}
     pairs = {
         tuple(sorted((i, position[g.then(p).positions])))
         for g in (transposition(n, a, a + 1) for a in range(n - 1))
-        for i, p in enumerate(perms)
+        for i, p in enumerate(group)
     }
     b = min(_BLOCK_BITS, m)
     full = (1 << (1 << b)) - 1
@@ -476,7 +475,7 @@ def exhaustive_fixed_points(n: int) -> list[dict[Bijection, Sign]]:
             alive &= alive - 1
             mask = (block << b) | t
             tables.append(
-                {p: (MINUS if (mask >> i) & 1 else PLUS) for i, p in enumerate(perms)}
+                {p: (MINUS if (mask >> i) & 1 else PLUS) for i, p in enumerate(group)}
             )
     return tables
 
@@ -534,27 +533,23 @@ def unswapped_transposition(Q: TwoElementFamily) -> Bijection | None:
     return next((t for t in transpositions if Q.action(t) is not MINUS), None)
 
 
-def sign_mismatch(Q: TwoElementFamily) -> Bijection | None:
-    """Condition 5's scan: the first permutation of symmetric_group(arity)
-    whose extracted sign differs from its sign in listing_signs, or None."""
-    listing = zip(symmetric_group(Q.arity), listing_signs(Q.arity))
-    return next((e for e, sign in listing if sign_from_delooping(Q, e) is not sign), None)
+def sign_mismatch(Q: TwoElementFamily, group: tuple, signs: tuple) -> Bijection | None:
+    """Condition 5's scan: the first permutation of the listing group of
+    S_arity whose extracted sign differs from its sign in signs, or None."""
+    return next((e for e, s in zip(group, signs) if sign_from_delooping(Q, e) is not s), None)
 
 
-def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
-    """Decide, by exhaustion over S_arity, whether a family deloops the sign.
+def check_recognition(Q: TwoElementFamily, group: tuple, signs: tuple) -> RecognitionReport:
+    """Decide, by exhaustion over the caller's listing group of S_arity and
+    signs, the inversion sign of each of its permutations in order, whether
+    a family deloops the sign.
 
     condition 3: some permutation acts non-trivially on the base fiber;
     condition 4: every transposition acts as the swap (unswapped_transposition);
-    condition 5: the extracted sign agrees with the inversion-count sign
-    on every permutation (sign_mismatch).
-
-    Conditions 3 and 5 scan the one listing symmetric_group(arity); condition 3
-    reads it before any action, so an arity past ENUMERATION_BOUND raises
-    SizeGuard first.
+    condition 5: the extracted sign agrees with signs on every permutation (sign_mismatch).
     """
-    cond3 = any(Q.action(e) is not PLUS for e in symmetric_group(Q.arity))
-    bad_swap, bad_sign = unswapped_transposition(Q), sign_mismatch(Q)
+    cond3 = any(Q.action(e) is not PLUS for e in group)
+    bad_swap, bad_sign = unswapped_transposition(Q), sign_mismatch(Q, group, signs)
     cond4, cond5 = bad_swap is None, bad_sign is None
     witness = None if cond3 and cond4 and cond5 else bad_swap or bad_sign
     return RecognitionReport(cond3, cond4, cond5, witness)
@@ -564,18 +559,20 @@ def check_recognition(Q: TwoElementFamily) -> RecognitionReport:
 def _naturality_signs(
     Q: TwoElementFamily, squares: int, state: tuple
 ) -> tuple[tuple[tuple[LabeledSet, LabeledSet, Bijection], ...], tuple[Sign, ...]]:
-    """Recognize Q, then draw `squares` squares (X, Y, e) from a Random in
-    `state` and sign each Q(e) * Q(h_X) * Q(h_Y), h_Z being Z's order chart.
+    """Recognize Q over its own listing of S_arity, then draw `squares`
+    squares (X, Y, e) from a Random in `state` and sign each
+    Q(e) * Q(h_X) * Q(h_Y), h_Z being Z's order chart.
 
     Kept per family for as many families as there are constructions, so
-    verify's 16 natural isomorphisms recognize and square each of its 4
-    families once.  The key holds the generator state, not the seed, so
-    that every seed Random takes (None and bytearray too) names exactly
-    the squares it draws.
+    verify's 16 natural isomorphisms list, recognize and square each of its
+    4 families once; a later run's families are new keys.  The key holds
+    the generator state, not the seed, so that every seed Random takes
+    (None and bytearray too) names exactly the squares it draws.
     """
-    if not check_recognition(Q).is_delooping:
-        raise NotADelooping(f"{Q.name} fails recognition")
     n = Q.arity
+    group = symmetric_group(n)
+    if not check_recognition(Q, group, tuple(map(sign_inversions, group))).is_delooping:
+        raise NotADelooping(f"{Q.name} fails recognition")
     base = fin(n)
     rng = Random()
     rng.setstate(state)
@@ -637,8 +634,8 @@ def natural_isomorphism(
     return at
 
 
-def alternating_kernel(n: int) -> tuple[Bijection, ...]:
-    """All permutations of fin(n) with sign +1, in enumeration order."""
-    if n < 2:
+def alternating_kernel(group: tuple, signs: tuple) -> tuple[Bijection, ...]:
+    """The permutations of the listing group of S_n whose sign is +1, in order."""
+    if len(group) < 2:
         raise ArityTooSmall("the kernel is only materialized for n >= 2")
-    return tuple(e for e, s in zip(symmetric_group(n), listing_signs(n)) if s is PLUS)
+    return tuple(e for e, s in zip(group, signs) if s is PLUS)

@@ -28,8 +28,8 @@ from .errors import (
 Label = int
 
 # Exhaustive listings refuse to run above this many elements; every exhaustion
-# over S_n (kernel, recognition, census, verify checks) reads symmetric_group(n),
-# which lists through enumerate_bijections: this is the one enumeration guard.
+# over S_n (kernel, recognition, census, verify checks) scans a listing of
+# symmetric_group(n), made by enumerate_bijections: the one enumeration guard.
 ENUMERATION_BOUND = 8
 
 
@@ -279,9 +279,8 @@ def enumerate_bijections(A: LabeledSet, B: LabeledSet) -> tuple[Bijection, ...]:
     )
 
 
-@lru_cache(maxsize=1, typed=True)  # typed: n=True and n=1.0 miss n=1's entry, and raise
 def symmetric_group(n: int) -> tuple[Bijection, ...]:
-    """S_n, listed once for every exhaustive reader; a run reads one arity."""
+    """S_n, listed afresh by every call: a scan takes its caller's listing."""
     return enumerate_bijections(fin(n), fin(n))
 
 

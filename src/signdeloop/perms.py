@@ -27,7 +27,6 @@ from .finite import (
     LabeledSet,
     fin,
     identity,
-    symmetric_group,
     transposition_of_pair,
 )
 
@@ -106,12 +105,6 @@ def sign_inversions(e: Bijection) -> Sign:
     if (X := e.domain) is not e.codomain and X != e.codomain:
         raise DomainMismatch("inversions require an endo-bijection")
     return chart_sign(e)
-
-
-@lru_cache(maxsize=1, typed=True)
-def listing_signs(n: int) -> tuple[Sign, ...]:
-    """sign_inversions of each permutation of symmetric_group(n), in order."""
-    return tuple(map(sign_inversions, symmetric_group(n)))
 
 
 def chart_sign(h: Bijection) -> Sign:

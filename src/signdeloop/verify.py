@@ -13,7 +13,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from operator import itemgetter
 from random import Random
 from typing import Callable, Generator, Iterator, Mapping, NamedTuple
@@ -62,9 +62,9 @@ from .finite import (
 from .perms import (
     MINUS,
     PLUS,
+    Sign,
     factor_into_transpositions,
     inversions,
-    listing_signs,
     permutation,
     product_of_transpositions,
     sign_inversions,
@@ -150,8 +150,8 @@ def expand_orbits(n: int) -> list[set[tuple]]:
     return [plus | minus] if merged else [plus, minus]
 
 
-def kernel_closure(n: int) -> tuple[bool, str]:
-    """The even listing is A_n, a subgroup, proved by generation.
+def kernel_closure(n: int, group: tuple, signs: tuple) -> tuple[bool, str]:
+    """The even listing of S_n is A_n, a subgroup, proved by generation.
 
     The Cayley walk under the 3-cycles (0 1 i), 2 <= i < n, which generate
     A_n, must stay in the listing and reach all of it (the identity counts
@@ -163,7 +163,7 @@ def kernel_closure(n: int) -> tuple[bool, str]:
     escaping edge in walk order, else the first unreached permutation in
     listing order.
     """
-    kernel = alternating_kernel(n)
+    kernel = alternating_kernel(group, signs)
     members = {e.positions for e in kernel}  # over fin(n), the image tuples
     moves = [tuple({0: 1, 1: i, i: 0}.get(k, k) for k in range(n)) for i in range(2, n)]
     reached = {tuple(range(n))}
@@ -237,11 +237,11 @@ def transposition_oddness(n: int) -> tuple[bool, str]:
     return True, "odd for every transposition"
 
 
-def bridge_parity(n: int) -> tuple[bool, str]:
+def bridge_parity(n: int, group: tuple) -> tuple[bool, str]:
     """Distance from the canonical orientation to its transport along e has
-    the same parity as the inversion count of e, for every permutation."""
+    the same parity as the inversion count of e, for every e in group."""
     d = canonical_orientation(fin(n))
-    for e in symmetric_group(n):
+    for e in group:
         m = relative_inversions(d, orientation_action(e, d))
         if m % 2 != len(inversions(e)) % 2:
             return False, f"permutation {e.images!r}: count {m} vs inversions"
@@ -269,15 +269,15 @@ def _composite_law(e: Bijection, f: Bijection, ef: Bijection, Q: TwoElementFamil
     return None
 
 
-def functor_laws(n: int, rng: Random) -> Generator[Probe, None, str]:
+def functor_laws(s: Scope) -> Generator[Probe, None, str]:
     """The action of the identity is PLUS and the action of e.then(f) is
     the product of theirs: on every pair of S_n for n <= 4, else on 300
     seeded pairs between random carriers; then the identity of 10 random
     carriers acts as PLUS."""
-    base = fin(n)
-    yield partial(_identity_law, identity(base), "action of the identity is not the identity")
+    n, rng = s.n, s.family_rng
+    yield partial(_identity_law, identity(fin(n)), "action of the identity is not the identity")
     if n <= 4:
-        for e, f in itertools.product(symmetric_group(n), repeat=2):
+        for e, f in itertools.product(s.group, repeat=2):
             yield partial(_composite_law, e, f, e.then(f))
     else:
         for _ in range(300):
@@ -320,17 +320,17 @@ def _one_probe(
     return passing
 
 
-def _covaries(k: int, trivialize: bool, Q: TwoElementFamily) -> str | None:
-    name = f"{Q.name}/mutant[{'trivial' if trivialize else 'none'}]"
-    if trivialize:
+def _covaries(k: int, trivial: bool, group: tuple, signs: tuple, Q: TwoElementFamily) -> str | None:
+    name = f"{Q.name}/mutant[{'trivial' if trivial else 'none'}]"
+    if trivial:
         Q = TwoElementFamily(name, Q.arity, lambda e: PLUS, Q.base_point)
-    report = check_recognition(Q)
+    report = check_recognition(Q, group, signs)
     if not report.consistent:
         return f"mutant #{k} ({name}) booleans {report.booleans!r}"
     return None
 
 
-def recognition_covariance(n: int, rng: Random) -> Generator[Probe, None, str]:
+def recognition_covariance(rng: Random, group: tuple, signs: tuple) -> Generator[Probe, None, str]:
     """The recognition booleans co-vary on 50 seeded mutants of each family.
 
     Recognition reads neither the base point nor any action off fin(n), so
@@ -339,7 +339,7 @@ def recognition_covariance(n: int, rng: Random) -> Generator[Probe, None, str]:
     """
     count = 50
     for k in range(count):
-        yield partial(_covaries, k, rng.random() < 0.4)
+        yield partial(_covaries, k, rng.random() < 0.4, group, signs)
     return f"booleans co-vary on {count} mutants"
 
 
@@ -416,9 +416,9 @@ def orbit_structure(n: int) -> tuple[bool, str]:
     return True, f"two orbits of size {sizes[0]} with distinct labels"
 
 
-def fixed_equivariance(n: int) -> tuple[bool, str]:
+def fixed_equivariance(n: int, group: tuple) -> tuple[bool, str]:
     """value(h*a^-1) = sign(a) * value(h) for both fixed elements, every
-    chart h and every a in S_n, proved on the edges: value(h*s_i) = -value(h)
+    chart h in group and every a in S_n, proved on the edges: value(h*s_i) = -value(h)
     for every adjacent swap s_i.  The swaps generate S_n and the sign is
     multiplicative (sign_homomorphism's walk proves both in the same run),
     so a is a word in the s_i whose length has the parity of sign(a).  A
@@ -429,7 +429,7 @@ def fixed_equivariance(n: int) -> tuple[bool, str]:
     representative = fixed_point_delooping(n).construction.representative
     swaps = [itemgetter(*g) for g in adjacent_swaps(n)]
     for elem in (representative(base, s) for s in (PLUS, MINUS)):
-        value = {h.positions: elem.value_at(h) for h in symmetric_group(n)}  # one read per chart
+        value = {h.positions: elem.value_at(h) for h in group}  # one read per chart
         for h, v in value.items():
             for i, swap in enumerate(swaps):
                 if value[swap(h)] is not -v:
@@ -437,13 +437,12 @@ def fixed_equivariance(n: int) -> tuple[bool, str]:
     return True, "both elements are equivariant"
 
 
-def fixed_census(n: int) -> tuple[bool, str]:
-    tables = exhaustive_fixed_points(n)
+def fixed_census(group: tuple, signs: tuple) -> tuple[bool, str]:
+    tables = exhaustive_fixed_points(group)
     if len(tables) != 2:
         return False, f"{len(tables)} fixed tables found"
-    perms, signs = symmetric_group(n), listing_signs(n)
     expected = {signs, tuple(-s for s in signs)}
-    got = {tuple(t[p] for p in perms) for t in tables}
+    got = {tuple(t[p] for p in group) for t in tables}
     ok = got == expected
     return ok, "fixed tables are exactly plus/minus sign" if ok else f"got {got!r}"
 
@@ -451,14 +450,13 @@ def fixed_census(n: int) -> tuple[bool, str]:
 # --------------------------------------------------------------------------
 # Structural checks shared by all constructions.
 
-def cycle_roundtrip(n: int) -> tuple[bool, str]:
-    """recompose(cycle_decompose(e)) == e for every permutation e, which
-    also makes the canonical forms distinct: cycle_decompose is injective."""
-    perms = symmetric_group(n)
-    for e in perms:
+def cycle_roundtrip(group: tuple) -> tuple[bool, str]:
+    """recompose(cycle_decompose(e)) == e for every permutation e in group,
+    which also makes the canonical forms distinct: cycle_decompose is injective."""
+    for e in group:
         if recompose(cycle_decompose(e)) != e:
             return False, f"roundtrip fails at {e.images!r}"
-    return True, f"{len(perms)} permutations roundtrip with distinct forms"
+    return True, f"{len(group)} permutations roundtrip with distinct forms"
 
 
 def endofunction_roundtrip(n: int) -> tuple[bool, str]:
@@ -473,13 +471,12 @@ def endofunction_roundtrip(n: int) -> tuple[bool, str]:
     return True, f"{count} endofunctions roundtrip"
 
 
-def factorization_sound(n: int) -> tuple[bool, str]:
-    base = fin(n)
-    for e in symmetric_group(n):
+def factorization_sound(group: tuple) -> tuple[bool, str]:
+    for e in group:
         factors = factor_into_transpositions(e)
         if any(len(f) != 2 for f in factors):
             return False, f"non-transposition factor for {e.images!r}"
-        if product_of_transpositions(base, factors) != e:
+        if product_of_transpositions(e.domain, factors) != e:
             return False, f"product of factors differs from {e.images!r}"
         if len(factors) % 2 != len(inversions(e)) % 2:
             return False, f"factor parity disagrees at {e.images!r}"
@@ -516,13 +513,13 @@ def adjacent_swaps(n: int) -> list[tuple[int, ...]]:
     return [transposition(n, i, i + 1).images for i in range(n - 1)]
 
 
-def sign_homomorphism(n: int, rng: Random) -> tuple[bool, str]:
+def sign_homomorphism(s: Scope) -> tuple[bool, str]:
     """sign(a*b) = sign(a) * sign(b) on S_n.
 
     Up to ENUMERATION_BOUND it is proved on the Cayley graph, with no rng
-    draws: sign_inversions is read once per permutation of the listing, the
-    identity must map to +1 and every edge (p, i, p*s_i) under the n - 1
-    adjacent swaps s_i = <i i+1> must flip the sign, so
+    draws: it reads the run's signs, as every other row does; the identity
+    must map to +1 and every edge (p, i, p*s_i) under the n - 1 adjacent
+    swaps s_i = <i i+1> must flip the sign, so
     sign(a*w) = sign(a) * (-1)^len(w) for every word w in the s_i.  The
     walk expands each permutation it reaches once, with n - 1 edges, so
     taking all n!(n - 1) edges means it reached the whole listing: every b
@@ -531,14 +528,14 @@ def sign_homomorphism(n: int, rng: Random) -> tuple[bool, str]:
     edge in walk order.  Beyond ENUMERATION_BOUND, 10 000 seeded random
     pairs are checked.
     """
-    base = fin(n)
+    n, rng, base = s.n, s.rng, fin(s.n)
     if n > ENUMERATION_BOUND:
         for _ in range(10_000):
             a, b = random_bijection(rng, base, base), random_bijection(rng, base, base)
             if sign_inversions(a.then(b)) != sign_inversions(a) * sign_inversions(b):
                 return False, f"multiplicativity fails at {(a.images, b.images)!r}"
         return True, "sign is multiplicative"
-    sign = {e.positions: sign_inversions(e) for e in symmetric_group(n)}
+    sign = dict(zip((e.positions for e in s.group), s.signs))
     if sign[tuple(range(n))] is not PLUS:
         return False, "sign of the identity is not +1"
     moves = adjacent_swaps(n)
@@ -552,16 +549,16 @@ def sign_homomorphism(n: int, rng: Random) -> tuple[bool, str]:
     return True, "sign is multiplicative"
 
 
-def relation_validity(n: int, rng: Random) -> tuple[bool, str]:
+def relation_validity(s: Scope) -> tuple[bool, str]:
     """Both quotient relations validate as equivalence relations.
 
     Exhaustive where the element count allows cubic validation; on larger
     carriers the relation is restricted to seeded random sub-carriers.
     """
-    base = fin(n)
+    n, rng, base = s.n, s.rng, fin(s.n)
     # charts relation: even relative parity
     if math.factorial(n) <= 24:
-        charts = symmetric_group(n)
+        charts = s.group
     else:
         charts = [random_bijection(rng, base, base) for _ in range(24)]
     inverses = [h.inverse() for h in charts]
@@ -608,18 +605,27 @@ def uniqueness_of_deloopings(
 # --------------------------------------------------------------------------
 # Runner.
 
-class Scope(NamedTuple):
-    """What a check reads.
+class Scope:
+    """One verify run: what its checks read.
 
-    rng is one Random(seed) for the core and construction rows and a second
-    one for the family rows.  families maps each selected construction to
-    the run's one family of it, built once and read by every row.
+    rng and family_rng are the two Random(seed) of the core and the family
+    rows; families maps each selected construction to the run's family of
+    it.  group lists S_n and signs the sign_inversions of its permutations,
+    each on first read: a run whose rows all sample lists nothing, and a
+    sign reader that raises fails the rows reading signs, not the run.
     """
 
-    n: int
-    seed: int
-    rng: Random
-    families: Mapping[str, TwoElementFamily]
+    def __init__(self, n: int, seed: int, families: Mapping[str, TwoElementFamily]):
+        self.n, self.seed, self.families = n, seed, families
+        self.rng, self.family_rng = Random(seed), Random(seed)
+
+    @cached_property
+    def group(self) -> tuple[Bijection, ...]:
+        return symmetric_group(self.n)
+
+    @cached_property
+    def signs(self) -> tuple[Sign, ...]:
+        return tuple(map(sign_inversions, self.group))
 
 
 class Check(NamedTuple):
@@ -651,42 +657,46 @@ class Check(NamedTuple):
 # Random(seed); the family rows draw from a second Random(seed) in this
 # order, once per run for all the families; the construction rows draw none.
 CHECKS: tuple[Check, ...] = (
-    Check("cycle-roundtrip", "core", lambda s: cycle_roundtrip(s.n), max_n=7),
+    Check("cycle-roundtrip", "core", lambda s: cycle_roundtrip(s.group), max_n=7),
     Check("endofunction-roundtrip", "core", lambda s: endofunction_roundtrip(s.n), max_n=4),
-    Check("factorization", "core", lambda s: factorization_sound(s.n), max_n=6),
-    Check("sign-homomorphism", "core", lambda s: sign_homomorphism(s.n, s.rng)),
-    Check("alternating-kernel", "core", lambda s: kernel_closure(s.n), max_n=ENUMERATION_BOUND),
+    Check("factorization", "core", lambda s: factorization_sound(s.group), max_n=6),
+    Check("sign-homomorphism", "core", lambda s: sign_homomorphism(s)),
+    Check("alternating-kernel", "core", lambda s: kernel_closure(s.n, s.group, s.signs),
+          max_n=ENUMERATION_BOUND),
     Check("parity-triangle", "core", lambda s: parity_triangle_holds(s.n, s.rng, trials=2000)),
     Check("transposition-oddness", "core", lambda s: transposition_oddness(s.n)),
     Check("orientation-classes", "core", lambda s: orientation_class_census(s.n), max_n=6),
-    Check("bridge-parity", "core", lambda s: bridge_parity(s.n), max_n=6),
-    Check("relation-validity", "core", lambda s: relation_validity(s.n, s.rng)),
+    Check("bridge-parity", "core", lambda s: bridge_parity(s.n, s.group), max_n=6),
+    Check("relation-validity", "core", lambda s: relation_validity(s)),
     Check("uniqueness", "core", lambda s: uniqueness_of_deloopings(s.families, s.seed),
           max_n=5, all_only=True),
-    Check("functor-laws", "family", lambda s: functor_laws(s.n, s.rng)),
-    Check("fiber-two-elements", "family", lambda s: fiber_two_elements(s.n, s.rng), max_n=6),
+    Check("functor-laws", "family", lambda s: functor_laws(s)),
+    Check("fiber-two-elements", "family", lambda s: fiber_two_elements(s.n, s.family_rng),
+          max_n=6),
     Check("transpositions-swap", "family", lambda s: _one_probe(
         unswapped_transposition, lambda t: f"transposition {t.moved()!r} does not swap the fiber",
         "every transposition swaps the fiber",
     )),
     Check("sign-agreement", "family", lambda s: _one_probe(
-        sign_mismatch, lambda e: f"sign mismatch at {e.images!r}",
+        lambda Q: sign_mismatch(Q, s.group, s.signs), lambda e: f"sign mismatch at {e.images!r}",
         "delooping sign equals inversion sign on all permutations",
     ), max_n=6),
     # Calls sign-agreement's scan as condition 5, but stays its own row:
     # each row is reported, and gated by the benchmark, on its own.
     Check("recognition", "family", lambda s: _one_probe(
-        lambda Q: None if (r := check_recognition(Q)).is_delooping else r,
+        lambda Q: None if (r := check_recognition(Q, s.group, s.signs)).is_delooping else r,
         lambda r: f"booleans {r.booleans!r}, counterexample {r.counterexample.images!r}",
         "all three conditions hold",
     ), max_n=6),
     Check("recognition-covariance", "family",
-          lambda s: recognition_covariance(s.n, s.rng), max_n=6),
-    Check("label-independence", "family", lambda s: label_independence(s.n, s.rng)),
-    Check("quotient-naturality", "family", lambda s: quotient_naturality(s.n, s.rng), max_n=6),
+          lambda s: recognition_covariance(s.family_rng, s.group, s.signs), max_n=6),
+    Check("label-independence", "family", lambda s: label_independence(s.n, s.family_rng)),
+    Check("quotient-naturality", "family", lambda s: quotient_naturality(s.n, s.family_rng),
+          max_n=6),
     Check("orbit-structure", "orbit", lambda s: orbit_structure(s.n), max_n=5),
-    Check("equivariance", "fixed", lambda s: fixed_equivariance(s.n), max_n=5),
-    Check("fixed-census", "fixed", lambda s: fixed_census(s.n), max_n=3, fixed_max_n=CENSUS_BOUND),
+    Check("equivariance", "fixed", lambda s: fixed_equivariance(s.n, s.group), max_n=5),
+    Check("fixed-census", "fixed", lambda s: fixed_census(s.group, s.signs), max_n=3,
+          fixed_max_n=CENSUS_BOUND),
 )
 
 
@@ -751,13 +761,12 @@ def run_verification(
     selected = list(CONSTRUCTIONS) if every else [construction]
     families = {c: CONSTRUCTIONS[c](n) for c in selected}
     reports = {name: VerifyReport(name, n, seed) for name in ("core", *selected)}
-    core = Scope(n, seed, Random(seed), families)
-    family = core._replace(rng=Random(seed))
+    scope = Scope(n, seed, families)
     for check in CHECKS:
         if not check.applies(n, every, exhaustive_fixed):
             continue
         if check.report == "family":
-            _run_family(reports, check, family)
+            _run_family(reports, check, scope)
         elif check.report in reports:
-            _run(reports[check.report], check.name, lambda: check.run(core))
+            _run(reports[check.report], check.name, lambda: check.run(scope))
     return list(reports.values())

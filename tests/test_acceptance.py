@@ -33,6 +33,7 @@ from signdeloop.verify import (
 )
 
 from deformations import Mutation
+from listings import listing
 
 
 def conclude(tag: str, violations: int, detail: str) -> None:
@@ -45,9 +46,10 @@ def test_c01_sign_agreement_all_constructions():
     bad = 0
     checked = 0
     for n in range(2, 7):
+        signed = listing(n)
         for build in CONSTRUCTIONS.values():
             checked += math.factorial(n)
-            if sign_mismatch(build(n)) is not None:
+            if sign_mismatch(build(n), *signed) is not None:
                 bad += 1
     conclude(
         "C01 sign agreement, 4 constructions, n=2..6",
@@ -102,7 +104,7 @@ def test_c04_parity_triangle():
 
 
 def test_c05_fixed_point_census():
-    bad = sum(not fixed_census(n)[0] for n in (3, 4))
+    bad = sum(not fixed_census(*listing(n))[0] for n in (3, 4))
     conclude(
         "C05 equivariant tables are exactly +/-sign",
         bad,
@@ -142,7 +144,7 @@ def test_c08_cycle_roundtrip_and_distinct_forms():
     checked = 0
     for n in range(2, 8):
         checked += math.factorial(n)
-        ok, _ = cycle_roundtrip(n)
+        ok, _ = cycle_roundtrip(listing(n)[0])
         if not ok:
             bad += 1
     conclude(
@@ -171,14 +173,14 @@ def test_c10_recognition_covariance():
     bad = 0
     for n in range(2, 6):
         for build in CONSTRUCTIONS.values():
-            if not check_recognition(build(n)).is_delooping:
+            if not check_recognition(build(n), *listing(n)).is_delooping:
                 bad += 1
     names = sorted(CONSTRUCTIONS)
     for seed in range(200):
         rng = Random(seed)
         n = rng.randrange(2, 6)
         Q = Mutation.draw(rng).apply(CONSTRUCTIONS[names[seed % 4]](n))
-        if not check_recognition(Q).consistent:
+        if not check_recognition(Q, *listing(n)).consistent:
             bad += 1
     conclude(
         "C10 recognition booleans: all true for the 4 constructions, co-varying on 200 mutants",
@@ -208,10 +210,11 @@ def test_c11_unique_natural_isomorphisms():
 def test_c12_alternating_kernel_order_and_closure():
     bad = 0
     for n in range(2, 9):
-        kernel = alternating_kernel(n)
+        signed = listing(n)
+        kernel = alternating_kernel(*signed)
         if len(kernel) != math.factorial(n) // 2:
             bad += 1
-        ok, detail = kernel_closure(n)  # generated by the 3-cycles, exhaustive
+        ok, detail = kernel_closure(n, *signed)  # generated by the 3-cycles, exhaustive
         if not ok:
             bad += 1
     conclude(

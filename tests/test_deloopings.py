@@ -33,7 +33,6 @@ from signdeloop.finite import (
     order_bijection,
     random_bijection,
     random_labeled_set,
-    symmetric_group,
     transposition_of_pair,
 )
 from signdeloop.perms import MINUS, PLUS, chart_sign, sign_inversions, transposition
@@ -68,6 +67,7 @@ from signdeloop.deloopings import (
 )
 
 from deformations import Mutation
+from listings import listing
 from strategies import bijection_chains
 from test_imports import PARITY_DEFINITIONS
 
@@ -366,11 +366,11 @@ def per_table_scan(n):
 class TestExhaustiveCensus:
     def test_exactly_two_tables(self):
         for n in range(2, 4):
-            tables = exhaustive_fixed_points(n)
+            tables = exhaustive_fixed_points(perms_of(n))
             assert len(tables) == 2
 
     def test_tables_are_sign_and_its_negation(self):
-        tables = exhaustive_fixed_points(3)
+        tables = exhaustive_fixed_points(perms_of(3))
         expected = {p: sign_inversions(p) for p in perms_of(3)}
         negated = {p: -s for p, s in expected.items()}
         assert {frozenset(t.items()) for t in tables} == {
@@ -380,11 +380,11 @@ class TestExhaustiveCensus:
 
     def test_size_guard(self):
         with pytest.raises(SizeGuard):
-            exhaustive_fixed_points(5)
+            exhaustive_fixed_points(perms_of(5))
 
     @pytest.mark.parametrize("n", range(4))
     def test_matches_a_per_table_scan(self, n):
-        assert exhaustive_fixed_points(n) == per_table_scan(n)
+        assert exhaustive_fixed_points(perms_of(n)) == per_table_scan(n)
 
     def test_column_bit_t_is_bit_i_of_t(self):
         for w in range(11):
@@ -402,22 +402,23 @@ class TestExhaustiveCensus:
         # index past the block.
         monkeypatch.setattr(deloopings, "_BLOCK_BITS", bits)
         for n in range(1, 4):
-            assert exhaustive_fixed_points(n) == per_table_scan(n)
+            assert exhaustive_fixed_points(perms_of(n)) == per_table_scan(n)
 
     @pytest.mark.parametrize("bits", (8, 12))
     def test_blocks_of_other_widths_at_n4(self, monkeypatch, bits):
-        expected = exhaustive_fixed_points(4)
+        expected = exhaustive_fixed_points(perms_of(4))
         monkeypatch.setattr(deloopings, "_BLOCK_BITS", bits)
-        assert exhaustive_fixed_points(4) == expected
+        assert exhaustive_fixed_points(perms_of(4)) == expected
 
     def test_holds_one_constraint_at_a_time_at_n4(self):
         # 2^16-table blocks of 8 KiB: the 16 columns, `low`, one block and
         # one bits[i] ^ bits[j] at a time trace under 200 KiB.  One 2 MiB
         # integer per pair over all 2^24 tables traced 7.6 MiB, and all 24
         # columns at once would be 48 MiB.
+        group = perms_of(4)
         tracemalloc.start()
         try:
-            exhaustive_fixed_points(4)
+            exhaustive_fixed_points(group)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -426,7 +427,7 @@ class TestExhaustiveCensus:
     def test_stdlib_only_at_n4(self, monkeypatch):
         # A None entry makes any `import numpy` raise ImportError.
         monkeypatch.setitem(sys.modules, "numpy", None)
-        tables = exhaustive_fixed_points(4)
+        tables = exhaustive_fixed_points(perms_of(4))
         expected = {p: sign_inversions(p) for p in perms_of(4)}
         assert tables == [expected, {p: -s for p, s in expected.items()}]
 
@@ -668,17 +669,17 @@ class TestRecognition:
     def test_all_constructions_recognized(self):
         for build in CONSTRUCTIONS.values():
             for n in (2, 3, 4):
-                report = check_recognition(build(n))
+                report = check_recognition(build(n), *listing(n))
                 assert report.is_delooping
                 assert report.consistent
                 assert report.counterexample is None
 
     def test_trivial_family_fails_everything(self):
-        report = check_recognition(trivial_family(3))
+        report = check_recognition(trivial_family(3), *listing(3))
         assert report.booleans == (False, False, False)
         assert report.consistent and not report.is_delooping
         assert report.counterexample is not None
-        assert check_recognition(trivial_family(3)).counterexample.domain == fin(3)
+        assert check_recognition(trivial_family(3), *listing(3)).counterexample.domain == fin(3)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_sign_table_on_a_small_listing(self, n):
@@ -692,35 +693,43 @@ class TestRecognition:
         for signs in itertools.product((PLUS, MINUS), repeat=len(perms)):
             table = dict(zip((e.images for e in perms), signs))
             Q = TwoElementFamily("table", n, lambda e: table[e.images], PLUS)
-            report = check_recognition(Q)
+            report = check_recognition(Q, perms, inversion)
             if n >= 2:
                 assert report.is_delooping == (signs == inversion)
             if not report.is_delooping:
-                witness = unswapped_transposition(Q) or sign_mismatch(Q)
+                witness = unswapped_transposition(Q) or sign_mismatch(Q, perms, inversion)
                 assert report.counterexample == witness
                 if witness is None:
                     unwitnessed.append(signs)
         assert unwitnessed == ([(PLUS,)] if n == 1 else [])
 
-    def test_a_run_and_its_recognitions_share_one_listing(self, monkeypatch):
-        # symmetric_group looks enumerate_bijections up in finite at call
-        # time, so the patch counts exactly the listings of S_n it makes: one
-        # per run of every row at each arity, and none more for recognizing
-        # and sign-matching each family at that arity afterwards.
-        sizes = []
+    @staticmethod
+    def count_listings(monkeypatch):
+        """The (A, B) of every listing symmetric_group makes: it looks
+        enumerate_bijections up in finite at call time."""
+        listed = []
         real = finite.enumerate_bijections
         monkeypatch.setattr(
-            finite, "enumerate_bijections", lambda A, B: sizes.append(len(A)) or real(A, B)
+            finite, "enumerate_bijections", lambda A, B: listed.append((A, B)) or real(A, B)
         )
-        symmetric_group.cache_clear()
-        for n in range(2, 9):
-            run_verification(n, "all", 101)
-            assert sizes == list(range(2, n + 1))
-            for build in CONSTRUCTIONS.values():
-                Q = build(n)
-                assert check_recognition(Q).is_delooping
-                assert sign_mismatch(Q) is None
-            assert sizes == list(range(2, n + 1))
+        return listed
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_a_run_lists_s_n_once_and_uniqueness_once_per_family(self, monkeypatch, n):
+        # The run's one listing serves every row; at n <= 5 uniqueness lists
+        # once for each of the four families it recognizes.  Past
+        # ENUMERATION_BOUND every row samples, and nothing is listed.
+        listed = self.count_listings(monkeypatch)
+        run_verification(n, "all", 101)
+        count = 0 if n > finite.ENUMERATION_BOUND else 5 if n <= 5 else 1
+        assert listed == [(fin(n), fin(n))] * count
+
+    def test_a_second_run_lists_again(self, monkeypatch):
+        # Nothing outlives a run: the next one at the same n makes its own.
+        listed = self.count_listings(monkeypatch)
+        for runs in (1, 2):
+            run_verification(7, "all", 101)
+            assert listed == [(fin(7), fin(7))] * runs
 
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("where", [0, -1])
@@ -733,7 +742,7 @@ class TestRecognition:
         Q = TwoElementFamily(
             "one-wrong", n, lambda e: PLUS if e == wrong else sign_inversions(e), PLUS
         )
-        report = check_recognition(Q)
+        report = check_recognition(Q, *listing(n))
         assert report.booleans == (True, True, False)
         assert report.counterexample == wrong
 
@@ -750,7 +759,7 @@ class TestRecognition:
             return sign_inversions(e)
 
         with pytest.raises(Planted):
-            check_recognition(TwoElementFamily("raises", n, action, PLUS))
+            check_recognition(TwoElementFamily("raises", n, action, PLUS), *listing(n))
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_mutants_match_an_independent_recomputation(self, n):
@@ -767,7 +776,7 @@ class TestRecognition:
                 bad_sign = next((e for e in perms if Q.action(e) is not sign_inversions(e)), None)
                 booleans = (cond3, bad_swap is None, bad_sign is None)
                 witness = None if all(booleans) else bad_swap or bad_sign
-                report = check_recognition(Q)
+                report = check_recognition(Q, *listing(n))
                 assert (report.booleans, report.counterexample) == (booleans, witness), Q.name
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -782,23 +791,24 @@ class TestRecognition:
                 assert [twisted.action(e) for e in perms_of(n)] == core
 
     def test_size_guard(self):
-        assert check_recognition(cartier_delooping(7)).is_delooping
+        # The caller lists S_n, and refuses an arity past the bound.
+        assert check_recognition(cartier_delooping(7), *listing(7)).is_delooping
         with pytest.raises(SizeGuard):
-            check_recognition(cartier_delooping(9))
+            check_recognition(cartier_delooping(9), *listing(9))
 
     def test_mutants_stay_consistent(self):
         for seed in range(40):
             rng = Random(seed)
             family = CONSTRUCTIONS[rng.choice(sorted(CONSTRUCTIONS))](3)
             Q = Mutation.draw(rng).apply(family)
-            report = check_recognition(Q)
+            report = check_recognition(Q, *listing(3))
             assert report.consistent
             assert report.is_delooping == ("trivial" not in Q.name)
 
     def test_off_base_family_passes_base_recognition(self):
         # recognition only exhausts permutations of the base carrier, so a
         # family broken elsewhere still passes; naturality probes catch it
-        assert check_recognition(off_base_family(3)).is_delooping
+        assert check_recognition(off_base_family(3), *listing(3)).is_delooping
 
 
 class TestNaturalIsomorphism:
@@ -865,9 +875,10 @@ class TestNaturalIsomorphism:
         for _ in range(24):
             X, Y = (fin(n) if rng.random() < 0.25 else random_labeled_set(rng, n) for _ in "XY")
             drawn.append((X, Y, random_bijection(rng, X, Y)))
+        signed = listing(n)
         verdicts = set()
         for Q, Qp in itertools.product(families, repeat=2):
-            bad = next((F for F in (Q, Qp) if not check_recognition(F).is_delooping), None)
+            bad = next((F for F in (Q, Qp) if not check_recognition(F, *signed).is_delooping), None)
             phi0 = Q.base_point * Qp.base_point
 
             def at(Z):
@@ -1038,20 +1049,20 @@ class TestActionTable:
 
 class TestAlternatingKernel:
     def test_frozen_small_case(self):
-        assert {e.images for e in alternating_kernel(3)} == {
+        assert {e.images for e in alternating_kernel(*listing(3))} == {
             (0, 1, 2),
             (1, 2, 0),
             (2, 0, 1),
         }
-        assert [e.images for e in alternating_kernel(2)] == [(0, 1)]
+        assert [e.images for e in alternating_kernel(*listing(2))] == [(0, 1)]
 
     def test_sizes(self):
         for n in range(2, 6):
-            assert len(alternating_kernel(n)) == math.factorial(n) // 2
+            assert len(alternating_kernel(*listing(n))) == math.factorial(n) // 2
 
     def test_closed_under_composition_and_inverse(self):
         for n in range(2, 5):
-            kernel = set(alternating_kernel(n))
+            kernel = set(alternating_kernel(*listing(n)))
             for e in kernel:
                 assert e.inverse() in kernel
                 for f in kernel:
@@ -1059,10 +1070,10 @@ class TestAlternatingKernel:
 
     def test_no_odd_members(self):
         for n in range(2, 6):
-            assert all(sign_inversions(e) == PLUS for e in alternating_kernel(n))
+            assert all(sign_inversions(e) == PLUS for e in alternating_kernel(*listing(n)))
 
     def test_guards(self):
-        with pytest.raises(ArityTooSmall):
-            alternating_kernel(1)
-        with pytest.raises(SizeGuard):
-            alternating_kernel(9)
+        # Fewer than two permutations: S_0 and S_1 have no kernel to list.
+        for n in (0, 1):
+            with pytest.raises(ArityTooSmall):
+                alternating_kernel(*listing(n))

@@ -343,15 +343,18 @@ class TestSymmetricGroup:
         assert symmetric_group(n) == enumerate_bijections(fin(n), fin(n))
 
     @pytest.mark.parametrize("n", [True, 1.0, -1])
-    def test_refuses_what_fin_refuses_with_one_cached(self, n):
-        # An untyped cache keys a lone positional int by itself, but keys a
-        # keyword call by its argument tuple: there n=True and n=1.0 would
-        # find the entry of n=1.
+    def test_refuses_what_fin_refuses(self, n):
+        # fin(1) already built: True and 1.0 hash like 1, yet still raise.
         assert symmetric_group(1) == symmetric_group(n=1) == (identity(fin(1)),)
         with pytest.raises(ContractError):
             symmetric_group(n)
         with pytest.raises(ContractError):
             symmetric_group(n=n)
+
+    def test_lists_afresh_on_every_call(self):
+        # Nothing keeps a listing: each caller owns the one it made.
+        first = symmetric_group(4)
+        assert symmetric_group(4) == first and symmetric_group(4) is not first
 
     def test_size_guard(self):
         with pytest.raises(SizeGuard):

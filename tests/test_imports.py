@@ -171,11 +171,14 @@ def sign_free_roots(trees: dict[str, ast.Module]) -> list:
 
 
 def parse_package(replace: tuple[str, str] | None = None) -> dict[str, ast.Module]:
+    """The package's modules parsed, with old replaced by new in the one
+    module whose source holds old, exactly once."""
     sources = {path.stem: path.read_text() for path in SOURCES}
     if replace is not None:
         old, new = replace
-        assert sources["deloopings"].count(old) == 1
-        sources["deloopings"] = sources["deloopings"].replace(old, new)
+        (module,) = [m for m, source in sources.items() if old in source]
+        assert sources[module].count(old) == 1
+        sources[module] = sources[module].replace(old, new)
     return {module: ast.parse(source) for module, source in sources.items()}
 
 
@@ -185,13 +188,10 @@ def test_cartier_and_sign_extraction_reach_no_parity_definition():
     assert "deloopings.orientation_action" in reached
     assert "deloopings.Construction.__call__.action" in reached
     assert reached & PARITY_DEFINITIONS == set()
+    # The census takes its caller's listing of S_n, and not the signs.
     census = reachable(trees, [module_function(trees, "deloopings", "exhaustive_fixed_points")])
-    assert {"finite.symmetric_group", "finite.enumerate_bijections"} <= census
+    assert {"perms.transposition", "finite.Bijection.then"} <= census
     assert census & PARITY_DEFINITIONS == set()
-    # The census reads the shared listing of S_n, so the signs stay out of
-    # it, in a cache of their own that does reach the parity reader.
-    signs = reachable(trees, [module_function(trees, "perms", "listing_signs")])
-    assert {"finite.symmetric_group", "perms.sign_inversions"} <= signs
 
 
 def test_reachability_sees_parity_where_it_is_used():
@@ -274,3 +274,42 @@ def test_detects_a_hash_call_outside_hash_methods():
     assert hash_callers(deformations.read_text()) == ["twist"]
     source = "class A:\n    def __hash__(self):\n        return hash(1)\n\nk = hash(2)\n"
     assert hash_callers(source) == ["<module>"]
+
+
+# The module-level caches the package may keep, and why each outlives a run
+# harmlessly.  A listing of S_n, or its signs, belongs to the run that made it.
+ALLOWED_CACHES = {
+    "finite.fin": "one small set per size, shared by every carrier of that size",
+    "perms.transposition": "at most C(8, 2) = 28 small transpositions, built once each",
+    "perms._sign_of_images": "a pure parity memo under chart_sign, keyed by positions",
+    "deloopings._naturality_signs": "keyed by the run's own families, so no later run hits it",
+}
+
+
+def module_caches(trees: dict[str, ast.Module]) -> set[str]:
+    """module.function for every module-level function decorated with
+    lru_cache or cache, called or not, bare or as functools.<name>."""
+    caches = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    caches.add(f"{module}.{node.name}")
+    return caches
+
+
+def test_only_the_allowed_caches_are_kept():
+    assert module_caches(parse_package()) == set(ALLOWED_CACHES)
+
+
+def test_a_cached_listing_is_refused():
+    mutant = parse_package(
+        replace=("def symmetric_group(", "@lru_cache(maxsize=1)\ndef symmetric_group(")
+    )
+    assert module_caches(mutant) - set(ALLOWED_CACHES) == {"finite.symmetric_group"}
+    wrapped = parse_package(replace=("def _column(", "@functools.cache\ndef _column("))
+    assert module_caches(wrapped) - set(ALLOWED_CACHES) == {"deloopings._column"}

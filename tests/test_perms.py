@@ -1,10 +1,8 @@
-from random import Random
-
 import pytest
 from hypothesis import given
 
 from signdeloop import perms
-from signdeloop.errors import ContractError, DomainMismatch, SizeGuard
+from signdeloop.errors import ContractError, DomainMismatch
 from signdeloop.finite import (
     LabeledSet,
     Bijection,
@@ -12,7 +10,6 @@ from signdeloop.finite import (
     fin,
     identity,
     order_bijection,
-    symmetric_group,
 )
 from signdeloop.perms import (
     MINUS,
@@ -21,14 +18,13 @@ from signdeloop.perms import (
     chart_sign,
     factor_into_transpositions,
     inversions,
-    listing_signs,
     permutation,
     product_of_transpositions,
     sign_inversions,
     transposition,
 )
 
-from signdeloop.verify import sign_homomorphism
+from signdeloop.verify import Scope, sign_homomorphism
 
 from strategies import bijection_chains, endo_bijections
 
@@ -173,7 +169,7 @@ class TestChartSign:
     def test_large_permutations_stay_out_of_the_cache(self):
         # Hits and misses too: the cache may already be full.
         before = perms._sign_of_images.cache_info()
-        ok, _ = sign_homomorphism(16, Random(0))
+        ok, _ = sign_homomorphism(Scope(16, 0, {}))
         assert ok
         assert perms._sign_of_images.cache_info() == before
 
@@ -207,24 +203,6 @@ class TestChartSign:
         assert chart_sign(h) is PLUS
         after = perms._sign_of_images.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-
-
-class TestListingSigns:
-    @pytest.mark.parametrize("n", range(7))
-    def test_signs_each_permutation_of_the_listing(self, n):
-        assert listing_signs(n) == tuple(sign_inversions(e) for e in symmetric_group(n))
-
-    @pytest.mark.parametrize("n", [True, 1.0, -1])
-    def test_refuses_what_fin_refuses_with_one_cached(self, n):
-        assert listing_signs(1) == listing_signs(n=1) == (PLUS,)
-        with pytest.raises(ContractError):
-            listing_signs(n)
-        with pytest.raises(ContractError):
-            listing_signs(n=n)
-
-    def test_size_guard(self):
-        with pytest.raises(SizeGuard):
-            listing_signs(9)
 
 
 def succ_cycle(k):

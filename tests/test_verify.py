@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import runpy
+import weakref
 from collections import defaultdict
 from pathlib import Path
 from random import Random
@@ -46,6 +47,7 @@ from signdeloop.verify import (
 )
 
 from deformations import Mutation
+from listings import listing
 
 # (construction, check, passed, detail) of run_verification(n, "all", 0)
 # for n = 2..8, n = 4 with exhaustive_fixed as the benchmark's census
@@ -121,19 +123,20 @@ class TestOracles:
             if (h.images in bad) != (transposition(n, i, i + 1).then(h).images in bad)
         )
         assert i > 0 or not both_ends
-        assert verify.fixed_equivariance(n) == (
+        assert verify.fixed_equivariance(n, listing(n)[0]) == (
             False, f"equivariance fails at chart {h!r}, swap ({i}, {i + 1})"
         )
 
     def test_kernel_closure(self):
         for n in range(2, 6):
-            ok, detail = kernel_closure(n)
+            ok, detail = kernel_closure(n, *listing(n))
             assert ok
             assert detail == f"order {math.factorial(n) // 2}"
 
     @pytest.mark.parametrize("n", [5, 6, 8])
     def test_kernel_closure_rejects_a_tampered_listing(self, monkeypatch, n):
-        even = alternating_kernel(n)
+        signed = listing(n)
+        even = alternating_kernel(*signed)
         # Every listed permutation is even, so a closure that judged
         # products by sign would pass; only looking each product up in the
         # listing finds that (0 1)(2 3) is missing.  The walk escapes on the
@@ -142,14 +145,18 @@ class TestOracles:
         tampered = tuple(e for e in even if e.images != missing)
         assert len(tampered) == len(even) - 1
         assert all(sign_inversions(e) is PLUS for e in tampered)
-        monkeypatch.setattr(verify, "alternating_kernel", lambda n: tampered)
+        monkeypatch.setattr(verify, "alternating_kernel", lambda group, signs: tampered)
         moves = three_cycles(n)
         p, g = next((p, moves[i]) for p, i, q in cayley_edges(n, moves) if q == missing)
-        assert kernel_closure(n) == (False, f"product of {p!r} and {g!r} escapes the kernel")
+        assert kernel_closure(n, *signed) == (
+            False, f"product of {p!r} and {g!r} escapes the kernel"
+        )
         # An odd transposition added is never reached by the even moves.
         odd = transposition(n, 0, 1)
-        monkeypatch.setattr(verify, "alternating_kernel", lambda n: even + (odd,))
-        assert kernel_closure(n) == (False, f"{odd.images!r} is not reached from the identity")
+        monkeypatch.setattr(verify, "alternating_kernel", lambda group, signs: even + (odd,))
+        assert kernel_closure(n, *signed) == (
+            False, f"{odd.images!r} is not reached from the identity"
+        )
 
     def test_parity_triangle_exhaustive(self):
         ok, detail = parity_triangle_holds(3, Random(0))
@@ -197,12 +204,12 @@ class TestOracles:
 
     def test_bridge_parity(self):
         for n in range(2, 6):
-            assert bridge_parity(n)[0]
+            assert bridge_parity(n, listing(n)[0])[0]
 
     def test_relation_validity_beyond_the_enumeration_bound(self):
         # 12! charts cannot be listed and 2^66 orientations overflow a sample
         # population, so both pools are drawn.
-        ok, detail = relation_validity(12, Random(0))
+        ok, detail = relation_validity(Scope(12, 0, {}))
         assert ok, detail
 
     def test_uniqueness_of_deloopings(self):
@@ -217,7 +224,9 @@ class TestOracles:
         recognized, paired, reads = [], [], defaultdict(int)
         check, iso = deloopings.check_recognition, verify.natural_isomorphism
         monkeypatch.setattr(
-            deloopings, "check_recognition", lambda Q: recognized.append(Q.name) or check(Q)
+            deloopings,
+            "check_recognition",
+            lambda Q, *signed: recognized.append(Q.name) or check(Q, *signed),
         )
         monkeypatch.setattr(
             verify, "natural_isomorphism", lambda *a, **kw: paired.append(a) or iso(*a, **kw)
@@ -244,7 +253,7 @@ class TestOracles:
         # The row is a stream of one probe, which the trivial family fails.
         trivial = TwoElementFamily("trivial", 3, lambda e: PLUS, PLUS)
         (row,) = [c for c in CHECKS if c.name == "recognition"]
-        stream = row.run(Scope(3, 0, Random(0), {}))
+        stream = row.run(Scope(3, 0, {}))
         probe = next(stream)
         assert probe(trivial) == "booleans (False, False, False), counterexample (1, 0, 2)"
         with pytest.raises(StopIteration) as end:
@@ -259,8 +268,10 @@ class TestRecognitionCovariance:
         # twist cancels, and never reads the base point: a deformed family
         # gets the very report of the row's mutant with its trivialize bit.
         reports = []
-        def recognized(Q):
-            reports.append(check_recognition(Q))
+        signed = listing(n)
+
+        def recognized(Q, *scanned):
+            reports.append(check_recognition(Q, *scanned))
             return reports[-1]
 
         monkeypatch.setattr(verify, "check_recognition", recognized)
@@ -270,8 +281,8 @@ class TestRecognitionCovariance:
             for k in range(50):
                 mutation = Mutation.draw(rng)
                 drawn.add(mutation.apply(Q).name.split("/")[1])
-                assert verify._covaries(k, mutation.trivialize, Q) is None
-                assert reports[-1] == check_recognition(mutation.apply(Q)), mutation
+                assert verify._covaries(k, mutation.trivialize, *signed, Q) is None
+                assert reports[-1] == check_recognition(mutation.apply(Q), *signed), mutation
         assert len(reports) == 4 * 50
         assert {"mutant[none]", "mutant[trivial]", "mutant[twist,flip]"} <= drawn
 
@@ -285,7 +296,7 @@ class TestRecognitionCovariance:
         )
         (row,) = [c for c in CHECKS if c.name == "recognition-covariance"]
         reports = {"split": VerifyReport("split", 4, 0)}
-        verify._run_family(reports, row, Scope(4, 0, Random(0), {"split": split}))
+        verify._run_family(reports, row, Scope(4, 0, {"split": split}))
         (result,) = reports["split"].checks
         draws = Random(0)
         k = next(k for k in range(50) if not draws.random() < 0.4)
@@ -309,7 +320,7 @@ class TestCayleyWalk:
             pytest.param(n, adjacent_swaps(n), enumerate_bijections(fin(n), fin(n)), id=str(n))
             for n in range(1, 6)
         ] + [
-            pytest.param(n, three_cycles(n), alternating_kernel(n), id=f"3-cycles-{n}")
+            pytest.param(n, three_cycles(n), alternating_kernel(*listing(n)), id=f"3-cycles-{n}")
             for n in range(3, 7)
         ],
     )
@@ -332,14 +343,14 @@ class TestCayleyWalk:
 class TestSignHomomorphism:
     def test_holds_on_every_edge_at_small_n(self):
         for n in range(0, 6):
-            assert sign_homomorphism(n, Random(0)) == (True, "sign is multiplicative")
+            assert sign_homomorphism(Scope(n, 0, {})) == (True, "sign is multiplicative")
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_edge_law_draws_nothing(self, n):
-        rng = Random(17)
-        state = rng.getstate()
-        assert sign_homomorphism(n, rng) == (True, "sign is multiplicative")
-        assert rng.getstate() == state
+        scope = Scope(n, 17, {})
+        state = scope.rng.getstate()
+        assert sign_homomorphism(scope) == (True, "sign is multiplicative")
+        assert scope.rng.getstate() == state
 
     @pytest.mark.parametrize(
         "planted", [(0, 2, 1, 3), (3, 1, 0, 2), (2, 0, 1, 4, 3), (4, 3, 2, 1, 0), (5, 0, 4, 1, 3, 2)]
@@ -356,7 +367,7 @@ class TestSignHomomorphism:
             edge for edge in cayley_edges(n, adjacent_swaps(n)) if planted in (edge[0], edge[2])
         )
         assert q == planted
-        assert sign_homomorphism(n, Random(0)) == (
+        assert sign_homomorphism(Scope(n, 0, {})) == (
             False, f"sign does not flip on edge {p!r} -> {q!r} (swap {i}, {i + 1})"
         )
         if n <= 5:
@@ -373,7 +384,7 @@ class TestSignHomomorphism:
         monkeypatch.setattr(
             verify, "sign_inversions", lambda e: -real(e) if e.images == (0, 1, 2) else real(e)
         )
-        assert sign_homomorphism(3, Random(0)) == (False, "sign of the identity is not +1")
+        assert sign_homomorphism(Scope(3, 0, {})) == (False, "sign of the identity is not +1")
 
     @pytest.mark.parametrize("n", [4, verify.ENUMERATION_BOUND])
     def test_requires_the_walk_to_take_every_edge(self, monkeypatch, n):
@@ -383,15 +394,40 @@ class TestSignHomomorphism:
             verify, "cayley_edges", lambda n, moves: itertools.islice(real(n, moves), n - 1)
         )
         edges = math.factorial(n) * (n - 1)
-        assert sign_homomorphism(n, Random(0)) == (False, f"walk takes {n - 1} of {edges} edges")
+        assert sign_homomorphism(Scope(n, 0, {})) == (
+            False, f"walk takes {n - 1} of {edges} edges"
+        )
 
     def test_samples_pairs_beyond_the_enumeration_bound(self, monkeypatch):
         monkeypatch.setattr(verify, "sign_inversions", lambda e: MINUS)
         n = verify.ENUMERATION_BOUND + 1
-        ok, detail = sign_homomorphism(n, Random(5))
+        ok, detail = sign_homomorphism(Scope(n, 5, {}))
         rng = Random(5)
         a, b = (verify.random_bijection(rng, fin(n), fin(n)) for _ in range(2))
         assert (ok, detail) == (False, f"multiplicativity fails at {(a.images, b.images)!r}")
+
+
+# The rows of run_verification(4, "all", 7) that read the inversion sign:
+# four core rows, and each family's three recognition rows.
+SIGN_ROWS = {
+    ("core", row)
+    for row in ("sign-homomorphism", "alternating-kernel", "relation-validity", "uniqueness")
+} | {
+    (name, row)
+    for name in CONSTRUCTIONS
+    for row in ("sign-agreement", "recognition", "recognition-covariance")
+}
+
+
+def plant_sign_reader(monkeypatch, planted):
+    """Bind sign_inversions to planted in every module that calls it."""
+    for module in (perms, verify, deloopings):
+        monkeypatch.setattr(module, "sign_inversions", planted)
+
+
+def failed_rows(reports):
+    """(construction, check) -> detail of every failing row."""
+    return {(r.construction, c.name): c.detail for r in reports for c in r.checks if not c.passed}
 
 
 class TestRunWrapper:
@@ -476,7 +512,7 @@ class TestRunVerification:
 
     def test_every_row_reports_to_core_family_or_one_construction(self):
         families = {c: build(3) for c, build in CONSTRUCTIONS.items()}
-        scope = Scope(3, 0, Random(0), families)
+        scope = Scope(3, 0, families)
         for check in CHECKS:
             assert check.report in ("core", "family", *CONSTRUCTIONS), check.name
             result = check.run(scope)
@@ -534,35 +570,52 @@ class TestRunVerification:
 
     def test_fixed_equivariance_composes_no_bijection(self, monkeypatch):
         # The edge law steps charts on image tuples: no composite, no inverse.
-        calls = []
+        calls, group = [], listing(5)[0]
         then, inverse = Bijection.then, Bijection.inverse
         monkeypatch.setattr(Bijection, "then", lambda e, f: calls.append(e) or then(e, f))
         monkeypatch.setattr(Bijection, "inverse", lambda e: calls.append(e) or inverse(e))
-        assert verify.fixed_equivariance(5) == (True, "both elements are equivariant")
+        assert verify.fixed_equivariance(5, group) == (True, "both elements are equivariant")
         assert calls == []
 
-    def test_the_shared_signs_do_not_hide_a_sign_fault(self, monkeypatch):
-        # <0 1> reads as even wherever sign_inversions is called: by the
-        # shared listing_signs and by sign-homomorphism's own reads.
+    def test_a_warm_run_hides_no_sign_fault(self, monkeypatch):
+        # A clean run first, then <0 1> of fin(4) reads as even wherever
+        # sign_inversions is called.  The clean run leaves no listing or
+        # signs behind to answer for the fault, so every row that reads a
+        # sign fails.
+        run_verification(4, "all", 7)
+        real = perms.sign_inversions
+        plant_sign_reader(monkeypatch, lambda e: -real(e) if e.images == (1, 0, 2, 3) else real(e))
+        assert set(failed_rows(run_verification(4, "all", 7))) == SIGN_ROWS
+
+    def test_a_raising_sign_reader_fails_rows_not_the_run(self, monkeypatch):
+        # The run's signs are read lazily, by the rows that need them, so a
+        # reader that raises fails those rows and the run returns.
         real = perms.sign_inversions
 
-        def planted(e):
-            return -real(e) if e.images == (1, 0, 2, 3) else real(e)
+        def raising(e):
+            if e.images == (1, 0, 2, 3):
+                raise RuntimeError("planted")
+            return real(e)
 
-        monkeypatch.setattr(perms, "sign_inversions", planted)
-        monkeypatch.setattr(verify, "sign_inversions", planted)
-        # An earlier call may have cached the true signs of S_4, which would
-        # hide the fault; clearing again afterwards keeps the planted signs
-        # from reaching later tests.
-        perms.listing_signs.cache_clear()
-        try:
-            reports = run_verification(4, "all", 101)
-        finally:
-            perms.listing_signs.cache_clear()
-        failed = {(r.construction, c.name) for r in reports for c in r.checks if not c.passed}
-        assert {("core", "sign-homomorphism"), ("core", "alternating-kernel")} <= failed
-        for name in CONSTRUCTIONS:
-            assert {(name, "sign-agreement"), (name, "recognition")} <= failed
+        plant_sign_reader(monkeypatch, raising)
+        failed = failed_rows(run_verification(4, "all", 7))
+        assert failed == dict.fromkeys(SIGN_ROWS, "raised RuntimeError: planted")
+
+    def test_no_listing_outlives_its_run(self, monkeypatch):
+        # At n = 5 the run lists S_5 once and uniqueness once per family;
+        # once the run returns, no cache holds a permutation of any listing.
+        listed = []
+        real = finite.enumerate_bijections
+
+        def recorded(A, B):
+            group = real(A, B)
+            listed.append(weakref.ref(group[-1]))
+            return group
+
+        monkeypatch.setattr(finite, "enumerate_bijections", recorded)
+        run_verification(5, "all", 101)
+        gc.collect()
+        assert len(listed) == 5 and all(ref() is None for ref in listed)
 
     @pytest.mark.parametrize(
         "plant",
@@ -691,7 +744,9 @@ class DrawRecorder:
             Construction, "census", lambda C, X: self.note(C.name, X.elements) or census(C, X)
         )
         monkeypatch.setattr(
-            verify, "_covaries", lambda k, t, Q: self.note(Q.name, t) or covaries(k, t, Q)
+            verify,
+            "_covaries",
+            lambda k, t, *signed: self.note(signed[-1].name, t) or covaries(k, t, *signed),
         )
 
     def note(self, family, event):
@@ -699,10 +754,10 @@ class DrawRecorder:
             self.rows[family][self.row].append(event)
 
     def tagged(self, row, real):
-        def run(n, rng):  # the row is open while the runner judges its probes
+        def run(*args):  # the row is open while the runner judges its probes
             self.row = row
             try:
-                return (yield from real(n, rng))
+                return (yield from real(*args))
             finally:
                 self.row = None
 
@@ -853,8 +908,7 @@ class TestTrustedPathInvariant:
             return trusted(cls, domain, codomain, positions)
 
         monkeypatch.setattr(Bijection, "_trusted", classmethod(checked))
-        # Cached listings and squares are rebuilt under the wrapper.
-        finite.symmetric_group.cache_clear()
+        # Cached squares are rebuilt under the wrapper.
         deloopings._naturality_signs.cache_clear()
         for n in range(2, 6):
             assert all(r.passed for r in run_verification(n))
