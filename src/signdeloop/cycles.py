@@ -99,11 +99,16 @@ def cycle_decompose(e: Bijection) -> CycleDecomposition:
 
 def recompose(dec: CycleDecomposition) -> Bijection:
     """The self-bijection that moves every label one step along its cycle."""
-    image: dict[Label, Label] = {}
-    for orbit in dec.cycles:
-        image.update(_successors(orbit))
     X = dec.carrier
-    return Bijection._trusted(X, X, tuple(map(X._pos.__getitem__, map(image.__getitem__, X))))
+    pos = X._pos
+    positions = [0] * len(pos)
+    for orbit in dec.cycles:
+        i = pos[orbit[-1]]  # the last label steps to the first
+        for label in orbit:
+            j = pos[label]
+            positions[i] = j
+            i = j
+    return Bijection._trusted(X, X, tuple(positions))
 
 
 class RootedTree(Frozen):

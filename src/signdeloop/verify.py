@@ -421,19 +421,18 @@ def fixed_equivariance(n: int, group: tuple) -> tuple[bool, str]:
     chart h in group and every a in S_n, proved on the edges: value(h*s_i) = -value(h)
     for every adjacent swap s_i.  The swaps generate S_n and the sign is
     multiplicative (sign_homomorphism's walk proves both in the same run),
-    so a is a word in the s_i whose length has the parity of sign(a).  A
-    failure names the first chart and swap in listing order.
+    so a is a word in the s_i whose length has the parity of sign(a).  The
+    edges are those of sign_homomorphism's walk, and a failure names the
+    first broken one in walk order.
     """
     base = fin(n)
     # Through the family, as for every record: see CONSTRUCTIONS.
     representative = fixed_point_delooping(n).construction.representative
-    swaps = [itemgetter(*g) for g in adjacent_swaps(n)]
     for elem in (representative(base, s) for s in (PLUS, MINUS)):
         value = {h.positions: elem.value_at(h) for h in group}  # one read per chart
-        for h, v in value.items():
-            for i, swap in enumerate(swaps):
-                if value[swap(h)] is not -v:
-                    return False, f"equivariance fails at chart {h!r}, swap ({i}, {i + 1})"
+        for h, i, q in cayley_edges(n, adjacent_swaps(n)):
+            if value[q] is not -value[h]:
+                return False, f"equivariance fails at chart {h!r}, swap ({i}, {i + 1})"
     return True, "both elements are equivariant"
 
 

@@ -20,7 +20,6 @@ from signdeloop.finite import (
     random_labeled_set,
 )
 from signdeloop.perms import permutation
-from signdeloop.quotients import Partition
 from signdeloop.cycles import (
     CycleDecomposition,
     EndoDecomposition,
@@ -226,10 +225,10 @@ class TestCycleDecompose:
             rebuilt = set()
             count = 0
             for raw in all_partitions(list(X.elements)):
-                p = Partition.from_blocks(X, raw)
+                blocks = sorted(tuple(sorted(B)) for B in raw)
                 orbit_menus = [
-                    [(B.elements[0],) + rest for rest in itertools.permutations(B.elements[1:])]
-                    for B in p.blocks
+                    [(B[0],) + rest for rest in itertools.permutations(B[1:])]
+                    for B in blocks
                 ]
                 for cycles in itertools.product(*orbit_menus):
                     rebuilt.add(recompose(CycleDecomposition(cycles)))

@@ -243,6 +243,52 @@ def test_recognition_runs_the_condition_scans():
     assert len(loops) == 1
 
 
+# The quotient and endofunction engines are exercised only by their own
+# verify rows (ROADMAP items 11b and 11c): no construction, CLI command or
+# other row reads them.
+ENGINE_ROWS = {
+    "partition_from_relation": "verify.relation_validity",
+    "decompose_endofunction": "verify.endofunction_roundtrip",
+    "recompose_endofunction": "verify.endofunction_roundtrip",
+}
+
+
+def readers(trees: dict[str, ast.Module], names: set[str]) -> set[str]:
+    """The innermost owner of every Name or Attribute read of one of names:
+    module.def for a def or class, dotted when nested, module.target for
+    the value of a module- or class-level assignment, and the module for
+    any other module-level statement."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}"
+            elif isinstance(child, (ast.Assign, ast.AnnAssign)) and isinstance(
+                node, (ast.Module, ast.ClassDef)
+            ):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                inner = f"{owner}." + ",".join(ast.unparse(t) for t in targets)
+            read = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if read in names and isinstance(getattr(child, "ctx", None), ast.Load):
+                found.add(owner)
+            visit(child, inner)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return found
+
+
+def test_each_test_only_engine_is_read_by_its_own_row_alone():
+    trees = parse_package()
+    for engine, row in ENGINE_ROWS.items():
+        assert readers(trees, {engine}) == {row}
+        line = "    lambda pair: orbit_class(*pair),"
+        mutant = parse_package(replace=(line, line.replace("*pair", f"*{engine}(pair)")))
+        assert readers(mutant, {engine}) == {row, "deloopings.orbit_delooping"}
+
+
 def hash_callers(source: str) -> list[str]:
     """The functions, innermost first named, that call the builtin hash()
     anywhere but in a __hash__ method."""

@@ -4,14 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from signdeloop.errors import (
-    ContractError,
-    NotReflexive,
-    NotSymmetric,
-    NotTransitive,
-)
+from signdeloop.errors import NotReflexive, NotSymmetric, NotTransitive
 from signdeloop.finite import LabeledSet, fin
-from signdeloop.quotients import Partition, partition_from_relation
+from signdeloop.quotients import partition_from_relation
 
 from strategies import labeled_sets
 
@@ -36,7 +31,7 @@ def lazy_partition_from_relation(X, rel):
         block = tuple(y for y in elems if rel(x, y))
         assigned.update(block)
         blocks.append(block)
-    return Partition.from_blocks(X, blocks)
+    return tuple(sorted(map(LabeledSet.of, blocks), key=lambda b: b.elements[0]))
 
 
 @st.composite
@@ -63,7 +58,7 @@ def relation_tables(draw):
 def outcome(partition, X, rel):
     """The blocks, or the failed law's exception class and witness."""
     try:
-        return tuple(b.elements for b in partition(X, rel).blocks)
+        return tuple(b.elements for b in partition(X, rel))
     except (NotReflexive, NotSymmetric, NotTransitive) as exc:
         return type(exc), exc.witness
 
@@ -88,51 +83,31 @@ def all_partitions(elements):
 BELL = [1, 1, 2, 5, 15, 52]
 
 
+def assert_blocks_are_the_classes(X, rel, blocks):
+    """A tuple of nonempty LabeledSets, pairwise disjoint and covering X,
+    in ascending order of their minima, each block one class of rel, and
+    the lazy reference's result."""
+    assert type(blocks) is tuple
+    assert all(type(b) is LabeledSet and len(b) > 0 for b in blocks)
+    assert sorted(x for b in blocks for x in b.elements) == list(X.elements)
+    mins = [b.elements[0] for b in blocks]
+    assert mins == sorted(mins)
+    for b in blocks:
+        for x in b.elements:
+            assert {y for y in X.elements if rel(x, y)} == set(b.elements)
+    assert blocks == lazy_partition_from_relation(X, rel)
+
+
 class TestPartition:
     def test_bell_numbers(self):
         for n, expected in enumerate(BELL):
             assert len(all_partitions(list(range(n)))) == expected
 
-    def test_every_enumerated_partition_validates(self):
-        X = fin(4)
-        seen = set()
-        for raw in all_partitions(list(X.elements)):
-            p = Partition.from_blocks(X, raw)
-            seen.add(tuple(b.elements for b in p.blocks))
-        assert len(seen) == BELL[4]
-
-    def test_blocks_sorted_by_min(self):
-        p = Partition.from_blocks(fin(4), [[3, 1], [0, 2]])
-        assert [b.elements for b in p.blocks] == [(0, 2), (1, 3)]
-
-    def test_block_of(self):
-        p = Partition.from_blocks(fin(4), [[0, 2], [1, 3]])
-        assert [b.elements for b in p.blocks if 3 in b] == [(1, 3)]
-        assert len(p) == 2
-        for label in (4, True, 3.0):
-            assert not any(label in b for b in p.blocks)
-
-    def test_rejects_overlap(self):
-        with pytest.raises(ContractError):
-            Partition.from_blocks(fin(3), [[0, 1], [1, 2]])
-
-    def test_rejects_gap(self):
-        with pytest.raises(ContractError):
-            Partition.from_blocks(fin(3), [[0, 1]])
-
-    def test_rejects_empty_block(self):
-        with pytest.raises(ContractError):
-            Partition(fin(2), (LabeledSet((0, 1)), LabeledSet(())))
-
-    def test_rejects_unsorted_blocks(self):
-        with pytest.raises(ContractError):
-            Partition(fin(2), (LabeledSet((1,)), LabeledSet((0,))))
-
 
 class TestPartitionFromRelation:
     def test_parity_relation(self):
         p = partition_from_relation(fin(4), lambda x, y: (x - y) % 2 == 0)
-        assert [b.elements for b in p.blocks] == [(0, 2), (1, 3)]
+        assert [b.elements for b in p] == [(0, 2), (1, 3)]
 
     def test_equality_relation(self):
         p = partition_from_relation(fin(3), lambda x, y: x == y)
@@ -161,10 +136,12 @@ class TestPartitionFromRelation:
         X = fin(4)
         for raw in all_partitions(list(X.elements)):
             home = {x: i for i, block in enumerate(raw) for x in block}
-            p = partition_from_relation(X, lambda x, y: home[x] == home[y])
-            assert sorted(b.elements for b in p.blocks) == sorted(
+            rel = lambda x, y: home[x] == home[y]
+            p = partition_from_relation(X, rel)
+            assert sorted(b.elements for b in p) == sorted(
                 tuple(sorted(b)) for b in raw
             )
+            assert_blocks_are_the_classes(X, rel, p)
 
     @given(relation_tables())
     def test_matches_the_lazy_reference(self, drawn):
@@ -181,10 +158,20 @@ class TestPartitionFromRelation:
         assert len(calls) == k**2 and set(calls) == set(table)
         assert got == outcome(lazy_partition_from_relation, X, lambda x, y: table[x, y])
 
+    @given(relation_tables())
+    def test_an_equivalence_gives_its_classes(self, drawn):
+        k, table = drawn
+        X, rel = fin(k), lambda x, y: table[x, y]
+        try:
+            blocks = partition_from_relation(X, rel)
+        except (NotReflexive, NotSymmetric, NotTransitive):
+            return  # not an equivalence: test_matches_the_lazy_reference
+        assert_blocks_are_the_classes(X, rel, blocks)
+
     @given(labeled_sets(min_size=1, max_size=6), st.integers(1, 4))
     def test_modulus_relation(self, X, k):
         p = partition_from_relation(X, lambda x, y: (x - y) % k == 0)
-        for block in p.blocks:
+        for block in p:
             residues = {x % k for x in block.elements}
             assert len(residues) == 1
         assert len(p) == len({x % k for x in X.elements})
