@@ -83,25 +83,78 @@ def all_partitions(elements):
 BELL = [1, 1, 2, 5, 15, 52]
 
 
-def assert_blocks_are_the_classes(X, rel, blocks):
+def assert_is_a_partition(X, blocks):
     """A tuple of nonempty LabeledSets, pairwise disjoint and covering X,
-    in ascending order of their minima, each block one class of rel, and
-    the lazy reference's result."""
+    in ascending order of their minima."""
     assert type(blocks) is tuple
     assert all(type(b) is LabeledSet and len(b) > 0 for b in blocks)
     assert sorted(x for b in blocks for x in b.elements) == list(X.elements)
     mins = [b.elements[0] for b in blocks]
     assert mins == sorted(mins)
+
+
+def assert_blocks_are_the_classes(X, rel, blocks):
+    """A partition of X whose every block is one class of rel, and the lazy
+    reference's result."""
+    assert_is_a_partition(X, blocks)
     for b in blocks:
         for x in b.elements:
             assert {y for y in X.elements if rel(x, y)} == set(b.elements)
     assert blocks == lazy_partition_from_relation(X, rel)
 
 
+def blocks_of(X, raw):
+    """The blocks partition_from_relation returns for the relation "in the
+    same raw block"."""
+    home = {x: i for i, block in enumerate(raw) for x in block}
+    rel = lambda x, y: home[x] == home[y]
+    blocks = partition_from_relation(X, rel)
+    assert_blocks_are_the_classes(X, rel, blocks)
+    return blocks
+
+
 class TestPartition:
     def test_bell_numbers(self):
         for n, expected in enumerate(BELL):
             assert len(all_partitions(list(range(n)))) == expected
+
+    def test_every_enumerated_partition_validates(self):
+        for n, expected in enumerate(BELL):
+            X = fin(n)
+            seen = {blocks_of(X, raw) for raw in all_partitions(list(X.elements))}
+            assert len(seen) == expected
+
+    def test_blocks_sorted_by_min(self):
+        p = blocks_of(fin(4), [[3, 1], [0, 2]])
+        assert [b.elements for b in p] == [(0, 2), (1, 3)]
+        p = blocks_of(LabeledSet((2, 30, 41, 500)), [[41], [500, 2], [30]])
+        assert [b.elements for b in p] == [(2, 500), (30,), (41,)]
+
+    def test_block_of(self):
+        p = blocks_of(fin(4), [[0, 2], [1, 3]])
+        assert [b.elements for b in p if 3 in b] == [(1, 3)]
+        assert len(p) == 2
+        for label in (4, True, 3.0):
+            assert not any(label in b for b in p)
+
+    # The checks a partition type once made at construction are made by
+    # assert_is_a_partition; each refuses the fault it names.
+    def test_rejects_overlap(self):
+        with pytest.raises(AssertionError):
+            assert_is_a_partition(fin(3), (LabeledSet((0, 1)), LabeledSet((1, 2))))
+
+    def test_rejects_gap(self):
+        with pytest.raises(AssertionError):
+            assert_is_a_partition(fin(3), (LabeledSet((0, 1)),))
+
+    def test_rejects_empty_block(self):
+        with pytest.raises(AssertionError):
+            assert_is_a_partition(fin(2), (LabeledSet((0, 1)), LabeledSet(())))
+
+    def test_rejects_unsorted_blocks(self):
+        with pytest.raises(AssertionError):
+            assert_is_a_partition(fin(2), (LabeledSet((1,)), LabeledSet((0,))))
+        assert_is_a_partition(fin(2), (LabeledSet((0,)), LabeledSet((1,))))
 
 
 class TestPartitionFromRelation:
@@ -135,13 +188,10 @@ class TestPartitionFromRelation:
     def test_matches_oracle_for_every_partition(self):
         X = fin(4)
         for raw in all_partitions(list(X.elements)):
-            home = {x: i for i, block in enumerate(raw) for x in block}
-            rel = lambda x, y: home[x] == home[y]
-            p = partition_from_relation(X, rel)
+            p = blocks_of(X, raw)
             assert sorted(b.elements for b in p) == sorted(
                 tuple(sorted(b)) for b in raw
             )
-            assert_blocks_are_the_classes(X, rel, p)
 
     @given(relation_tables())
     def test_matches_the_lazy_reference(self, drawn):
