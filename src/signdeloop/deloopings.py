@@ -5,8 +5,8 @@ fiber together with a transport bijection along any relabeling, and a chart
 identifying the fiber over fin(n) with {+1, -1}:
 
 * fixed_point_delooping - equivariant functions from charts to {+1, -1};
-  exactly two are fixed by the twisted action, determined by a reference
-  chart and the value taken there.
+  the twisted action fixes exactly two, and its elements are those two,
+  each held as its value at the order chart.
 * orbit_delooping - pairs (chart, sign) modulo simultaneous precomposition
   and sign twist; exactly two orbits.
 * simpson_delooping - charts modulo "even relative parity"; exactly two
@@ -216,49 +216,35 @@ def orbit_representative(X: LabeledSet, s: Sign) -> tuple[Bijection, Sign]:
 
 @dataclass(frozen=True)
 class FixedPointElement:
-    """An equivariant function from charts fin(n) = X to {+1, -1}.
-
-    Stored as a reference chart plus the value taken there; the full table
-    follows from equivariance: value_at(h) = parity(h relative to reference)
-    times the reference value.  Both charts land on X, so that relative
-    parity is chart_sign(h) * chart_sign(reference), each read against the
-    order-preserving chart of X; no relative chart is built.  Any two
-    parameterizations of the same function agree on every chart; those
-    fixed_point_delooping builds from a chart and a Sign use _trusted.  The
-    public constructor checks that reference is a chart fin(n) -> X and that
-    the value is a Sign.
+    """An equivariant function from charts fin(n) = X to {+1, -1}, one of
+    the two the twisted action fixes, stored as its carrier and its value
+    at the order chart: at a chart h it is chart_sign(h) * value.  The
+    constructor checks that carrier is a LabeledSet and value a Sign.
     """
 
-    reference: Bijection
-    value_at_reference: Sign
+    carrier: LabeledSet
+    value: Sign
 
     def __post_init__(self):
-        h = self.reference
-        if not isinstance(h, Bijection) or h.domain != fin(len(h.codomain)):
-            raise ContractError(f"reference must be a chart fin(n) -> X, got {h!r}")
-        _require_sign(self.value_at_reference, "value at reference")
-
-    @classmethod
-    def _trusted(cls, reference: Bijection, value_at_reference: Sign) -> "FixedPointElement":
-        elem = object.__new__(cls)
-        elem.__dict__.update(reference=reference, value_at_reference=value_at_reference)
-        return elem
+        if not isinstance(self.carrier, LabeledSet):
+            raise ContractError(f"carrier must be a LabeledSet, got {self.carrier!r}")
+        _require_sign(self.value, "value at the order chart")
 
     def value_at(self, h: Bijection) -> Sign:
-        if (h.domain, h.codomain) != (self.reference.domain, self.reference.codomain):
+        if (h.domain, h.codomain) != (fin(len(self.carrier)), self.carrier):
             raise CarrierMismatch("not a chart of the element's carrier")
-        return chart_sign(h) * chart_sign(self.reference) * self.value_at_reference
-
-    def transport(self, e: Bijection) -> "FixedPointElement":
-        """Push forward along a bijection of the underlying carriers."""
-        if e.domain is not (X := self.reference.codomain) and e.domain != X:
-            raise CarrierMismatch("element does not live over the domain of the map")
-        return FixedPointElement._trusted(self.reference.then(e), self.value_at_reference)
+        return chart_sign(h) * self.value
 
 
-def fixed_point_class(elem: FixedPointElement) -> Sign:
-    """The value at the order-preserving chart, whose chart_sign is +1."""
-    return chart_sign(elem.reference) * elem.value_at_reference
+def fixed_point_transport(e: Bijection, f: FixedPointElement) -> FixedPointElement:
+    """Push f forward along a bijection e: X -> Y, to f o e^-1.
+
+    f o e^-1 at Y's order chart is f at a chart of X whose chart_sign is
+    that of e^-1, which equals that of e.
+    """
+    if e.domain is not (X := f.carrier) and e.domain != X:
+        raise CarrierMismatch("element does not live over the domain of the map")
+    return FixedPointElement(e.codomain, chart_sign(e) * f.value)
 
 
 # --------------------------------------------------------------------------
@@ -383,13 +369,13 @@ orbit_delooping = Construction(
     lambda pair: orbit_class(*pair),
 )
 
-# Equivariant sign-valued functions on charts, in every reference form.
+# The two equivariant sign-valued functions on charts.
 fixed_point_delooping = Construction(
     "fixed",
-    lambda X: (FixedPointElement._trusted(h, s) for h in _charts(X) for s in (PLUS, MINUS)),
-    lambda X, s: FixedPointElement._trusted(order_bijection(X), _require_sign(s)),
-    lambda e, elem: elem.transport(e),
-    fixed_point_class,
+    lambda X: (FixedPointElement(X, PLUS), FixedPointElement(X, MINUS)),
+    FixedPointElement,
+    fixed_point_transport,
+    lambda f: f.value,
 )
 
 # The benchmark's tracer swaps these values for plain wrapper functions, so

@@ -81,30 +81,18 @@ def transposition(n: int, i: int, j: int) -> Bijection:
     return transposition_of_pair(fin(n), (i, j))
 
 
-def inversions(e: Bijection) -> tuple[tuple[int, int], ...]:
-    """All label pairs i < j that e sends out of order, lexicographically."""
-    if e.domain != e.codomain:
-        raise DomainMismatch("inversions require an endo-bijection")
-    labels, positions = e.domain.elements, e.positions
-    # Labels are sorted, so e sends i < j out of order exactly when it
-    # sends their positions out of order.
-    return tuple(
-        (labels[i], labels[j])
-        for i, j in itertools.combinations(range(len(labels)), 2)
-        if positions[i] > positions[j]
-    )
-
-
 def sign_inversions(e: Bijection) -> Sign:
-    """+1 exactly when the number of inversions is even.
+    """+1 exactly when e sends an even number of label pairs out of order.
 
-    This is chart_sign on an endo-bijection: its order chart is the
-    identity, and reading sorted labels as their positions keeps their
-    order, so the pairs counted are those inversions() lists.
+    Labels are sorted, so those are the pairs whose positions e reverses.
+    This oracle judges the families, which read parity through chart_sign,
+    so it repeats the count in _sign_of_images instead of calling either:
+    a fault in one is then not a fault in the other.
     """
     if (X := e.domain) is not e.codomain and X != e.codomain:
         raise DomainMismatch("inversions require an endo-bijection")
-    return chart_sign(e)
+    pairs = itertools.combinations(e.positions, 2)
+    return Sign.of_parity(sum(itertools.starmap(operator.gt, pairs)))
 
 
 def chart_sign(h: Bijection) -> Sign:
@@ -112,14 +100,15 @@ def chart_sign(h: Bijection) -> Sign:
 
     h's positions are the permutation of fin(n) that h becomes between the
     two order charts; its inversions are counted straight off that tuple.
-    This is the package's one permutation-parity reader.  The count depends
-    on the position tuple alone, so tuples of at most ENUMERATION_BOUND
-    points are kept in a cache of ENUMERATION_BOUND! entries, room for one
-    full listing of S_n; larger ones are counted afresh on every call.  The
-    cache outlives a run (about 9 MiB after n = 8) because counting afresh
-    is slower: run_verification(5) took 0.189 s without it, 0.147 s with it,
-    and run_verification(7) 0.247 s against 0.225 s (medians of 10
-    alternating fresh-process pairs on a 2-vCPU x86-64 VM).
+    This is the families' parity reader; the oracle sign_inversions counts
+    apart from it.  The count depends on the position tuple alone, so
+    tuples of at most ENUMERATION_BOUND points are kept in a cache of
+    ENUMERATION_BOUND! entries, room for one full listing of S_n; larger
+    ones are counted afresh on every call.  The cache outlives a run
+    because counting afresh is no faster: run_verification(5, "all", 101)
+    took 0.156 s without it and 0.121 s with it, faster in 10 of 10 pairs,
+    and at n = 7 0.150 s either way (medians of 10 alternating
+    fresh-process pairs on a 2-vCPU x86-64 VM).
     """
     positions = h.positions
     if len(positions) > ENUMERATION_BOUND:

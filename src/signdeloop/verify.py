@@ -64,7 +64,6 @@ from .perms import (
     PLUS,
     Sign,
     factor_into_transpositions,
-    inversions,
     permutation,
     product_of_transpositions,
     sign_inversions,
@@ -237,13 +236,13 @@ def transposition_oddness(n: int) -> tuple[bool, str]:
     return True, "odd for every transposition"
 
 
-def bridge_parity(n: int, group: tuple) -> tuple[bool, str]:
+def bridge_parity(n: int, group: tuple, signs: tuple) -> tuple[bool, str]:
     """Distance from the canonical orientation to its transport along e has
-    the same parity as the inversion count of e, for every e in group."""
+    the parity of e's sign in signs, for every e in group."""
     d = canonical_orientation(fin(n))
-    for e in group:
+    for e, sign in zip(group, signs):
         m = relative_inversions(d, orientation_action(e, d))
-        if m % 2 != len(inversions(e)) % 2:
+        if Sign.of_parity(m) is not sign:
             return False, f"permutation {e.images!r}: count {m} vs inversions"
     return True, "parities agree on all permutations"
 
@@ -470,14 +469,14 @@ def endofunction_roundtrip(n: int) -> tuple[bool, str]:
     return True, f"{count} endofunctions roundtrip"
 
 
-def factorization_sound(group: tuple) -> tuple[bool, str]:
-    for e in group:
+def factorization_sound(group: tuple, signs: tuple) -> tuple[bool, str]:
+    for e, sign in zip(group, signs):
         factors = factor_into_transpositions(e)
         if any(len(f) != 2 for f in factors):
             return False, f"non-transposition factor for {e.images!r}"
         if product_of_transpositions(e.domain, factors) != e:
             return False, f"product of factors differs from {e.images!r}"
-        if len(factors) % 2 != len(inversions(e)) % 2:
+        if Sign.of_parity(len(factors)) is not sign:
             return False, f"factor parity disagrees at {e.images!r}"
     return True, "factors rebuild every permutation with matching parity"
 
@@ -658,14 +657,14 @@ class Check(NamedTuple):
 CHECKS: tuple[Check, ...] = (
     Check("cycle-roundtrip", "core", lambda s: cycle_roundtrip(s.group), max_n=7),
     Check("endofunction-roundtrip", "core", lambda s: endofunction_roundtrip(s.n), max_n=4),
-    Check("factorization", "core", lambda s: factorization_sound(s.group), max_n=6),
+    Check("factorization", "core", lambda s: factorization_sound(s.group, s.signs), max_n=6),
     Check("sign-homomorphism", "core", lambda s: sign_homomorphism(s)),
     Check("alternating-kernel", "core", lambda s: kernel_closure(s.n, s.group, s.signs),
           max_n=ENUMERATION_BOUND),
     Check("parity-triangle", "core", lambda s: parity_triangle_holds(s.n, s.rng, trials=2000)),
     Check("transposition-oddness", "core", lambda s: transposition_oddness(s.n)),
     Check("orientation-classes", "core", lambda s: orientation_class_census(s.n), max_n=6),
-    Check("bridge-parity", "core", lambda s: bridge_parity(s.n, s.group), max_n=6),
+    Check("bridge-parity", "core", lambda s: bridge_parity(s.n, s.group, s.signs), max_n=6),
     Check("relation-validity", "core", lambda s: relation_validity(s)),
     Check("uniqueness", "core", lambda s: uniqueness_of_deloopings(s.families, s.seed),
           max_n=5, all_only=True),

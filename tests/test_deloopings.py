@@ -49,8 +49,8 @@ from signdeloop.deloopings import (
     cartier_delooping,
     check_recognition,
     exhaustive_fixed_points,
-    fixed_point_class,
     fixed_point_delooping,
+    fixed_point_transport,
     natural_isomorphism,
     orbit_class,
     orbit_delooping,
@@ -271,12 +271,13 @@ def fixed_point_elements(X):
 
 
 class TestFixedPointElements:
-    def test_value_at_reference(self):
+    def test_value_at_the_order_chart(self):
         X = LabeledSet.of([2, 7, 8])
         plus, minus = fixed_point_elements(X)
         h0 = order_bijection(X)
         assert plus.value_at(h0) == PLUS and minus.value_at(h0) == MINUS
-        assert fixed_point_class(plus) is PLUS and fixed_point_class(minus) is MINUS
+        classify = fixed_point_delooping.classify
+        assert classify(plus) is PLUS and classify(minus) is MINUS
 
     def test_equivariance(self):
         X = LabeledSet.of([2, 7, 8])
@@ -285,60 +286,58 @@ class TestFixedPointElements:
             for p in perms_of(3):
                 assert plus.value_at(p.then(h)) == sign_inversions(p) * plus.value_at(h)
 
-    def test_reparameterization_same_function(self):
-        X = LabeledSet.of([2, 7, 8])
-        plus, minus = fixed_point_elements(X)
-        for h in enumerate_bijections(fin(3), X):
-            again = FixedPointElement(h, plus.value_at(h))
-            assert again.value_at(h) != minus.value_at(h)
-            for g in enumerate_bijections(fin(3), X):
-                assert again.value_at(g) == plus.value_at(g)
-
     def test_transport(self):
         X, Y = LabeledSet.of([2, 7, 8]), LabeledSet.of([1, 3, 5])
         plus, _ = fixed_point_elements(X)
         e = Bijection(X, Y, (3, 1, 5))
-        moved = plus.transport(e)
+        moved = fixed_point_transport(e, plus)
         for h in enumerate_bijections(fin(3), X):
             assert moved.value_at(h.then(e)) == plus.value_at(h)
 
     def test_transport_carrier_checked(self):
         plus, _ = fixed_point_elements(fin(3))
         with pytest.raises(CarrierMismatch):
-            plus.transport(identity(fin(4)))
+            fixed_point_transport(identity(fin(4)), plus)
 
     @pytest.mark.parametrize(
-        "reference, value",
+        "carrier, value",
         [
-            (order_bijection(fin(3)), 1),
-            ("chart", None),
-            (order_bijection(LabeledSet.of([2, 7, 8])), True),
-            (order_bijection(LabeledSet.of([2, 7, 8])).inverse(), PLUS),
+            (fin(3), 1),
+            (fin(3), True),
+            (LabeledSet.of([2, 7, 8]), None),
+            ("carrier", PLUS),
+            ((2, 7, 8), PLUS),
+            (order_bijection(fin(3)), MINUS),
         ],
-        ids=["int-value", "not-a-chart", "bool-value", "chart-into-fin"],
+        ids=["int-value", "bool-value", "none-value", "str-carrier", "tuple-carrier",
+             "chart-carrier"],
     )
-    def test_public_constructor_refuses_what_is_not_a_chart_and_a_sign(self, reference, value):
+    def test_public_constructor_refuses_what_is_not_a_set_and_a_sign(self, carrier, value):
         with pytest.raises(ContractError):
-            FixedPointElement(reference, value)
-
-    def test_trusted_values_match_the_public_constructor(self):
-        X = random_labeled_set(Random(32), 4)
-        for h in enumerate_bijections(fin(4), X)[:6]:
-            for s in (PLUS, MINUS):
-                public, trusted = FixedPointElement(h, s), FixedPointElement._trusted(h, s)
-                assert trusted == public and public == trusted
-                assert hash(trusted) == hash(public)
-                assert repr(trusted) == repr(public)
-                assert trusted.reference is h and trusted.value_at_reference is s
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            trusted.value_at_reference = PLUS
+            FixedPointElement(carrier, value)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_elements_are_all_distinct_over_a_random_carrier(self, n):
-        X = random_labeled_set(Random(n), n)
+    @pytest.mark.parametrize("random_carrier", [False, True], ids=["fin", "random"])
+    def test_exactly_two_functions(self, n, random_carrier):
+        # The twisted action fixes two functions on charts, and the record
+        # lists them, each once: one function reached along two paths that
+        # differ by an even permutation is one element.
+        rng = Random(n)
+        X = random_labeled_set(rng, n) if random_carrier else fin(n)
         elements = list(fixed_point_delooping.elements(X))
-        assert len(elements) == len(set(elements)) == 2 * math.factorial(n)
-        assert fixed_point_delooping.census(X) == [math.factorial(n)] * 2
+        assert len(elements) == len(set(elements)) == 2
+        assert fixed_point_delooping.census(X) == [1, 1]
+        for f, s in zip(elements, (PLUS, MINUS)):
+            for h in enumerate_bijections(fin(n), X):
+                assert f.value_at(h) is s * sign_inversions(Bijection(fin(n), fin(n), h.positions))
+        Y = random_labeled_set(rng, n)
+        e = random_bijection(rng, X, Y)
+        evens = [t for t in enumerate_bijections(X, X) if sign_inversions(t) is PLUS]
+        for f in elements:
+            moved = fixed_point_transport(e, f)
+            assert moved in fixed_point_delooping.elements(Y)
+            for t in evens:
+                assert fixed_point_transport(t.then(e), f) == moved
 
     def test_value_at_reads_only_charts_of_its_carrier(self):
         # The value is read off the two charts' own signs, so a bijection

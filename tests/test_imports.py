@@ -67,7 +67,6 @@ def test_every_definition_is_read_by_the_package():
 PARITY_DEFINITIONS = {
     "perms.chart_sign",
     "perms.sign_inversions",
-    "perms.inversions",
     "perms.Sign.of_parity",
     "perms._sign_of_images",
 }
@@ -203,6 +202,23 @@ def test_reachability_sees_parity_where_it_is_used():
         replace=(line, "    sign_inversions(order_bijection(u.carrier))\n" + line)
     )
     assert "perms.sign_inversions" in reachable(mutant, sign_free_roots(mutant))
+
+
+def test_the_sign_oracle_reaches_no_family_reader():
+    # sign_inversions judges the families that classify through chart_sign,
+    # so it counts for itself: a fault in the reader or its memo is then
+    # not a fault in the oracle.
+    readers = {"perms.chart_sign", "perms._sign_of_images"}
+    trees = parse_package()
+    oracle = reachable(trees, [module_function(trees, "perms", "sign_inversions")])
+    assert "perms.Sign.of_parity" in oracle
+    assert oracle & readers == set()
+    count = (
+        "    pairs = itertools.combinations(e.positions, 2)\n"
+        "    return Sign.of_parity(sum(itertools.starmap(operator.gt, pairs)))\n"
+    )
+    mutant = parse_package(replace=(count, "    return chart_sign(e)\n"))
+    assert readers <= reachable(mutant, [module_function(mutant, "perms", "sign_inversions")])
 
 
 def test_the_cayley_walk_reaches_no_parity_definition():

@@ -213,7 +213,7 @@ class TestOracles:
 
     def test_bridge_parity(self):
         for n in range(2, 6):
-            assert bridge_parity(n, listing(n)[0])[0]
+            assert bridge_parity(n, *listing(n))[0]
 
     def test_relation_validity_beyond_the_enumeration_bound(self):
         # 12! charts cannot be listed and 2^66 orientations overflow a sample
@@ -417,10 +417,17 @@ class TestSignHomomorphism:
 
 
 # The rows of run_verification(4, "all", 7) that read the inversion sign:
-# four core rows, and each family's three recognition rows.
+# six core rows, and each family's three recognition rows.
 SIGN_ROWS = {
     ("core", row)
-    for row in ("sign-homomorphism", "alternating-kernel", "relation-validity", "uniqueness")
+    for row in (
+        "factorization",
+        "sign-homomorphism",
+        "alternating-kernel",
+        "bridge-parity",
+        "relation-validity",
+        "uniqueness",
+    )
 } | {
     (name, row)
     for name in CONSTRUCTIONS
@@ -596,6 +603,28 @@ class TestRunVerification:
         plant_sign_reader(monkeypatch, lambda e: -real(e) if e.images == (1, 0, 2, 3) else real(e))
         assert set(failed_rows(run_verification(4, "all", 7))) == SIGN_ROWS
 
+    def test_the_oracle_judges_a_fault_in_the_families_reader(self, monkeypatch):
+        # chart_sign's memo reads the two 3-cycles (0 1 2) and (0 2 1) of
+        # fin(5) as odd.  The oracle counts for itself, so every family that
+        # classifies through chart_sign fails its sign rows; cartier reads
+        # no parity and the core sign rows read only the oracle, so theirs pass.
+        real = perms._sign_of_images
+        cycles = {(1, 2, 0, 3, 4), (2, 0, 1, 3, 4)}
+
+        def planted(positions):
+            return -real(positions) if positions in cycles else real(positions)
+
+        planted.__wrapped__ = real.__wrapped__
+        monkeypatch.setattr(perms, "_sign_of_images", planted)
+        failed = failed_rows(run_verification(5, "all", 101))
+        sign_rows = ("sign-agreement", "recognition", "recognition-covariance")
+        for name in ("fixed", "orbit", "simpson"):
+            assert {(name, row) for row in sign_rows} <= set(failed), name
+        core_rows = ("sign-homomorphism", "alternating-kernel", "relation-validity")
+        passing = {("cartier", row) for row in sign_rows} | {("core", row) for row in core_rows}
+        assert passing.isdisjoint(failed)
+        assert failed[("fixed", "sign-agreement")] == "sign mismatch at (1, 2, 0, 3, 4)"
+
     def test_a_raising_sign_reader_fails_rows_not_the_run(self, monkeypatch):
         # The run's signs are read lazily, by the rows that need them, so a
         # reader that raises fails those rows and the run returns.
@@ -645,15 +674,14 @@ class TestRunVerification:
         assert {"cycle-roundtrip", "factorization"} <= failed
 
     def test_no_package_path_builds_through_the_public_constructors(self, monkeypatch):
-        # With the checks of FixedPointElement and Orientation made to raise,
-        # every row stays as it was: the package builds both through _trusted.
+        # With the checks of Orientation made to raise, every row stays as it
+        # was: the package builds orientations through _trusted.
         clean = table(run_verification(5))
 
         def refuse(value):
             raise AssertionError(f"public constructor reached for {type(value).__name__}")
 
-        for cls in (FixedPointElement, Orientation):
-            monkeypatch.setattr(cls, "__post_init__", refuse)
+        monkeypatch.setattr(Orientation, "__post_init__", refuse)
         with pytest.raises(AssertionError):
             Orientation(fin(3), 0)
         assert table(run_verification(5)) == clean
@@ -840,11 +868,13 @@ class TestSharedDraws:
         assert all(r.passed for r in run_verification(5, "all", 0))
         assert built == list(CONSTRUCTIONS)
 
-    @pytest.mark.parametrize("n, whole", [(5, {"fixed", "orbit", "simpson"}), (6, {"simpson"})])
+    @pytest.mark.parametrize(
+        "n, whole", [(5, {"fixed", "orbit", "simpson"}), (6, {"fixed", "simpson"})]
+    )
     def test_quotient_naturality_pools(self, n, whole):
         # Each move squares every element when a construction has at most
-        # SQUARE_POOL_LIMIT over an n-set (simpson's 6! charts at n = 6),
-        # else its two class representatives.
+        # SQUARE_POOL_LIMIT over an n-set (fixed's two functions, and
+        # simpson's 6! charts at n = 6), else its two class representatives.
         for name, build in CONSTRUCTIONS.items():
             Q = build(n)
             C, squared = Q.construction, []
@@ -854,7 +884,7 @@ class TestSharedDraws:
             Q = dataclasses.replace(Q, construction=counting)
             for probe in verify.quotient_naturality(n, Random(0)):
                 assert probe(Q) is None
-            elements = math.factorial(n) * (1 if name == "simpson" else 2)
+            elements = {"fixed": 2, "simpson": math.factorial(n)}.get(name, 2 * math.factorial(n))
             assert len(squared) == 20 * (elements if name in whole else 2), name
 
     def test_row_durations_cover_the_draws(self, monkeypatch):
