@@ -64,7 +64,6 @@ from .perms import (
     PLUS,
     Sign,
     factor_into_transpositions,
-    permutation,
     product_of_transpositions,
     sign_inversions,
     transposition,
@@ -127,34 +126,35 @@ def _run(report: VerifyReport, name: str, check: Callable[[], tuple[bool, str]])
 # --------------------------------------------------------------------------
 # Oracles.
 
-def expand_orbits(n: int) -> list[set[tuple]]:
+def expand_orbits(group: tuple) -> list[set[tuple[Bijection, Sign]]]:
     """The orbits of (identity, PLUS) and (identity, MINUS) under the moves
-    (h, s) -> (h*tau, -s), tau any transposition.
+    (h, s) -> (h*tau, -s), tau any transposition, over the listing group.
 
     Independent of the class-label shortcut: the walk under all the moves
     colours the identity PLUS and each permutation -colour[p] from the edge
     that first reaches it.  An edge within one colour merges the orbits;
     moves that fail to generate S_n leave them smaller than n!.
     """
-    base = fin(n)
+    base = group[0].domain
     moves = [transposition_of_pair(base, P).images for P in k_subsets(base, 2)]
-    colour = {tuple(range(n)): PLUS}
+    walk = cayley_walk(group, moves)
+    colour = {walk[1][0]: PLUS}
     merged = False
-    for p, _, q in cayley_edges(n, moves):
+    for p, _, q in cayley_edges(walk):
         if q not in colour:
             colour[q] = -colour[p]
         elif colour[q] is colour[p]:
             merged = True
-    plus, minus = set(colour.items()), {(p, -s) for p, s in colour.items()}
+    plus, minus = ({(group[p], t * c) for p, c in colour.items()} for t in (PLUS, MINUS))
     return [plus | minus] if merged else [plus, minus]
 
 
 def kernel_closure(n: int, group: tuple, signs: tuple) -> tuple[bool, str]:
     """The even listing of S_n is A_n, a subgroup, proved by generation.
 
-    The Cayley walk under the 3-cycles (0 1 i), 2 <= i < n, which generate
-    A_n, must stay in the listing and reach all of it (the identity counts
-    as reached).  A set holding the identity and closed under right
+    The Cayley walk of the listing under the 3-cycles (0 1 i), 2 <= i < n,
+    which generate A_n, must stay in the listing (a None step escapes it)
+    and reach all of it.  A set holding the identity and closed under right
     multiplication by generators is the subgroup they generate, so this
     holds exactly when the listing is that subgroup, closed under products
     and inverses.  Each product is looked up in the listing, never judged
@@ -163,16 +163,14 @@ def kernel_closure(n: int, group: tuple, signs: tuple) -> tuple[bool, str]:
     listing order.
     """
     kernel = alternating_kernel(group, signs)
-    members = {e.positions for e in kernel}  # over fin(n), the image tuples
     moves = [tuple({0: 1, 1: i, i: 0}.get(k, k) for k in range(n)) for i in range(2, n)]
-    reached = {tuple(range(n))}
-    for p, i, q in cayley_edges(n, moves):
-        if q not in members:
-            return False, f"product of {p!r} and {moves[i]!r} escapes the kernel"
-        reached.add(q)
-    for e in kernel:
-        if e.positions not in reached:
-            return False, f"{e.images!r} is not reached from the identity"
+    walk = cayley_walk(kernel, moves)
+    for p, i, q in cayley_edges(walk):
+        if q is None:
+            return False, f"product of {kernel[p].positions!r} and {moves[i]!r} escapes the kernel"
+    if len(walk[1]) < len(kernel):
+        k = min(set(range(len(kernel))).difference(walk[1]))
+        return False, f"{kernel[k].positions!r} is not reached from the identity"
     return True, f"order {len(kernel)}"
 
 
@@ -398,15 +396,15 @@ def quotient_naturality(n: int, rng: Random) -> Generator[Probe, None, str]:
     return f"projection squares commute on {moves} moves"
 
 
-def orbit_structure(n: int) -> tuple[bool, str]:
-    """Exhaustive orbit expansion: two orbits of size n!, labels constant."""
-    orbits = expand_orbits(n)
+def orbit_structure(n: int, group: tuple) -> tuple[bool, str]:
+    """Exhaustive orbit expansion of group: two orbits of size n!, labels constant."""
+    orbits = expand_orbits(group)
     sizes = sorted(len(o) for o in orbits)
     if sizes != [math.factorial(n)] * 2:
         return False, f"orbit sizes {sizes!r}"
     labels = []
     for orbit in orbits:
-        got = {orbit_class(permutation(images), s) for images, s in orbit}
+        got = {orbit_class(h, s) for h, s in orbit}
         if len(got) != 1:
             return False, "class label is not constant on an orbit"
         labels.append(got.pop())
@@ -415,23 +413,24 @@ def orbit_structure(n: int) -> tuple[bool, str]:
     return True, f"two orbits of size {sizes[0]} with distinct labels"
 
 
-def fixed_equivariance(n: int, group: tuple) -> tuple[bool, str]:
+def fixed_equivariance(n: int, group: tuple, walk: tuple) -> tuple[bool, str]:
     """value(h*a^-1) = sign(a) * value(h) for both fixed elements, every
     chart h in group and every a in S_n, proved on the edges: value(h*s_i) = -value(h)
     for every adjacent swap s_i.  The swaps generate S_n and the sign is
     multiplicative (sign_homomorphism's walk proves both in the same run),
-    so a is a word in the s_i whose length has the parity of sign(a).  The
-    edges are those of sign_homomorphism's walk, and a failure names the
-    first broken one in walk order.
+    so a is a word in the s_i whose length has the parity of sign(a).  walk
+    is the run's Scope.walk, the one sign_homomorphism reads, and a failure
+    names the first broken edge in walk order.
     """
     base = fin(n)
     # Through the family, as for every record: see CONSTRUCTIONS.
     representative = fixed_point_delooping(n).construction.representative
     for elem in (representative(base, s) for s in (PLUS, MINUS)):
-        value = {h.positions: elem.value_at(h) for h in group}  # one read per chart
-        for h, i, q in cayley_edges(n, adjacent_swaps(n)):
+        value = list(map(elem.value_at, group))  # one read per chart
+        for h, i, q in cayley_edges(walk):
             if value[q] is not -value[h]:
-                return False, f"equivariance fails at chart {h!r}, swap ({i}, {i + 1})"
+                chart = group[h].positions
+                return False, f"equivariance fails at chart {chart!r}, swap ({i}, {i + 1})"
     return True, "both elements are equivariant"
 
 
@@ -481,50 +480,46 @@ def factorization_sound(group: tuple, signs: tuple) -> tuple[bool, str]:
     return True, "factors rebuild every permutation with matching parity"
 
 
-def cayley_edges(
-    n: int, moves: list[tuple[int, ...]]
-) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """Every edge (p, i, p*g_i) of the Cayley graph of the group the moves
-    g_i generate, walked breadth-first from the identity of S_n on image
-    tuples.
-
-    p*g applies g first, so it is p read at g's images.  Each permutation
-    is expanded once, when the walk first reaches it, and yields one edge
-    per move: (permutations reached) * len(moves) edges in all.  No parity
-    is read.
+def cayley_walk(listing: tuple, moves: list[tuple[int, ...]]) -> tuple[list[tuple], list[int]]:
+    """The Cayley graph of the moves g_i on a listing of permutations of
+    fin(n), by index: steps[i][k] is the index of listing[k]*g_i (g_i
+    first, so listing[k] read at g_i's images), None if that is not listed.
+    order lists the indices reached breadth-first from the identity, none
+    when the identity is not listed.  No parity is read.
     """
-    steps = [itemgetter(*g) for g in moves]
-    start = tuple(range(n))
-    seen = {start}
-    frontier = [start]
-    for p in frontier:  # grows while it is read: breadth-first order
-        for i, step in enumerate(steps):
-            q = step(p)
-            yield p, i, q
-            if q not in seen:
+    positions = [e.positions for e in listing]
+    index = {p: k for k, p in enumerate(positions)}
+    steps = [tuple(map(index.get, map(itemgetter(*g), positions))) for g in moves]
+    start = index.get(tuple(range(len(positions[0]))))
+    order = [] if start is None else [start]
+    seen = set(order)
+    for p in order:  # grows while it is read: breadth-first order
+        for step in steps:
+            q = step[p]
+            if q is not None and q not in seen:
                 seen.add(q)
-                frontier.append(q)
+                order.append(q)
+    return steps, order
 
 
-def adjacent_swaps(n: int) -> list[tuple[int, ...]]:
-    """The images of the n - 1 adjacent swaps s_i = <i i+1>, which generate S_n."""
-    return [transposition(n, i, i + 1).images for i in range(n - 1)]
+def cayley_edges(walk: tuple[list[tuple], list[int]]) -> Iterator[tuple[int, int, int | None]]:
+    """Every edge (p, i, steps[i][p]) of a cayley_walk, p in walk order."""
+    return ((p, i, step[p]) for p in walk[1] for i, step in enumerate(walk[0]))
 
 
 def sign_homomorphism(s: Scope) -> tuple[bool, str]:
     """sign(a*b) = sign(a) * sign(b) on S_n.
 
-    Up to ENUMERATION_BOUND it is proved on the Cayley graph, with no rng
-    draws: it reads the run's signs, as every other row does; the identity
-    must map to +1 and every edge (p, i, p*s_i) under the n - 1 adjacent
-    swaps s_i = <i i+1> must flip the sign, so
-    sign(a*w) = sign(a) * (-1)^len(w) for every word w in the s_i.  The
-    walk expands each permutation it reaches once, with n - 1 edges, so
-    taking all n!(n - 1) edges means it reached the whole listing: every b
-    is such a word, with sign(b) = (-1)^len(w) (take a = id), hence
-    sign(a*b) = sign(a) * sign(b).  A failure names the first offending
-    edge in walk order.  Beyond ENUMERATION_BOUND, 10 000 seeded random
-    pairs are checked.
+    Up to ENUMERATION_BOUND it is proved on the edges of the run's walk,
+    with no rng draws: it reads the run's signs, as every other row does;
+    the identity must map to +1 and every edge (p, i, p*s_i) under the n - 1
+    adjacent swaps s_i = <i i+1> must flip the sign, so
+    sign(a*w) = sign(a) * (-1)^len(w) for every word w in the s_i.  The walk
+    takes n - 1 edges from each permutation it reaches, so taking all
+    n!(n - 1) means it reached the whole listing: every b is a word w, so
+    sign(a*b) = sign(a) * sign(b) (take a = id for sign(b) = (-1)^len(w)).
+    A failure names the first offending edge in walk order.  Beyond
+    ENUMERATION_BOUND, 10 000 seeded random pairs are checked.
     """
     n, rng, base = s.n, s.rng, fin(s.n)
     if n > ENUMERATION_BOUND:
@@ -533,17 +528,15 @@ def sign_homomorphism(s: Scope) -> tuple[bool, str]:
             if sign_inversions(a.then(b)) != sign_inversions(a) * sign_inversions(b):
                 return False, f"multiplicativity fails at {(a.images, b.images)!r}"
         return True, "sign is multiplicative"
-    sign = dict(zip((e.positions for e in s.group), s.signs))
-    if sign[tuple(range(n))] is not PLUS:
+    group, signs, (steps, order) = s.group, s.signs, s.walk
+    if signs[order[0]] is not PLUS:
         return False, "sign of the identity is not +1"
-    moves = adjacent_swaps(n)
-    walked = 0
-    for walked, (p, i, q) in enumerate(cayley_edges(n, moves), 1):
-        if sign.get(q) in (sign[p], None):  # two signs: anything else is -sign[p]
-            return False, f"sign does not flip on edge {p!r} -> {q!r} (swap {i}, {i + 1})"
-    edges = len(sign) * len(moves)
-    if walked != edges:
-        return False, f"walk takes {walked} of {edges} edges"
+    for p, i, q in cayley_edges(s.walk):
+        if signs[q] is signs[p]:  # two signs: anything else is -signs[p]
+            edge = f"{group[p].positions!r} -> {group[q].positions!r}"
+            return False, f"sign does not flip on edge {edge} (swap {i}, {i + 1})"
+    if len(order) != len(group):
+        return False, f"walk takes {len(order) * len(steps)} of {len(group) * len(steps)} edges"
     return True, "sign is multiplicative"
 
 
@@ -608,9 +601,10 @@ class Scope:
 
     rng and family_rng are the two Random(seed) of the core and the family
     rows; families maps each selected construction to the run's family of
-    it.  group lists S_n and signs the sign_inversions of its permutations,
-    each on first read: a run whose rows all sample lists nothing, and a
-    sign reader that raises fails the rows reading signs, not the run.
+    it.  group lists S_n, signs the sign_inversions of its permutations and
+    walk their cayley_walk under the adjacent swaps, each on first read: a
+    run whose rows all sample lists and walks nothing, and a sign reader
+    that raises fails the rows reading signs, not the run.
     """
 
     def __init__(self, n: int, seed: int, families: Mapping[str, TwoElementFamily]):
@@ -624,6 +618,11 @@ class Scope:
     @cached_property
     def signs(self) -> tuple[Sign, ...]:
         return tuple(map(sign_inversions, self.group))
+
+    @cached_property
+    def walk(self) -> tuple[list[tuple], list[int]]:
+        swaps = [transposition(self.n, i, i + 1).images for i in range(self.n - 1)]
+        return cayley_walk(self.group, swaps)
 
 
 class Check(NamedTuple):
@@ -691,8 +690,8 @@ CHECKS: tuple[Check, ...] = (
     Check("label-independence", "family", lambda s: label_independence(s.n, s.family_rng)),
     Check("quotient-naturality", "family", lambda s: quotient_naturality(s.n, s.family_rng),
           max_n=6),
-    Check("orbit-structure", "orbit", lambda s: orbit_structure(s.n), max_n=5),
-    Check("equivariance", "fixed", lambda s: fixed_equivariance(s.n, s.group), max_n=5),
+    Check("orbit-structure", "orbit", lambda s: orbit_structure(s.n, s.group), max_n=5),
+    Check("equivariance", "fixed", lambda s: fixed_equivariance(s.n, s.group, s.walk), max_n=5),
     Check("fixed-census", "fixed", lambda s: fixed_census(s.group, s.signs), max_n=3,
           fixed_max_n=CENSUS_BOUND),
 )

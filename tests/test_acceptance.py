@@ -115,7 +115,7 @@ def test_c05_fixed_point_census():
 def test_c06_two_orbits_of_size_factorial():
     bad = 0
     for n in range(2, 6):
-        orbits = expand_orbits(n)
+        orbits = expand_orbits(listing(n)[0])
         if len(orbits) != 2 or sorted(len(o) for o in orbits) != [math.factorial(n)] * 2:
             bad += 1
     conclude(

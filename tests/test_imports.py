@@ -221,17 +221,27 @@ def test_the_sign_oracle_reaches_no_family_reader():
     assert readers <= reachable(mutant, [module_function(mutant, "perms", "sign_inversions")])
 
 
+def walk_parity(trees: dict[str, ast.Module]) -> set[str]:
+    """The parity definitions that verify's Cayley walk reaches."""
+    return reachable(trees, [module_function(trees, "verify", "cayley_walk")]) & PARITY_DEFINITIONS
+
+
 def test_the_cayley_walk_reaches_no_parity_definition():
     # The edge law reads parity only through sign_inversions, once per
     # permutation; the walk that supplies its edges, to the edge law and to
     # the kernel's generation proof, reads none.
     trees = parse_package()
-    walk = reachable(trees, [module_function(trees, "verify", "cayley_edges")])
-    assert walk & PARITY_DEFINITIONS == set()
+    assert walk_parity(trees) == set()
     edge_law = reachable(trees, [module_function(trees, "verify", "sign_homomorphism")])
-    assert {"verify.cayley_edges", "perms.sign_inversions"} <= edge_law
+    assert {"verify.cayley_walk", "perms.sign_inversions"} <= edge_law
     closure = reachable(trees, [module_function(trees, "verify", "kernel_closure")])
-    assert "verify.cayley_edges" in closure
+    assert "verify.cayley_walk" in closure
+
+
+def test_a_walk_that_reads_a_sign_is_flagged():
+    line = "    order = [] if start is None else [start]\n"
+    mutant = parse_package(replace=(line, line + "    sign_inversions(listing[0])\n"))
+    assert walk_parity(mutant) == {"perms.sign_inversions", "perms.Sign.of_parity"}
 
 
 def test_the_orbit_oracle_walks_and_reads_no_parity():
@@ -239,7 +249,7 @@ def test_the_orbit_oracle_walks_and_reads_no_parity():
     # class-label shortcut that orbit_structure checks it against.
     trees = parse_package()
     orbits = reachable(trees, [module_function(trees, "verify", "expand_orbits")])
-    assert "verify.cayley_edges" in orbits
+    assert "verify.cayley_walk" in orbits
     assert orbits & PARITY_DEFINITIONS == set()
 
 

@@ -35,6 +35,7 @@ from signdeloop.verify import (
     _run,
     bridge_parity,
     cayley_edges,
+    cayley_walk,
     expand_orbits,
     kernel_closure,
     orientation_class_census,
@@ -47,7 +48,7 @@ from signdeloop.verify import (
 )
 
 from deformations import Mutation
-from listings import listing
+from listings import adjacent_swaps, composed_walk, listing
 
 # (construction, check, passed, detail) of run_verification(n, "all", 0)
 # for n = 2..8, n = 4 with exhaustive_fixed as the benchmark's census
@@ -65,21 +66,17 @@ GATED = GATE["EXPECTED"]
 class TestOracles:
     def test_expand_orbits_counts(self):
         for n in range(2, 5):
-            orbits = expand_orbits(n)
+            orbits = expand_orbits(listing(n)[0])
             assert len(orbits) == 2
             assert sorted(len(o) for o in orbits) == [math.factorial(n)] * 2
 
     def test_expand_orbits_match_class_labels(self):
-        for orbit in expand_orbits(3):
-            labels = {
-                orbit_class(permutation(images), s) for images, s in orbit
-            }
-            assert len(labels) == 1
-        all_labels = {
-            orbit_class(permutation(images), s)
-            for orbit in expand_orbits(3)
-            for images, s in orbit
-        }
+        group = listing(3)[0]
+        for orbit in expand_orbits(group):
+            assert len({orbit_class(h, s) for h, s in orbit}) == 1
+            # The orbits hold the listing's own permutations.
+            assert all(any(h is e for e in group) for h, _ in orbit)
+        all_labels = {orbit_class(h, s) for orbit in expand_orbits(group) for h, s in orbit}
         assert all_labels == {PLUS, MINUS}
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -95,8 +92,9 @@ class TestOracles:
 
         monkeypatch.setattr(verify, "transposition_of_pair", planted)
         size = 2 * math.factorial(n)
-        assert [len(o) for o in expand_orbits(n)] == [size]
-        assert verify.orbit_structure(n) == (False, f"orbit sizes [{size}]")
+        group = listing(n)[0]
+        assert [len(o) for o in expand_orbits(group)] == [size]
+        assert verify.orbit_structure(n, group) == (False, f"orbit sizes [{size}]")
 
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("both_ends", [False, True], ids=["chart", "swap-0-edge"])
@@ -117,22 +115,14 @@ class TestOracles:
             return -real(elem, h) if h.images in bad else real(elem, h)
 
         monkeypatch.setattr(FixedPointElement, "value_at", flipped)
-
-        def walk():
-            frontier, seen = [finite.identity(fin(n))], {tuple(range(n))}
-            for h in frontier:
-                for i in range(n - 1):
-                    q = transposition(n, i, i + 1).then(h)
-                    yield h, i, q
-                    if q.images not in seen:
-                        seen.add(q.images)
-                        frontier.append(q)
-
         h, i = next(
-            (h.images, i) for h, i, q in walk() if (h.images in bad) != (q.images in bad)
+            (h.images, i)
+            for h, i, q in composed_walk(n, adjacent_swaps(n))
+            if (h.images in bad) != (q.images in bad)
         )
         assert i > 0 or not both_ends
-        assert verify.fixed_equivariance(n, listing(n)[0]) == (
+        scope = Scope(n, 0, {})
+        assert verify.fixed_equivariance(n, scope.group, scope.walk) == (
             False, f"equivariance fails at chart {h!r}, swap ({i}, {i + 1})"
         )
 
@@ -156,7 +146,11 @@ class TestOracles:
         assert all(sign_inversions(e) is PLUS for e in tampered)
         monkeypatch.setattr(verify, "alternating_kernel", lambda group, signs: tampered)
         moves = three_cycles(n)
-        p, g = next((p, moves[i]) for p, i, q in cayley_edges(n, moves) if q == missing)
+        p, g = next(
+            (p.images, moves[i].images)
+            for p, i, q in composed_walk(n, moves)
+            if q.images == missing
+        )
         assert kernel_closure(n, *signed) == (
             False, f"product of {p!r} and {g!r} escapes the kernel"
         )
@@ -165,6 +159,12 @@ class TestOracles:
         monkeypatch.setattr(verify, "alternating_kernel", lambda group, signs: even + (odd,))
         assert kernel_closure(n, *signed) == (
             False, f"{odd.images!r} is not reached from the identity"
+        )
+        # Without the identity the walk has nowhere to start.
+        assert even[0].images == tuple(range(n))
+        monkeypatch.setattr(verify, "alternating_kernel", lambda group, signs: even[1:])
+        assert kernel_closure(n, *signed) == (
+            False, f"{even[1].images!r} is not reached from the identity"
         )
 
     def test_parity_triangle_exhaustive(self):
@@ -313,40 +313,95 @@ class TestRecognitionCovariance:
         assert result.detail == f"mutant #{k} (split/mutant[none]) booleans (True, True, False)"
 
 
-def adjacent_swaps(n):
-    return [transposition(n, i, i + 1).images for i in range(n - 1)]
-
-
 def three_cycles(n):
     """The 3-cycles (0 1 i), 2 <= i < n: apply <1 i>, then <0 1>."""
-    return [transposition(n, 1, i).then(transposition(n, 0, 1)).images for i in range(2, n)]
+    return [transposition(n, 1, i).then(transposition(n, 0, 1)) for i in range(2, n)]
+
+
+def images(moves):
+    return [g.images for g in moves]
+
+
+# (n, moves, listed): S_n under the adjacent swaps and A_n under the 3-cycles.
+WALKS = [
+    pytest.param(n, adjacent_swaps(n), listing(n)[0], id=str(n)) for n in range(1, 6)
+] + [
+    pytest.param(n, three_cycles(n), alternating_kernel(*listing(n)), id=f"3-cycles-{n}")
+    for n in range(3, 7)
+]
 
 
 class TestCayleyWalk:
-    @pytest.mark.parametrize(
-        "n, moves, listing",
-        [
-            pytest.param(n, adjacent_swaps(n), enumerate_bijections(fin(n), fin(n)), id=str(n))
-            for n in range(1, 6)
-        ] + [
-            pytest.param(n, three_cycles(n), alternating_kernel(*listing(n)), id=f"3-cycles-{n}")
-            for n in range(3, 7)
-        ],
-    )
-    def test_walks_every_edge_once(self, n, moves, listing):
+    @pytest.mark.parametrize("n, moves, listed", WALKS)
+    def test_steps_index_the_composed_products(self, n, moves, listed):
+        # steps[i][k] indexes listed[k]*g_i, which applies g_i first.
+        steps, _ = cayley_walk(listed, images(moves))
+        assert len(steps) == len(moves)
+        for g, step in zip(moves, steps):
+            assert [listed[k] for k in step] == [g.then(h) for h in listed]
+
+    @pytest.mark.parametrize("n, moves, listed", WALKS)
+    def test_walks_every_edge_once(self, n, moves, listed):
         # n! * (n - 1) edges under the swaps, (n!/2) * (n - 2) under the 3-cycles.
-        edges = list(cayley_edges(n, moves))
-        assert len(edges) == len(listing) * len(moves)
-        assert len({(p, i) for p, i, _ in edges}) == len(edges)
-        for p, i, q in edges:
-            # p*g_i applies g_i first, then p.
-            assert q == permutation(moves[i]).then(permutation(p)).images
-        assert {tuple(range(n))} | {q for _, _, q in edges} == {e.images for e in listing}
+        walk = cayley_walk(listed, images(moves))
+        edges = list(composed_walk(n, moves))
+        assert len(edges) == len(listed) * len(moves)
+        assert [(listed[p], i, listed[q]) for p, i, q in cayley_edges(walk)] == edges
+        assert sorted(walk[1]) == list(range(len(listed)))
 
     def test_walk_is_breadth_first_from_the_identity(self):
-        starts = list(dict.fromkeys(p for p, _, _ in cayley_edges(3, adjacent_swaps(3))))
-        assert starts[0] == (0, 1, 2)
-        assert starts[1:3] == [(1, 0, 2), (0, 2, 1)]
+        group = listing(3)[0]
+        _, order = cayley_walk(group, images(adjacent_swaps(3)))
+        assert [group[p].images for p in order[:3]] == [(0, 1, 2), (1, 0, 2), (0, 2, 1)]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_a_product_off_the_listing_steps_to_none(self, n):
+        # The reversal removed: each of its n - 1 neighbours steps to None
+        # on the one swap that reaches it, and the walk goes round it.
+        group = listing(n)[0]
+        removed = permutation(tuple(reversed(range(n))))
+        listed = tuple(e for e in group if e != removed)
+        assert len(listed) == len(group) - 1
+        moves = adjacent_swaps(n)
+        steps, order = cayley_walk(listed, images(moves))
+        for g, step in zip(moves, steps):
+            products = [g.then(h) for h in listed]
+            assert [None if k is None else listed[k] for k in step] == [
+                None if q == removed else q for q in products
+            ]
+        assert sum(step.count(None) for step in steps) == n - 1
+        assert sorted(order) == list(range(len(listed)))
+        # A listing without the identity is walked from nowhere.
+        assert cayley_walk(group[1:], images(moves))[1] == []
+
+    @pytest.mark.parametrize("n, exhaustive_fixed", [(5, False), (4, True), (9, False)])
+    def test_a_run_walks_each_move_set_once(self, monkeypatch, n, exhaustive_fixed):
+        # sign-homomorphism and equivariance share the run's adjacent walk;
+        # alternating-kernel walks the 3-cycles, orbit-structure the
+        # transpositions.  Past ENUMERATION_BOUND nothing is walked.
+        walked, real = [], verify.cayley_walk
+        monkeypatch.setattr(
+            verify, "cayley_walk", lambda listed, moves: walked.append(moves) or real(listed, moves)
+        )
+        run_verification(n, "all", 0, exhaustive_fixed=exhaustive_fixed)
+        if n > verify.ENUMERATION_BOUND:
+            assert walked == []
+            return
+        transpositions = [transposition(n, a, b) for a, b in itertools.combinations(range(n), 2)]
+        expected = [adjacent_swaps(n), three_cycles(n), transpositions]
+        assert sorted(map(sorted, walked)) == sorted(sorted(images(m)) for m in expected)
+
+    def test_a_dropped_swap_fails_the_sign_row(self, monkeypatch):
+        # <0 1>, <1 2> and <2 3> generate only S_4 inside S_5: the walk
+        # takes 24 * 3 of the 120 * 3 edges.
+        real, swaps = verify.cayley_walk, images(adjacent_swaps(5))
+        monkeypatch.setattr(
+            verify,
+            "cayley_walk",
+            lambda listed, moves: real(listed, moves[:-1] if moves == swaps else moves),
+        )
+        (row,) = [c for c in run_verification(5)[0].checks if c.name == "sign-homomorphism"]
+        assert (row.passed, row.detail) == (False, "walk takes 72 of 360 edges")
 
 
 class TestSignHomomorphism:
@@ -373,7 +428,9 @@ class TestSignHomomorphism:
         # The walk reaches planted before it leaves it, so the first edge
         # touching it ends there.
         p, i, q = next(
-            edge for edge in cayley_edges(n, adjacent_swaps(n)) if planted in (edge[0], edge[2])
+            (p.images, i, q.images)
+            for p, i, q in composed_walk(n, adjacent_swaps(n))
+            if planted in (p.images, q.images)
         )
         assert q == planted
         assert sign_homomorphism(Scope(n, 0, {})) == (
@@ -396,16 +453,13 @@ class TestSignHomomorphism:
         assert sign_homomorphism(Scope(3, 0, {})) == (False, "sign of the identity is not +1")
 
     @pytest.mark.parametrize("n", [4, verify.ENUMERATION_BOUND])
-    def test_requires_the_walk_to_take_every_edge(self, monkeypatch, n):
-        # Every edge of a walk cut short still flips the sign.
-        real = verify.cayley_edges
-        monkeypatch.setattr(
-            verify, "cayley_edges", lambda n, moves: itertools.islice(real(n, moves), n - 1)
-        )
+    def test_requires_the_walk_to_take_every_edge(self, n):
+        # Every edge of a walk cut short to the identity still flips the sign.
+        scope = Scope(n, 0, {})
+        steps, order = scope.walk
+        scope.walk = steps, order[:1]
         edges = math.factorial(n) * (n - 1)
-        assert sign_homomorphism(Scope(n, 0, {})) == (
-            False, f"walk takes {n - 1} of {edges} edges"
-        )
+        assert sign_homomorphism(scope) == (False, f"walk takes {n - 1} of {edges} edges")
 
     def test_samples_pairs_beyond_the_enumeration_bound(self, monkeypatch):
         monkeypatch.setattr(verify, "sign_inversions", lambda e: MINUS)
@@ -585,12 +639,16 @@ class TestRunVerification:
         assert len(calls) <= 750
 
     def test_fixed_equivariance_composes_no_bijection(self, monkeypatch):
-        # The edge law steps charts on image tuples: no composite, no inverse.
-        calls, group = [], listing(5)[0]
+        # The walk steps charts on listing indices and the edge law reads
+        # them: no composite, no inverse.
+        calls, scope = [], Scope(5, 0, {})
+        group = scope.group
         then, inverse = Bijection.then, Bijection.inverse
         monkeypatch.setattr(Bijection, "then", lambda e, f: calls.append(e) or then(e, f))
         monkeypatch.setattr(Bijection, "inverse", lambda e: calls.append(e) or inverse(e))
-        assert verify.fixed_equivariance(5, group) == (True, "both elements are equivariant")
+        assert verify.fixed_equivariance(5, group, scope.walk) == (
+            True, "both elements are equivariant"
+        )
         assert calls == []
 
     def test_a_warm_run_hides_no_sign_fault(self, monkeypatch):
