@@ -6,16 +6,16 @@ label followed by its image and the last by the first.  The set is the
 disjoint union of the orbits: cycle_decompose and recompose keep the set
 they are given, and CycleDecomposition(cycles) derives it from the labels.
 The canonical form sorts cycles by minimal label.  Arbitrary endofunctions
-extend this picture: an eventually-periodic core carrying cycles, with a
-rooted tree of transient points hanging off every core element.
+extend this picture as plain data: the cycles of their periodic core, and a
+dict that sends each transient label to its image.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DomainMismatch, MalformedDecomposition, NotMember
 from .finite import Bijection, Frozen, Label, LabeledSet, require_ints
@@ -81,11 +81,6 @@ def _orbits(labels: Iterable[Label], step: dict[Label, Label]) -> list[Orbit]:
     return orbits
 
 
-def _successors(orbit: Orbit) -> Iterator[tuple[Label, Label]]:
-    """Each label of an orbit with its image, the next entry."""
-    return zip(orbit, orbit[1:] + orbit[:1])
-
-
 def cycle_decompose(e: Bijection) -> CycleDecomposition:
     """Canonical cycle form: cycles sorted by minimal label, over e.domain."""
     if (X := e.domain) is not e.codomain and X != e.codomain:
@@ -111,87 +106,14 @@ def recompose(dec: CycleDecomposition) -> Bijection:
     return Bijection._trusted(X, X, tuple(positions))
 
 
-class RootedTree(Frozen):
-    """A rooted tree of labels; children sorted by their roots."""
+def decompose_endofunction(
+    carrier: LabeledSet, f: dict[Label, Label]
+) -> tuple[tuple[Orbit, ...], dict[Label, Label]]:
+    """Split a self-map, given as its image table, into (cycles, transient).
 
-    def __init__(self, root: Label, children: Iterable["RootedTree"] = ()):
-        children = tuple(children)
-        roots = [c.root for c in children]
-        if roots != sorted(roots) or len(set(roots)) != len(roots):
-            raise MalformedDecomposition("children must be sorted by distinct roots")
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "children", children)
-
-    def _preorder(self) -> Iterator["RootedTree"]:
-        # Without recursion: trees may be deep.
-        stack = [self]
-        while stack:
-            tree = stack.pop()
-            yield tree
-            stack.extend(reversed(tree.children))
-
-    def nodes(self) -> Iterator[Label]:
-        """Every label in preorder."""
-        return (tree.root for tree in self._preorder())
-
-    def _shape(self) -> tuple[tuple[Label, int], ...]:
-        """(root, child count) in preorder, which determines the tree."""
-        return tuple((tree.root, len(tree.children)) for tree in self._preorder())
-
-    # Field-wise __eq__, __hash__ and __repr__ would recurse once per level.
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RootedTree):
-            return NotImplemented
-        return self._shape() == other._shape()
-
-    def __hash__(self) -> int:
-        return hash(self._shape())
-
-    def __repr__(self) -> str:
-        return f"RootedTree(preorder={self._shape()!r})"
-
-
-class EndoDecomposition(Frozen):
-    """Cycles plus rooted trees of transient points; the carrier is the tree nodes.
-
-    cycles are orbit tuples of the periodic core, as in CycleDecomposition.
-    trees[i][j] hangs at cycles[i][j]; within a tree, a node's parent is its
-    image under the recomposed function.
-    """
-
-    def __init__(
-        self, cycles: Iterable[Iterable[Label]], trees: Iterable[Iterable[RootedTree]]
-    ):
-        cycles = tuple(map(tuple, cycles))
-        trees = tuple(tuple(row) for row in trees)
-        _union_of_orbits(cycles)
-        if len(trees) != len(cycles):
-            raise MalformedDecomposition("cycles and tree rows must align")
-        nodes: list[Label] = []
-        for orbit, row in zip(cycles, trees):
-            if len(row) != len(orbit):
-                raise MalformedDecomposition("one tree per cycle element required")
-            for anchor, tree in zip(orbit, row):
-                if tree.root != anchor:
-                    raise MalformedDecomposition(
-                        f"tree root {tree.root!r} must equal its anchor {anchor!r}"
-                    )
-                nodes.extend(tree.nodes())
-        if len(set(nodes)) != len(nodes):
-            raise MalformedDecomposition("tree node sets overlap")
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "trees", trees)
-
-    def _values(self) -> tuple:
-        return (self.cycles, self.trees)
-
-    def __repr__(self) -> str:
-        return f"EndoDecomposition(cycles={self.cycles!r}, trees={self.trees!r})"
-
-
-def decompose_endofunction(carrier: LabeledSet, f: dict[Label, Label]) -> EndoDecomposition:
-    """Split a self-map, given as its image table, into core and trees.
-
+    cycles are the orbits of the periodic core, as cycle_decompose lists
+    them; transient maps every other label, ascending, to its image.  The
+    forest of transient points hanging off the core is that parent map.
     The core is found in linear time by peeling: a label that no remaining
     label maps to is transient, and removing it may expose its image.
     What is never peeled is exactly the set of periodic labels.
@@ -214,38 +136,39 @@ def decompose_endofunction(carrier: LabeledSet, f: dict[Label, Label]) -> EndoDe
         if not indegree[y]:
             peel.append(y)
     cycles = tuple(_orbits(sorted(core), dict(table)))
-    kids: dict[Label, list[Label]] = defaultdict(list)
-    for x in carrier:
-        if x not in core:
-            kids[table[x]].append(x)
-
-    def build(x: Label) -> RootedTree:
-        # Reversed preorder lists every node after its subtree, so each
-        # node's children are built before it, without recursion.
-        order, stack = [], [x]
-        while stack:
-            y = stack.pop()
-            order.append(y)
-            stack.extend(kids[y])
-        built: dict[Label, RootedTree] = {}
-        for y in reversed(order):
-            built[y] = RootedTree(y, tuple(built.pop(c) for c in sorted(kids[y])))
-        return built[x]
-
-    trees = tuple(tuple(build(x) for x in orbit) for orbit in cycles)
-    return EndoDecomposition(cycles, trees)
+    return cycles, {x: y for x, y in table.items() if x not in core}
 
 
-def recompose_endofunction(dec: EndoDecomposition) -> dict[Label, Label]:
-    """Rebuild the image table: roots step along their cycle, nodes point at parents."""
-    image: dict[Label, Label] = {}
-    for orbit, row in zip(dec.cycles, dec.trees):
-        for (root, successor), tree in zip(_successors(orbit), row):
-            image[root] = successor
-            stack = [tree]
-            while stack:
-                node = stack.pop()
-                for child in node.children:
-                    image[child.root] = node.root
-                    stack.append(child)
+def recompose_endofunction(
+    dec: tuple[tuple[Orbit, ...], dict[Label, Label]]
+) -> dict[Label, Label]:
+    """The image table of (cycles, transient): each cycle label steps to the
+    next label of its orbit, and each transient label to its image.
+
+    The pair is a caller's plain data, so it is checked here, in linear time
+    and without decomposing anything: the cycles as CycleDecomposition takes
+    them, every transient label an int on no cycle, every image a label of
+    the pair, and the images from every transient label reaching the core.
+    """
+    cycles, transient = dec
+    _union_of_orbits(cycles)
+    image = {x: y for orbit in cycles for x, y in zip(orbit, orbit[1:] + orbit[:1])}
+    on_cycles = sorted(image.keys() & require_ints(tuple(transient), "label"))
+    if on_cycles:
+        raise MalformedDecomposition(f"transient labels {on_cycles!r} lie on a cycle")
+    require_ints(tuple(transient.values()), "image")
+    for x, y in transient.items():
+        if y not in image and y not in transient:
+            raise MalformedDecomposition(f"image {y!r} of {x!r} is not a label")
+    # Each walk stops at the core, or at a label an earlier walk reached it from.
+    reaches = set(image)
+    for x in transient:
+        path = set()
+        while x not in reaches:
+            if x in path:
+                raise MalformedDecomposition(f"labels {sorted(path)!r} never reach the core")
+            path.add(x)
+            x = transient[x]
+        reaches |= path
+    image.update(transient)
     return image

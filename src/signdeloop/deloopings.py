@@ -406,7 +406,7 @@ def _column(i: int, width: int) -> int:
     return column
 
 
-def exhaustive_fixed_points(group: tuple) -> list[dict[Bijection, Sign]]:
+def exhaustive_fixed_points(group: tuple) -> list[tuple[Sign, ...]]:
     """Scan all 2^(n!) sign-valued tables on the listing group of S_n, and
     no sign, and keep the ones fixed by every generator of the twisted action.
 
@@ -427,7 +427,8 @@ def exhaustive_fixed_points(group: tuple) -> list[dict[Bijection, Sign]]:
     is all ones or zero over the block.  Every table still meets every pair;
     a block already at zero skips its remaining ANDs.  At n = 4 a block is
     8 KiB, and the scan traces under 1 MiB.  Survivors are read off block by
-    block and bit by bit, in ascending k.
+    block and bit by bit, in ascending k, each as a tuple of Signs aligned
+    with the listing, as a run's signs are.
     """
     n, m = len(group[0].positions), len(group)  # group[0] is the identity
     if n > CENSUS_BOUND:
@@ -460,9 +461,7 @@ def exhaustive_fixed_points(group: tuple) -> list[dict[Bijection, Sign]]:
             t = (alive & -alive).bit_length() - 1
             alive &= alive - 1
             mask = (block << b) | t
-            tables.append(
-                {p: (MINUS if (mask >> i) & 1 else PLUS) for i, p in enumerate(group)}
-            )
+            tables.append(tuple(MINUS if (mask >> i) & 1 else PLUS for i in range(m)))
     return tables
 
 

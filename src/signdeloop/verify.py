@@ -438,9 +438,8 @@ def fixed_census(group: tuple, signs: tuple) -> tuple[bool, str]:
     tables = exhaustive_fixed_points(group)
     if len(tables) != 2:
         return False, f"{len(tables)} fixed tables found"
-    expected = {signs, tuple(-s for s in signs)}
-    got = {tuple(t[p] for p in group) for t in tables}
-    ok = got == expected
+    got = set(tables)
+    ok = got == {signs, tuple(-s for s in signs)}
     return ok, "fixed tables are exactly plus/minus sign" if ok else f"got {got!r}"
 
 

@@ -22,8 +22,6 @@ from signdeloop.finite import (
 from signdeloop.perms import permutation
 from signdeloop.cycles import (
     CycleDecomposition,
-    EndoDecomposition,
-    RootedTree,
     cycle_decompose,
     decompose_endofunction,
     recompose,
@@ -61,25 +59,26 @@ def is_single_orbit(e):
     return len(cycle_decompose(e).cycles) == 1
 
 
-def endo_with_trivial_trees(cycles):
-    return EndoDecomposition(cycles, tuple(tuple(map(RootedTree, c)) for c in cycles))
+def endo_without_transients(cycles):
+    return recompose_endofunction((cycles, {}))
 
 
 def assert_both_constructors_reject(cycles, error=MalformedDecomposition):
-    for build in (CycleDecomposition, endo_with_trivial_trees):
+    for build in (CycleDecomposition, endo_without_transients):
         with pytest.raises(error):
             build(cycles)
 
 
 class TestDecompositionContracts:
-    """Both constructors take exactly disjoint orbits listed from their minimum."""
+    """CycleDecomposition and recompose_endofunction take exactly disjoint
+    orbits listed from their minimum."""
 
     def test_orbit_listed_from_min(self):
         dec = CycleDecomposition(([5], (2, 9, 3)))  # 2 -> 9 -> 3 -> 2
         assert dec.cycles == ((5,), (2, 9, 3))
         assert dec.carrier == LabeledSet.of([2, 3, 5, 9])
         assert recompose(dec) == Bijection(dec.carrier, dec.carrier, (9, 2, 5, 3))
-        assert endo_with_trivial_trees(dec.cycles).cycles == dec.cycles
+        assert endo_without_transients(dec.cycles) == {5: 5, 2: 9, 9: 3, 3: 2}
         assert CycleDecomposition(()).carrier == fin(0)
 
     def test_rejects_empty(self):
@@ -237,42 +236,17 @@ class TestCycleDecompose:
             assert len(rebuilt) == math.factorial(n)
 
 
-class TestRootedTree:
-    def test_nodes_order(self):
-        t = RootedTree(0, (RootedTree(1, (RootedTree(3),)), RootedTree(2)))
-        assert list(t.nodes()) == [0, 1, 3, 2]
-
-    def test_children_sorted_and_distinct(self):
-        with pytest.raises(MalformedDecomposition):
-            RootedTree(0, (RootedTree(2), RootedTree(1)))
-        with pytest.raises(MalformedDecomposition):
-            RootedTree(0, (RootedTree(1), RootedTree(1)))
-
-    def test_equality_follows_shape(self):
-        # same labels in the same preorder, different shapes
-        chain = RootedTree(0, (RootedTree(1, (RootedTree(2),)),))
-        star = RootedTree(0, (RootedTree(1), RootedTree(2)))
-        assert chain != star
-        assert chain == RootedTree(0, (RootedTree(1, (RootedTree(2),)),))
-        assert hash(chain) == hash(RootedTree(0, (RootedTree(1, (RootedTree(2),)),)))
-        assert RootedTree(0) != RootedTree(1)
-        assert RootedTree(0) != 0
-
-
 class TestEndofunctions:
     def test_frozen_example(self):
         table = {0: 1, 1: 2, 2: 0, 3: 0, 4: 3, 5: 2}
-        dec = decompose_endofunction(fin(6), table)
-        assert dec.cycles == ((0, 1, 2),)
-        tree_at_0, tree_at_1, tree_at_2 = dec.trees[0]
-        assert tree_at_0 == RootedTree(0, (RootedTree(3, (RootedTree(4),)),))
-        assert tree_at_1 == RootedTree(1)
-        assert tree_at_2 == RootedTree(2, (RootedTree(5),))
+        cycles, transient = dec = decompose_endofunction(fin(6), table)
+        assert cycles == ((0, 1, 2),)
+        assert list(transient.items()) == [(3, 0), (4, 3), (5, 2)]  # ascending
         assert recompose_endofunction(dec) == table
 
-    def test_permutation_has_trivial_trees(self):
+    def test_permutation_has_no_transient_labels(self):
         dec = decompose_endofunction(fin(3), {0: 1, 1: 2, 2: 0})
-        assert dec.trees == ((RootedTree(0), RootedTree(1), RootedTree(2)),)
+        assert dec == (((0, 1, 2),), {})
 
     def test_roundtrip_exhaustive(self):
         for n in range(4):
@@ -281,22 +255,23 @@ class TestEndofunctions:
                 dec = decompose_endofunction(X, table)
                 assert recompose_endofunction(dec) == table
                 assert decompose_endofunction(X, recompose_endofunction(dec)) == dec
-                forms.add(dec)
+                cycles, transient = dec
+                forms.add((cycles, tuple(transient.items())))
             assert len(forms) == n**n
 
     def test_deep_chain_roundtrips(self):
-        # A 20000-point chain is one tree 20000 deep: building, walking,
-        # comparing, hashing and printing it must not recurse, and peeling its core
-        # must stay linear.
+        # A 20000-point chain hangs 19999 transient labels deep off its one
+        # fixed point: peeling its core, and checking that every transient
+        # label reaches it, must stay linear and must not recurse.
         n = 20_000
         table = {i: min(i + 1, n - 1) for i in range(n)}
         dec = decompose_endofunction(fin(n), table)
-        assert dec.cycles == ((n - 1,),)
-        assert list(dec.trees[0][0].nodes()) == list(range(n - 1, -1, -1))
+        assert dec == (((n - 1,),), {i: i + 1 for i in range(n - 1)})
         assert recompose_endofunction(dec) == table
         assert decompose_endofunction(fin(n), recompose_endofunction(dec)) == dec
-        assert isinstance(hash(dec), int)
-        assert isinstance(repr(dec), str)
+        # Listed from the far end, each walk stops where the last one began.
+        descending = {i: i + 1 for i in reversed(range(n - 1))}
+        assert recompose_endofunction((((n - 1,),), descending)) == table
 
     def test_escaping_image_rejected(self):
         with pytest.raises(NotMember):
@@ -306,31 +281,53 @@ class TestEndofunctions:
         with pytest.raises(NotMember):
             decompose_endofunction(fin(2), {0: 1})
 
-    def test_trees_hang_at_orbit_positions(self):
+    def test_transient_labels_feed_the_core(self):
         # core 0 -> 2 -> 1 -> 0; 3 feeds 2 and 4 feeds 1
         table = {0: 2, 1: 0, 2: 1, 3: 2, 4: 1}
-        dec = decompose_endofunction(fin(5), table)
-        assert dec.cycles == ((0, 2, 1),)
-        assert [tree.root for tree in dec.trees[0]] == [0, 2, 1]
-        assert dec.trees[0][1] == RootedTree(2, (RootedTree(3),))
-        assert dec.trees[0][2] == RootedTree(1, (RootedTree(4),))
+        cycles, transient = dec = decompose_endofunction(fin(5), table)
+        assert cycles == ((0, 2, 1),)
+        assert transient == {3: 2, 4: 1}
         assert recompose_endofunction(dec) == table
 
-    def test_anchor_mismatch_rejected(self):
-        with pytest.raises(MalformedDecomposition):
-            EndoDecomposition(((0,),), ((RootedTree(1),),))
-        with pytest.raises(MalformedDecomposition):  # trees in sorted, not orbit, order
-            EndoDecomposition(((0, 2, 1),), ((RootedTree(0), RootedTree(1), RootedTree(2)),))
 
-    def test_misaligned_rows_rejected(self):
-        with pytest.raises(MalformedDecomposition):
-            EndoDecomposition(((0,), (1,)), ((RootedTree(0),),))
-        with pytest.raises(MalformedDecomposition):
-            EndoDecomposition(((0, 1),), ((RootedTree(0),),))
+class TestRecomposeEndofunctionChecks:
+    """recompose_endofunction takes plain data, and checks each of its four
+    rules itself (the cycles' own rules are TestDecompositionContracts')."""
 
-    def test_overlapping_tree_nodes_rejected(self):
-        with pytest.raises(MalformedDecomposition):
-            EndoDecomposition(((0,),), ((RootedTree(0, (RootedTree(0),)),),))
-        bad_tree = RootedTree(1, (RootedTree(2),))
-        with pytest.raises(MalformedDecomposition):
-            EndoDecomposition(((0,), (1,)), ((RootedTree(0, (RootedTree(2),)),), (bad_tree,)))
+    def test_rejects_malformed_cycles(self):
+        with pytest.raises(MalformedDecomposition, match="not listed from its minimum"):
+            recompose_endofunction((((2, 0),), {1: 0}))
+        with pytest.raises(MalformedDecomposition, match="duplicate labels"):
+            recompose_endofunction((((0,), (0,)), {1: 0}))
+
+    def test_rejects_a_transient_label_on_a_cycle(self):
+        with pytest.raises(MalformedDecomposition, match=r"\[1\] lie on a cycle"):
+            recompose_endofunction((((0, 1),), {2: 0, 1: 0}))
+        with pytest.raises(MalformedDecomposition, match=r"\[0\] lie on a cycle"):
+            recompose_endofunction((((0,),), {0: 0}))
+
+    @pytest.mark.parametrize("label", [True, 1.0, "1", None])
+    def test_rejects_a_non_int_transient_label(self, label):
+        with pytest.raises(ContractError, match="label must be an integer"):
+            recompose_endofunction((((0,),), {label: 0}))
+
+    @pytest.mark.parametrize("image", [False, 0.0, "0", None, [0]])
+    def test_rejects_a_non_int_image(self, image):
+        # False and 0.0 equal the label 0, which a plain dict cannot tell.
+        with pytest.raises(ContractError, match="image must be an integer"):
+            recompose_endofunction((((0,),), {1: image}))
+
+    def test_rejects_an_image_that_is_no_label(self):
+        with pytest.raises(MalformedDecomposition, match="image 5 of 1 is not a label"):
+            recompose_endofunction((((0,),), {1: 5}))
+        with pytest.raises(MalformedDecomposition, match="image 0 of 1 is not a label"):
+            recompose_endofunction(((), {1: 0}))
+
+    def test_rejects_transient_labels_that_never_reach_the_core(self):
+        # A parent map, unlike a forest, can close a loop off the core.
+        with pytest.raises(MalformedDecomposition, match=r"\[1\] never reach the core"):
+            recompose_endofunction((((0,),), {1: 1}))
+        with pytest.raises(MalformedDecomposition, match=r"\[1, 2, 3\] never reach the core"):
+            recompose_endofunction((((0,),), {3: 1, 1: 2, 2: 1}))
+        with pytest.raises(MalformedDecomposition, match=r"\[1, 2\] never reach the core"):
+            recompose_endofunction(((), {1: 2, 2: 1}))

@@ -315,6 +315,35 @@ def test_each_test_only_engine_is_read_by_its_own_row_alone():
         assert readers(mutant, {engine}) == {row, "deloopings.orbit_delooping"}
 
 
+# recompose_endofunction validates a caller's (cycles, transient) by its
+# own rules: a fault in decomposing must not also be a fault in the check.
+DECOMPOSING = {"cycles.decompose_endofunction", "cycles._orbits"}
+
+
+def validator_decomposes(trees: dict[str, ast.Module]) -> set[str]:
+    """The decomposing definitions that recompose_endofunction reaches."""
+    validator = module_function(trees, "cycles", "recompose_endofunction")
+    return reachable(trees, [validator]) & DECOMPOSING
+
+
+def test_the_endofunction_validator_reaches_no_decomposition():
+    trees = parse_package()
+    assert validator_decomposes(trees) == set()
+    validator = module_function(trees, "cycles", "recompose_endofunction")
+    assert "cycles._union_of_orbits" in reachable(trees, [validator])
+
+
+def test_a_validator_that_decomposes_is_flagged():
+    # Re-decomposing the rebuilt table, and comparing, checks the pair too.
+    line = "    image.update(transient)\n"
+    check = (
+        "    if decompose_endofunction(LabeledSet.of(image), image) != dec:\n"
+        "        raise MalformedDecomposition('not a decomposition')\n"
+    )
+    mutant = parse_package(replace=(line, line + check))
+    assert validator_decomposes(mutant) == DECOMPOSING
+
+
 def hash_callers(source: str) -> list[str]:
     """The functions, innermost first named, that call the builtin hash()
     anywhere but in a __hash__ method."""

@@ -6,19 +6,12 @@ so they must equal the hash of the field tuple exactly."""
 
 import pytest
 
-from signdeloop.cycles import (
-    CycleDecomposition,
-    EndoDecomposition,
-    RootedTree,
-    decompose_endofunction,
-)
+from signdeloop.cycles import CycleDecomposition
 from signdeloop.finite import Bijection, LabeledSet, fin
 
 X = LabeledSet(elements=(3, 7, 10))
 BIJECTION = Bijection(domain=X, codomain=fin(3), images=(2, 0, 1))
 CYCLES = CycleDecomposition([[1, 5], (2,)])
-TREE = RootedTree(4, children=(RootedTree(1), RootedTree(2, [RootedTree(3)])))
-ENDO = decompose_endofunction(fin(5), {0: 1, 1: 0, 2: 0, 3: 2, 4: 4})
 
 # (value, an equal value built another way, an unequal value, the field
 # tuple its hash must equal, its repr as printed by the dataclass version).
@@ -44,22 +37,6 @@ CASES = {
         CycleDecomposition([[1, 5]]),
         (((1, 5), (2,)),),
         "CycleDecomposition(cycles=((1, 5), (2,)))",
-    ),
-    "RootedTree": (
-        TREE,
-        RootedTree(root=4, children=[RootedTree(1), RootedTree(2, (RootedTree(3),))]),
-        RootedTree(4, (RootedTree(1), RootedTree(2))),
-        ((4, 2), (1, 0), (2, 1), (3, 0)),
-        "RootedTree(preorder=((4, 2), (1, 0), (2, 1), (3, 0)))",
-    ),
-    "EndoDecomposition": (
-        ENDO,
-        EndoDecomposition(cycles=[[0, 1], [4]], trees=ENDO.trees),
-        decompose_endofunction(fin(5), {0: 1, 1: 0, 2: 1, 3: 2, 4: 4}),
-        (ENDO.cycles, ENDO.trees),
-        "EndoDecomposition(cycles=((0, 1), (4,)), trees=((RootedTree(preorder="
-        "((0, 1), (2, 1), (3, 0))), RootedTree(preorder=((1, 0),))), "
-        "(RootedTree(preorder=((4, 0),)),)))",
     ),
 }
 
@@ -87,7 +64,7 @@ def test_repr_is_unchanged(case):
     assert repr(value) == repr(same) == text
 
 
-@pytest.mark.parametrize("name", ["elements", "images", "cycles", "root", "trees", "extra"])
+@pytest.mark.parametrize("name", ["elements", "images", "cycles", "extra"])
 def test_assignment_and_deletion_raise(case, name):
     value = case[0]
     before = dict(vars(value))

@@ -731,6 +731,20 @@ class TestRunVerification:
         failed = {c.name for c in core.checks if not c.passed}
         assert {"cycle-roundtrip", "factorization"} <= failed
 
+    def test_rotated_orbits_fail_exactly_the_three_decomposing_rows(self, monkeypatch):
+        # Every orbit listed from its second label: recompose_endofunction's
+        # own check of the cycles catches it, as CycleDecomposition's does.
+        real = cycles._orbits
+
+        def rotated(labels, step):
+            return [o[1:] + o[:1] for o in real(labels, step)]
+
+        monkeypatch.setattr(cycles, "_orbits", rotated)
+        failed = failed_rows(run_verification(4, "all", 7, exhaustive_fixed=True))
+        detail = "raised MalformedDecomposition: orbit (3, 2) is not listed from its minimum"
+        rows = ("cycle-roundtrip", "endofunction-roundtrip", "factorization")
+        assert failed == {("core", row): detail for row in rows}
+
     def test_no_package_path_builds_through_the_public_constructors(self, monkeypatch):
         # With the checks of Orientation made to raise, every row stays as it
         # was: the package builds orientations through _trusted.
