@@ -294,17 +294,34 @@ class TestRecomposeEndofunctionChecks:
     """recompose_endofunction takes plain data, and checks each of its four
     rules itself (the cycles' own rules are TestDecompositionContracts')."""
 
-    def test_rejects_malformed_cycles(self):
-        with pytest.raises(MalformedDecomposition, match="not listed from its minimum"):
-            recompose_endofunction((((2, 0),), {1: 0}))
-        with pytest.raises(MalformedDecomposition, match="duplicate labels"):
-            recompose_endofunction((((0,), (0,)), {1: 0}))
+    @pytest.mark.parametrize(
+        "cycles, message",
+        [
+            (((2, 0),), "not listed from its minimum"),
+            (((),), "not listed from its minimum"),
+            (((0,), (0,)), "duplicate labels"),
+            (((0, 2, 0),), "duplicate labels"),
+        ],
+    )
+    def test_rejects_malformed_cycles(self, cycles, message):
+        with pytest.raises(MalformedDecomposition, match=message):
+            recompose_endofunction((cycles, {1: 0}))
 
-    def test_rejects_a_transient_label_on_a_cycle(self):
-        with pytest.raises(MalformedDecomposition, match=r"\[1\] lie on a cycle"):
-            recompose_endofunction((((0, 1),), {2: 0, 1: 0}))
-        with pytest.raises(MalformedDecomposition, match=r"\[0\] lie on a cycle"):
-            recompose_endofunction((((0,),), {0: 0}))
+    @pytest.mark.parametrize("label", [True, 0.0, "0"])
+    def test_rejects_a_non_int_cycle_label(self, label):
+        with pytest.raises(ContractError, match="label must be an integer"):
+            recompose_endofunction((((label,),), {}))
+
+    @pytest.mark.parametrize(
+        "dec, on_cycle",
+        [
+            ((((0, 1),), {2: 0, 1: 0}), r"\[1\]"),
+            ((((0,),), {0: 0}), r"\[0\]"),
+        ],
+    )
+    def test_rejects_a_transient_label_on_a_cycle(self, dec, on_cycle):
+        with pytest.raises(MalformedDecomposition, match=on_cycle + " lie on a cycle"):
+            recompose_endofunction(dec)
 
     @pytest.mark.parametrize("label", [True, 1.0, "1", None])
     def test_rejects_a_non_int_transient_label(self, label):
@@ -317,17 +334,89 @@ class TestRecomposeEndofunctionChecks:
         with pytest.raises(ContractError, match="image must be an integer"):
             recompose_endofunction((((0,),), {1: image}))
 
-    def test_rejects_an_image_that_is_no_label(self):
-        with pytest.raises(MalformedDecomposition, match="image 5 of 1 is not a label"):
-            recompose_endofunction((((0,),), {1: 5}))
-        with pytest.raises(MalformedDecomposition, match="image 0 of 1 is not a label"):
-            recompose_endofunction(((), {1: 0}))
+    @pytest.mark.parametrize(
+        "dec, message",
+        [
+            ((((0,),), {1: 5}), "image 5 of 1 is not a label"),
+            (((), {1: 0}), "image 0 of 1 is not a label"),
+        ],
+    )
+    def test_rejects_an_image_that_is_no_label(self, dec, message):
+        with pytest.raises(MalformedDecomposition, match=message):
+            recompose_endofunction(dec)
 
-    def test_rejects_transient_labels_that_never_reach_the_core(self):
-        # A parent map, unlike a forest, can close a loop off the core.
-        with pytest.raises(MalformedDecomposition, match=r"\[1\] never reach the core"):
-            recompose_endofunction((((0,),), {1: 1}))
-        with pytest.raises(MalformedDecomposition, match=r"\[1, 2, 3\] never reach the core"):
-            recompose_endofunction((((0,),), {3: 1, 1: 2, 2: 1}))
-        with pytest.raises(MalformedDecomposition, match=r"\[1, 2\] never reach the core"):
-            recompose_endofunction(((), {1: 2, 2: 1}))
+    # A parent map, unlike a forest, can close a loop off the core.
+    @pytest.mark.parametrize(
+        "dec, stuck",
+        [
+            ((((0,),), {1: 1}), r"\[1\]"),
+            ((((0,),), {3: 1, 1: 2, 2: 1}), r"\[1, 2, 3\]"),
+            (((), {1: 2, 2: 1}), r"\[1, 2\]"),
+            # the first walk reaches the core; the second loops
+            ((((0,),), {1: 0, 2: 3, 3: 2}), r"\[2, 3\]"),
+        ],
+    )
+    def test_rejects_transient_labels_that_never_reach_the_core(self, dec, stuck):
+        with pytest.raises(MalformedDecomposition, match=stuck + " never reach the core"):
+            recompose_endofunction(dec)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_accepts_exactly_the_decompositions(self, n):
+        # Every pair over fin(n): a permutation of a subset as the cycles, and
+        # any map from the other labels into fin(n) as transient.  Its images
+        # are all labels, so only the reach rule can reject; it must reject
+        # exactly the pairs whose walks loop off the core, in either listing
+        # order, and accept one pair per self-map of fin(n).
+        X = fin(n).elements
+        tables = set()
+        for k in range(n + 1):
+            for core in itertools.combinations(X, k):
+                rest = [x for x in X if x not in core]
+                for perm in itertools.permutations(core):
+                    cycles = orbits_by_hand(dict(zip(core, perm)))
+                    for images in itertools.product(X, repeat=len(rest)):
+                        transient = dict(zip(rest, images))
+                        backwards = dict(reversed(transient.items()))
+                        if not reaches_core(core, transient):
+                            for t in (transient, backwards):
+                                with pytest.raises(MalformedDecomposition):
+                                    recompose_endofunction((cycles, t))
+                            continue
+                        table = recompose_endofunction((cycles, transient))
+                        assert recompose_endofunction((cycles, backwards)) == table
+                        assert decompose_endofunction(fin(n), table) == (cycles, transient)
+                        tables.add(tuple(table[x] for x in X))
+        assert len(tables) == n**n
+
+    def test_leaves_its_input_as_it_was(self):
+        cycles, transient = dec = (((0, 2),), {1: 2, 3: 1})
+        table = recompose_endofunction(dec)
+        assert table == {0: 2, 2: 0, 1: 2, 3: 1}
+        table[1] = 0
+        assert dec == (((0, 2),), {1: 2, 3: 1}) and dec[1] is transient
+
+
+def orbits_by_hand(step):
+    """The canonical cycles of a permutation given as a dict, found without
+    the module's own orbit scan."""
+    seen, cycles = set(), []
+    for x in sorted(step):
+        if x not in seen:
+            orbit = [x]
+            while step[orbit[-1]] != x:
+                orbit.append(step[orbit[-1]])
+            seen.update(orbit)
+            cycles.append(tuple(orbit))
+    return tuple(cycles)
+
+
+def reaches_core(core, transient):
+    """Whether every transient label's images reach core within len(transient) steps."""
+    for x in transient:
+        for _ in range(len(transient)):
+            if x in core:
+                break
+            x = transient[x]
+        if x not in core:
+            return False
+    return True
