@@ -115,29 +115,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sign", help="inversion-count sign of a permutation")
+    p.set_defaults(run=_cmd_sign)
     p.add_argument("perm")
     p.add_argument("--n", type=int, default=None)
 
     p = sub.add_parser("cycles", help="canonical cycle decomposition")
+    p.set_defaults(run=_cmd_cycles)
     p.add_argument("perm")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("factor", help="factor into transpositions")
+    p.set_defaults(run=_cmd_factor)
     p.add_argument("perm")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("cartier", help="orientation transport distance and class sign")
+    p.set_defaults(run=_cmd_cartier)
     p.add_argument("perm")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("orientation-dot", help="DOT digraph of an orientation")
+    p.set_defaults(run=_cmd_orientation_dot)
     p.add_argument("perm", nargs="?", default=None)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("verify", help="run the invariant suite")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--construction", type=_construction, default="all")
     p.add_argument("--exhaustive-fixed", action="store_true")
@@ -145,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("alternating", help="list the even-sign kernel")
+    p.set_defaults(run=_cmd_alternating)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
 
@@ -266,17 +273,6 @@ def _cmd_alternating(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "sign": _cmd_sign,
-    "cycles": _cmd_cycles,
-    "factor": _cmd_factor,
-    "cartier": _cmd_cartier,
-    "orientation-dot": _cmd_orientation_dot,
-    "verify": _cmd_verify,
-    "alternating": _cmd_alternating,
-}
-
-
 def run_command(argv=None) -> int:
     parser = build_parser()
     try:
@@ -286,7 +282,7 @@ def run_command(argv=None) -> int:
     try:
         if args.n is not None:
             _check_arity(args.n)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ValueError as exc:  # ContractError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

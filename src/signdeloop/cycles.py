@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .errors import DomainMismatch, MalformedDecomposition, NotMember
-from .finite import Bijection, Frozen, Label, LabeledSet, require_ints
+from .finite import Bijection, Frozen, Label, LabeledSet, _tuple, require_ints
 
 Orbit = tuple[Label, ...]
 
@@ -47,7 +47,7 @@ class CycleDecomposition(Frozen):
     """
 
     def __init__(self, cycles: Iterable[Iterable[Label]]):
-        cycles = tuple(map(tuple, cycles))
+        cycles = tuple(_tuple(orbit, "a cycle") for orbit in _tuple(cycles, "cycles"))
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "carrier", _union_of_orbits(cycles))
 
@@ -146,11 +146,17 @@ def recompose_endofunction(
     next label of its orbit, and each transient label to its image.
 
     The pair is a caller's plain data, so it is checked here, in linear time
-    and without decomposing anything: the cycles as CycleDecomposition takes
-    them, every transient label an int on no cycle, every image a label of
-    the pair, and the images from every transient label reaching the core.
+    and without decomposing anything: its shape first, then the cycles as
+    CycleDecomposition takes them, every transient label an int on no cycle,
+    every image a label of the pair, and every transient label reaching the core.
     """
-    cycles, transient = dec
+    try:
+        cycles, transient = dec
+        cycles = tuple(map(tuple, cycles))
+    except (TypeError, ValueError):  # no pair, or cycles that are no iterable of iterables
+        transient = None
+    if not isinstance(transient, dict):
+        raise MalformedDecomposition("expected a pair (cycles, transient) of orbits and a dict")
     _union_of_orbits(cycles)
     image = {x: y for orbit in cycles for x, y in zip(orbit, orbit[1:] + orbit[:1])}
     on_cycles = sorted(image.keys() & require_ints(tuple(transient), "label"))

@@ -64,6 +64,15 @@ def require_ints(values: tuple, what: str) -> tuple:
     return values
 
 
+def _tuple(values, what: str) -> tuple:
+    """tuple(values), or ContractError, not TypeError, if values is not iterable."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ContractError(f"{what} must be iterable, got {values!r}") from None
+    return tuple(items)
+
+
 class Frozen:
     """Base of the package's immutable values: a frozen dataclass by hand,
     which keeps dataclasses (and the inspect and ast modules it imports)
@@ -102,27 +111,29 @@ class LabeledSet(Frozen):
     """
 
     def __init__(self, elements: Iterable[Label]):
-        elems = require_ints(tuple(elements), "label")
+        elems = require_ints(_tuple(elements, "labels"), "label")
         for a in elems:
             if a < 0:
                 raise ContractError(f"labels must be unsigned integers, got {a!r}")
         if any(a >= b for a, b in zip(elems, elems[1:])):
             raise ContractError(f"labels must be strictly increasing, got {elems!r}")
         object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_pos", {a: i for i, a in enumerate(elems)})
 
     @classmethod
     def _trusted(cls, elements: tuple[Label, ...]) -> "LabeledSet":
         """A LabeledSet from labels already known to be strictly increasing naturals."""
         X = object.__new__(cls)
-        fields = X.__dict__
-        fields["elements"] = elements
-        fields["_pos"] = {a: i for i, a in enumerate(elements)}
+        X.__dict__["elements"] = elements
         return X
+
+    @cached_property
+    def _pos(self) -> dict[Label, int]:
+        """The position of each label, derived on first lookup."""
+        return {a: i for i, a in enumerate(self.elements)}
 
     @classmethod
     def of(cls, labels: Iterable[Label]) -> "LabeledSet":
-        elems = tuple(sorted(require_ints(tuple(labels), "label")))
+        elems = tuple(sorted(require_ints(_tuple(labels, "labels"), "label")))
         if len(set(elems)) != len(elems):
             raise ContractError(f"duplicate labels in {elems!r}")
         return cls(elems)
@@ -188,7 +199,7 @@ class Bijection(Frozen):
         for carrier in (domain, codomain):
             if not isinstance(carrier, LabeledSet):
                 raise ContractError(f"bijection carriers must be LabeledSets, got {carrier!r}")
-        imgs = require_ints(tuple(images), "image")
+        imgs = require_ints(_tuple(images, "images"), "image")
         if len(imgs) != len(domain):
             raise ContractError(
                 f"expected {len(domain)} images, got {len(imgs)}"
@@ -295,7 +306,7 @@ def transposition_of_pair(X: LabeledSet, pair: Iterable[Label]) -> Bijection:
 
     This is the unique endo-bijection whose support is exactly the pair.
     """
-    mems = tuple(sorted(pair))
+    mems = tuple(sorted(_tuple(pair, "pair")))
     if len(set(mems)) != len(mems):
         raise ContractError(f"pair has repeated labels: {mems!r}")
     if len(mems) != 2:

@@ -25,6 +25,7 @@ from .finite import (
     Bijection,
     Label,
     LabeledSet,
+    _tuple,
     fin,
     identity,
     transposition_of_pair,
@@ -63,7 +64,7 @@ MINUS = Sign.MINUS
 
 def permutation(images: Iterable[int]) -> Bijection:
     """One-line form: images[i] is the image of i, on fin(len(images))."""
-    imgs = tuple(images)
+    imgs = _tuple(images, "images")
     n = fin(len(imgs))
     return Bijection(n, n, imgs)
 

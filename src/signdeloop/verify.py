@@ -3,8 +3,10 @@
 Each check compares an implementation path against an independent route:
 exhaustive orbit expansion against the class-label shortcut, brute
 enumeration against closed forms, transported computations against direct
-ones.  Checks return (passed, detail) and the runner wraps them with
-timing; failure details carry reproducible inputs (seed and witness).
+ones.  Checks return (passed, detail), or for the rows that judge every
+family on shared draws a judge that returns it per family, and the runner
+wraps them with timing; failure details carry reproducible inputs (seed
+and witness).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import itemgetter
 from random import Random
-from typing import Callable, Generator, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .cycles import (
     cycle_decompose,
@@ -27,7 +29,6 @@ from .cycles import (
 from .deloopings import (
     CENSUS_BOUND,
     CONSTRUCTIONS,
-    Construction,
     Orientation,
     TwoElementFamily,
     all_orientations,
@@ -247,74 +248,67 @@ def bridge_parity(n: int, group: tuple, signs: tuple) -> tuple[bool, str]:
 
 # --------------------------------------------------------------------------
 # Family checks.  Each row draws its seeded inputs, if any, once per run and
-# yields one probe per input; the runner hands every probe to each selected
-# family before the next input is drawn, and the row's return value is its
-# passing detail.
+# before any family is judged, and returns a judge that the runner calls on
+# each selected family.  A judge holds only what was drawn (carriers, drawn
+# bijections, coin bits) and derives the rest, such as composites, as it
+# goes; it stops at the family's first failure.
 
-# A probe judges one input for one family: None when the law holds, else the
-# failure detail.
-Probe = Callable[[TwoElementFamily], str | None]
-
-
-def _identity_law(ident: Bijection, failure: str, Q: TwoElementFamily) -> str | None:
-    return None if Q.action(ident) is PLUS else failure
+Judge = Callable[[TwoElementFamily], tuple[bool, str]]
 
 
-def _composite_law(e: Bijection, f: Bijection, ef: Bijection, Q: TwoElementFamily) -> str | None:
-    if Q.action(ef) is not Q.action(e) * Q.action(f):
-        return f"composite law fails on {(e.images, f.images)!r}"
-    return None
-
-
-def functor_laws(s: Scope) -> Generator[Probe, None, str]:
+def functor_laws(s: Scope) -> Judge:
     """The action of the identity is PLUS and the action of e.then(f) is
     the product of theirs: on every pair of S_n for n <= 4, else on 300
     seeded pairs between random carriers; then the identity of 10 random
     carriers acts as PLUS."""
     n, rng = s.n, s.family_rng
-    yield partial(_identity_law, identity(fin(n)), "action of the identity is not the identity")
-    if n <= 4:
-        for e, f in itertools.product(s.group, repeat=2):
-            yield partial(_composite_law, e, f, e.then(f))
-    else:
+    pairs = []
+    if n > 4:
         for _ in range(300):
             X = random_labeled_set(rng, n)
             Y = random_labeled_set(rng, n)
             Z = random_labeled_set(rng, n)
-            e, f = random_bijection(rng, X, Y), random_bijection(rng, Y, Z)
-            yield partial(_composite_law, e, f, e.then(f))
-    for _ in range(10):
-        X = random_labeled_set(rng, n)
-        yield partial(_identity_law, identity(X), f"identity law fails over {X.elements!r}")
-    return "identity and composite laws hold"
+            pairs.append((random_bijection(rng, X, Y), random_bijection(rng, Y, Z)))
+    carriers = [random_labeled_set(rng, n) for _ in range(10)]
+
+    def judge(Q: TwoElementFamily) -> tuple[bool, str]:
+        if Q.action(identity(fin(n))) is not PLUS:
+            return False, "action of the identity is not the identity"
+        for e, f in pairs if n > 4 else itertools.product(s.group, repeat=2):
+            if Q.action(e.then(f)) is not Q.action(e) * Q.action(f):
+                return False, f"composite law fails on {(e.images, f.images)!r}"
+        for X in carriers:
+            if Q.action(identity(X)) is not PLUS:
+                return False, f"identity law fails over {X.elements!r}"
+        return True, "identity and composite laws hold"
+
+    return judge
 
 
-def _two_equal_classes(X: LabeledSet, Q: TwoElementFamily) -> str | None:
-    counts = Q.construction.census(X)
-    if counts[0] != counts[1] or counts[0] == 0:
-        return f"class sizes {counts!r} over {X.elements!r}"
-    return None
-
-
-def fiber_two_elements(n: int, rng: Random) -> Generator[Probe, None, str]:
+def fiber_two_elements(n: int, rng: Random) -> Judge:
     """The quotient really has two classes over random carriers.
 
     Classifies every element of the family's construction rather than
     trusting the family's two-element fiber to say so.
     """
-    sets = 10
-    for _ in range(sets):
-        yield partial(_two_equal_classes, random_labeled_set(rng, n))
-    return f"two equal classes over {sets} random carriers"
+    carriers = [random_labeled_set(rng, n) for _ in range(10)]
+
+    def judge(Q: TwoElementFamily) -> tuple[bool, str]:
+        for X in carriers:
+            counts = Q.construction.census(X)
+            if counts[0] != counts[1] or counts[0] == 0:
+                return False, f"class sizes {counts!r} over {X.elements!r}"
+        return True, f"two equal classes over {len(carriers)} random carriers"
+
+    return judge
 
 
-def _one_probe(
+def _witness_judge(
     find: Callable[[TwoElementFamily], object], failure: Callable[[object], str], passing: str
-) -> Generator[Probe, None, str]:
-    """A row that draws nothing: each selected family judges one probe,
-    which fails with failure(w) when find(Q) returns a witness w, not None."""
-    yield lambda Q: None if (w := find(Q)) is None else failure(w)
-    return passing
+) -> Judge:
+    """The judge of a row that draws nothing: a family fails with
+    failure(w) when find(Q) returns a witness w, not None."""
+    return lambda Q: (True, passing) if (w := find(Q)) is None else (False, failure(w))
 
 
 def _covaries(k: int, trivial: bool, group: tuple, signs: tuple, Q: TwoElementFamily) -> str | None:
@@ -327,39 +321,41 @@ def _covaries(k: int, trivial: bool, group: tuple, signs: tuple, Q: TwoElementFa
     return None
 
 
-def recognition_covariance(rng: Random, group: tuple, signs: tuple) -> Generator[Probe, None, str]:
+def recognition_covariance(rng: Random, group: tuple, signs: tuple) -> Judge:
     """The recognition booleans co-vary on 50 seeded mutants of each family.
 
     Recognition reads neither the base point nor any action off fin(n), so
     to it a deformed family is the family itself or its trivial action:
     each mutant draws that one bit.
     """
-    count = 50
-    for k in range(count):
-        yield partial(_covaries, k, rng.random() < 0.4, group, signs)
-    return f"booleans co-vary on {count} mutants"
+    trivial = [rng.random() < 0.4 for _ in range(50)]
+
+    def judge(Q: TwoElementFamily) -> tuple[bool, str]:
+        for k, t in enumerate(trivial):
+            if (failure := _covaries(k, t, group, signs, Q)) is not None:
+                return False, failure
+        return True, f"booleans co-vary on {len(trivial)} mutants"
+
+    return judge
 
 
-def _relabeling_square(
-    e: Bijection, r: Bijection, s: Bijection, transported: Bijection, Q: TwoElementFamily
-) -> str | None:
-    if Q.action(transported) is not Q.action(r) * Q.action(e) * Q.action(s):
-        X, Y = e.domain.elements, e.codomain.elements
-        return f"square fails for e={e.images!r} over {X!r}->{Y!r}"
-    return None
-
-
-def label_independence(n: int, rng: Random) -> Generator[Probe, None, str]:
+def label_independence(n: int, rng: Random) -> Judge:
     """Relabeling carriers and transporting commutes with every action."""
-    trials = 100
-    for _ in range(trials):
+    squares = []
+    for _ in range(100):
         X, Y = random_labeled_set(rng, n), random_labeled_set(rng, n)
         Xp, Yp = random_labeled_set(rng, n), random_labeled_set(rng, n)
         e = random_bijection(rng, X, Y)
-        r = random_bijection(rng, X, Xp)
-        s = random_bijection(rng, Y, Yp)
-        yield partial(_relabeling_square, e, r, s, r.inverse().then(e).then(s))
-    return f"{trials} relabeling squares commute"
+        squares.append((e, random_bijection(rng, X, Xp), random_bijection(rng, Y, Yp)))
+
+    def judge(Q: TwoElementFamily) -> tuple[bool, str]:
+        for e, r, s in squares:
+            if Q.action(r.inverse().then(e).then(s)) is not Q.action(r) * Q.action(e) * Q.action(s):
+                X, Y = e.domain.elements, e.codomain.elements
+                return False, f"square fails for e={e.images!r} over {X!r}->{Y!r}"
+        return True, f"{len(squares)} relabeling squares commute"
+
+    return judge
 
 
 # The most elements a projection square enumerates over one carrier: all 6!
@@ -367,33 +363,32 @@ def label_independence(n: int, rng: Random) -> Generator[Probe, None, str]:
 SQUARE_POOL_LIMIT = 720
 
 
-def quotient_naturality(n: int, rng: Random) -> Generator[Probe, None, str]:
+def quotient_naturality(n: int, rng: Random) -> Judge:
     """Projecting to the class then acting equals acting then projecting.
 
-    Every n-element carrier has as many elements as fin(n), so the row
-    counts each construction's elements over fin(n) once: a pool of every
+    Every n-element carrier has as many elements as fin(n), so the judge
+    counts its construction's elements over fin(n) once: a pool of every
     element when there are at most SQUARE_POOL_LIMIT, else the two class
     representatives.
     """
-    moves = 20
-    whole: dict[Construction, bool] = {}  # does the pool hold every element
-
-    def square(X: LabeledSet, e: Bijection, Q: TwoElementFamily) -> str | None:
-        C = Q.construction
-        act = Q.action(e)
-        if C not in whole:
-            count = sum(1 for _ in itertools.islice(C.elements(fin(n)), SQUARE_POOL_LIMIT + 1))
-            whole[C] = count <= SQUARE_POOL_LIMIT
-        pool = C.elements(X) if whole[C] else (C.representative(X, s) for s in (PLUS, MINUS))
-        for x in pool:
-            if C.classify(C.transport(e, x)) is not act * C.classify(x):
-                return f"element {x!r} breaks the square"
-        return None
-
-    for _ in range(moves):
+    moves = []
+    for _ in range(20):
         X, Y = random_labeled_set(rng, n), random_labeled_set(rng, n)
-        yield partial(square, X, random_bijection(rng, X, Y))
-    return f"projection squares commute on {moves} moves"
+        moves.append(random_bijection(rng, X, Y))
+
+    def judge(Q: TwoElementFamily) -> tuple[bool, str]:
+        C = Q.construction
+        count = sum(1 for _ in itertools.islice(C.elements(fin(n)), SQUARE_POOL_LIMIT + 1))
+        whole = count <= SQUARE_POOL_LIMIT  # does the pool hold every element
+        for e in moves:
+            act, X = Q.action(e), e.domain
+            pool = C.elements(X) if whole else (C.representative(X, s) for s in (PLUS, MINUS))
+            for x in pool:
+                if C.classify(C.transport(e, x)) is not act * C.classify(x):
+                    return False, f"element {x!r} breaks the square"
+        return True, f"projection squares commute on {len(moves)} moves"
+
+    return judge
 
 
 def orbit_structure(n: int, group: tuple) -> tuple[bool, str]:
@@ -627,11 +622,11 @@ class Scope:
 class Check(NamedTuple):
     """One verify check and how far it runs.
 
-    report is "core", "family" (a generator that yields probes, which every
-    selected family judges, and returns the passing detail; see
-    _run_family) or the name of the one construction whose report carries
-    it, run only when that construction is selected; core and construction
-    rows return (passed, detail).  The check runs for n <= max_n (None:
+    report is "core", "family" (run returns a Judge, which every selected
+    family's report runs; see _run_family) or the name of the one
+    construction whose report carries it, run only when that construction
+    is selected; core and construction rows return (passed, detail).  The
+    check runs for n <= max_n (None:
     every n), or n <= fixed_max_n under exhaustive_fixed when set; an
     all_only check needs every construction selected.  run looks library
     functions up by their module-level names when it is called.
@@ -639,7 +634,7 @@ class Check(NamedTuple):
 
     name: str
     report: str
-    run: Callable[[Scope], tuple[bool, str] | Generator[Probe, None, str]]
+    run: Callable[[Scope], tuple[bool, str] | Judge]
     max_n: int | None = None
     fixed_max_n: int | None = None
     all_only: bool = False
@@ -669,17 +664,17 @@ CHECKS: tuple[Check, ...] = (
     Check("functor-laws", "family", lambda s: functor_laws(s)),
     Check("fiber-two-elements", "family", lambda s: fiber_two_elements(s.n, s.family_rng),
           max_n=6),
-    Check("transpositions-swap", "family", lambda s: _one_probe(
+    Check("transpositions-swap", "family", lambda s: _witness_judge(
         unswapped_transposition, lambda t: f"transposition {t.moved()!r} does not swap the fiber",
         "every transposition swaps the fiber",
     )),
-    Check("sign-agreement", "family", lambda s: _one_probe(
+    Check("sign-agreement", "family", lambda s: _witness_judge(
         lambda Q: sign_mismatch(Q, s.group, s.signs), lambda e: f"sign mismatch at {e.images!r}",
         "delooping sign equals inversion sign on all permutations",
     ), max_n=6),
     # Calls sign-agreement's scan as condition 5, but stays its own row:
     # each row is reported, and gated by the benchmark, on its own.
-    Check("recognition", "family", lambda s: _one_probe(
+    Check("recognition", "family", lambda s: _witness_judge(
         lambda Q: None if (r := check_recognition(Q, s.group, s.signs)).is_delooping else r,
         lambda r: f"booleans {r.booleans!r}, counterexample {r.counterexample.images!r}",
         "all three conditions hold",
@@ -697,46 +692,24 @@ CHECKS: tuple[Check, ...] = (
 
 
 def _run_family(reports: Mapping[str, VerifyReport], check: Check, scope: Scope) -> None:
-    """Run a family row once: every family judges each probe before the next
-    input is drawn, so no sample list is held.
+    """Run a family row once: draw its inputs, then judge each selected
+    family in turn through _run.
 
-    A family stops judging at its first failure, or at a probe that raises;
-    the others go on, and the row draws all its inputs whatever fails, so a
-    failure never shifts a later row's draws.  A draw that raises fails
-    every family still passing.  Each family's duration is the time of its
-    own probes plus an equal share of the rest of the row, its draws
-    included, so the durations add up to the row's whole time.
+    Every draw comes before any judging, so a failure never shifts a later
+    row's draws; a draw that raises fails every family.  Each family's
+    duration is the time of its own judging plus an equal share of the
+    draws, so the durations add up to the row's whole time.
     """
     start = time.perf_counter()
-    spent = dict.fromkeys(scope.families, 0.0)
-    failed: dict[str, str] = {}
     try:
-        probes = check.run(scope)
-        while True:
-            probe = next(probes)
-            for name, Q in scope.families.items():
-                if name in failed:
-                    continue
-                t = time.perf_counter()
-                try:
-                    detail = probe(Q)
-                except Exception as exc:  # a crash fails this family, as in _run
-                    detail = _raised(exc)
-                spent[name] += time.perf_counter() - t
-                if detail is not None:
-                    failed[name] = detail
-    except StopIteration as end:
-        passing = end.value
-    except Exception as exc:
-        passing = None
-        for name in scope.families:
-            failed.setdefault(name, _raised(exc))
-    share = (time.perf_counter() - start - sum(spent.values())) / len(spent)
-    for name in scope.families:
-        detail = failed.get(name, passing)
-        reports[name].checks.append(
-            CheckResult(check.name, name not in failed, detail, spent[name] + share)
-        )
+        judge = check.run(scope)
+    except Exception as exc:  # a crash is a failure with the exception as witness
+        failure = _raised(exc)
+        judge = lambda Q: (False, failure)
+    share = (time.perf_counter() - start) / len(scope.families)
+    for name, Q in scope.families.items():
+        _run(reports[name], check.name, partial(judge, Q))
+        reports[name].checks[-1].duration += share
 
 
 # The largest arity verify runs; cartier's transpositions-swap alone is O(n^4).

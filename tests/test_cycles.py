@@ -295,6 +295,15 @@ class TestRecomposeEndofunctionChecks:
     rules itself (the cycles' own rules are TestDecompositionContracts')."""
 
     @pytest.mark.parametrize(
+        "dec",
+        [((), []), ((), {}, 1), 5, (((0,),), 5), ((5,), {})],
+        ids=["list-transient", "triple", "int", "int-transient", "int-orbit"],
+    )
+    def test_rejects_what_is_no_pair_of_orbits_and_a_mapping(self, dec):
+        with pytest.raises(MalformedDecomposition):
+            recompose_endofunction(dec)
+
+    @pytest.mark.parametrize(
         "cycles, message",
         [
             (((2, 0),), "not listed from its minimum"),

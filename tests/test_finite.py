@@ -5,6 +5,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given
 
+from signdeloop.cycles import CycleDecomposition
 from signdeloop.errors import (
     ArityMismatch,
     ContractError,
@@ -80,6 +81,24 @@ NEGATIVE_SIZE_ENTRY_POINTS = {
         "natural_isomorphism/seed", "parity_triangle_holds",
     )
 }
+
+# Every constructor that takes an iterable, fed a value that is not one.
+NON_ITERABLE_ENTRY_POINTS = {
+    "LabeledSet": LabeledSet,
+    "LabeledSet.of": LabeledSet.of,
+    "Bijection": lambda v: Bijection(fin(2), fin(2), v),
+    "permutation": permutation,
+    "transposition_of_pair": lambda v: transposition_of_pair(fin(3), v),
+    "CycleDecomposition": CycleDecomposition,
+    "CycleDecomposition/cycle": lambda v: CycleDecomposition([v]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_ITERABLE_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [None, 5, object()], ids=["None", "5", "object"])
+def test_non_iterables_are_contract_errors(name, value):
+    with pytest.raises(ContractError, match="must be iterable"):
+        NON_ITERABLE_ENTRY_POINTS[name](value)
 
 
 @pytest.mark.parametrize("seed", [[0], {}, {0: 1}, set(), object()])

@@ -8,7 +8,7 @@ import weakref
 from collections import defaultdict
 from pathlib import Path
 from random import Random
-from types import GeneratorType, SimpleNamespace
+from types import SimpleNamespace
 
 import pytest
 
@@ -259,15 +259,14 @@ class TestOracles:
         assert len(set(reads.values())) == 1 and 0 < reads["fixed"] <= 3 * 24
 
     def test_recognition_row_reports_its_failure(self):
-        # The row is a stream of one probe, which the trivial family fails.
+        # The row's judge fails the trivial family and passes cartier's.
         trivial = TwoElementFamily("trivial", 3, lambda e: PLUS, PLUS)
         (row,) = [c for c in CHECKS if c.name == "recognition"]
-        stream = row.run(Scope(3, 0, {}))
-        probe = next(stream)
-        assert probe(trivial) == "booleans (False, False, False), counterexample (1, 0, 2)"
-        with pytest.raises(StopIteration) as end:
-            next(stream)
-        assert end.value.value == "all three conditions hold"
+        judge = row.run(Scope(3, 0, {}))
+        assert judge(trivial) == (
+            False, "booleans (False, False, False), counterexample (1, 0, 2)"
+        )
+        assert judge(cartier_delooping(3)) == (True, "all three conditions hold")
 
 
 class TestRecognitionCovariance:
@@ -586,10 +585,9 @@ class TestRunVerification:
         for check in CHECKS:
             assert check.report in ("core", "family", *CONSTRUCTIONS), check.name
             result = check.run(scope)
-            if check.report == "family":
-                assert isinstance(result, GeneratorType), check.name
-            else:
-                passed, detail = result
+            # A family row returns a judge that every family's report runs.
+            results = map(result, families.values()) if check.report == "family" else [result]
+            for passed, detail in results:
                 assert isinstance(passed, bool) and isinstance(detail, str), check.name
 
     def test_json_serializable(self):
@@ -628,8 +626,9 @@ class TestRunVerification:
                 assert golden.get(key) == (True, detail), (workload, key)
 
     def test_inverse_calls_at_five(self, monkeypatch):
-        # 124 calls: 100 relabelings in label-independence, each inverted once
-        # for all four families, and 24 charts in relation-validity.  Inverting fiber maps or a chart per relation
+        # 424 calls: 100 relabelings in label-independence, each inverted once
+        # by each of the four families' judges, which hold no derived map, and
+        # 24 charts in relation-validity.  Inverting fiber maps or a chart per relation
         # query would add about 1 700, and an inverse per cartier transport
         # about 4 200.
         calls = []
@@ -863,12 +862,17 @@ class DrawRecorder:
             self.rows[family][self.row].append(event)
 
     def tagged(self, row, real):
-        def run(*args):  # the row is open while the runner judges its probes
-            self.row = row
-            try:
-                return (yield from real(*args))
-            finally:
-                self.row = None
+        def run(*args):
+            judge = real(*args)
+
+            def judged(Q):  # the row is open while the runner judges a family
+                self.row = row
+                try:
+                    return judge(Q)
+                finally:
+                    self.row = None
+
+            return judged
 
         return run
 
@@ -954,8 +958,7 @@ class TestSharedDraws:
                 C, transport=lambda e, x, C=C: squared.append(x) or C.transport(e, x)
             )
             Q = dataclasses.replace(Q, construction=counting)
-            for probe in verify.quotient_naturality(n, Random(0)):
-                assert probe(Q) is None
+            assert verify.quotient_naturality(n, Random(0))(Q)[0], name
             elements = {"fixed": 2, "simpson": math.factorial(n)}.get(name, 2 * math.factorial(n))
             assert len(squared) == 20 * (elements if name in whole else 2), name
 
@@ -994,6 +997,34 @@ class TestSharedDraws:
             assert durations[row] == {
                 "fixed": share, "orbit": share, "simpson": share, "cartier": share + acted
             }, row
+
+
+def test_drawn_carriers_never_derive_their_positions(monkeypatch):
+    # A LabeledSet derives its label -> position map on first lookup, and no
+    # carrier a run draws is ever looked up: a family row's judge holds its
+    # carriers, so a map built for each would stay alive until the row ends.
+    drawn = defaultdict(list)
+    real = finite.random_labeled_set
+
+    def recorded(rng, size):
+        drawn[size].append(real(rng, size))
+        return drawn[size][-1]
+
+    monkeypatch.setattr(verify, "random_labeled_set", recorded)
+    monkeypatch.setattr(deloopings, "random_labeled_set", recorded)
+    for n in range(4, 9):
+        assert all(r.passed for r in run_verification(n, "all", 101))
+    assert {n: len(sets) for n, sets in drawn.items()} == {
+        4: 620, 5: 1512, 6: 1360, 7: 1310, 8: 1310
+    }
+    assert not [X for sets in drawn.values() for X in sets if "_pos" in vars(X)]
+    # A carrier that is looked up answers as the validated constructor's does.
+    X = drawn[5][0]
+    built = LabeledSet(X.elements)
+    assert [X.position(a) for a in X] == [built.position(a) for a in X] == list(range(5))
+    assert "_pos" in vars(X)
+    assert all(a in X for a in X) and X.elements[0] - 1 not in X and True not in X
+    assert X == built and hash(X) == hash(built) and X != fin(5)
 
 
 class TestTrustedPathInvariant:
