@@ -13,6 +13,7 @@ dict that sends each transient label to its image.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Set as AbstractSet
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable
@@ -21,6 +22,13 @@ from .errors import DomainMismatch, MalformedDecomposition, NotMember
 from .finite import Bijection, Frozen, Label, LabeledSet, _tuple, require_ints
 
 Orbit = tuple[Label, ...]
+
+
+def _require_ordered(orbits: tuple) -> None:
+    """MalformedDecomposition when an orbit is a set, which lists no cycle order."""
+    for orbit in orbits:
+        if isinstance(orbit, AbstractSet):
+            raise MalformedDecomposition(f"an orbit must be ordered, got the set {orbit!r}")
 
 
 def _union_of_orbits(cycles: tuple[Orbit, ...], carrier: LabeledSet | None = None) -> LabeledSet:
@@ -43,11 +51,15 @@ def _union_of_orbits(cycles: tuple[Orbit, ...], carrier: LabeledSet | None = Non
 class CycleDecomposition(Frozen):
     """Disjoint cycles; their labels' union is the decomposed carrier.
 
-    The carrier is derived, so it is neither compared, hashed nor shown.
+    Each orbit lists its cycle order, so a set, which lists none, is
+    refused.  The carrier is derived, so it is neither compared, hashed nor
+    shown.
     """
 
     def __init__(self, cycles: Iterable[Iterable[Label]]):
-        cycles = tuple(_tuple(orbit, "a cycle") for orbit in _tuple(cycles, "cycles"))
+        orbits = _tuple(cycles, "cycles")
+        _require_ordered(orbits)
+        cycles = tuple(_tuple(orbit, "a cycle") for orbit in orbits)
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "carrier", _union_of_orbits(cycles))
 
@@ -147,16 +159,19 @@ def recompose_endofunction(
 
     The pair is a caller's plain data, so it is checked here, in linear time
     and without decomposing anything: its shape first, then the cycles as
-    CycleDecomposition takes them, every transient label an int on no cycle,
-    every image a label of the pair, and every transient label reaching the core.
+    CycleDecomposition takes them, no orbit a set, every transient label an
+    int on no cycle, every image a label of the pair, and every transient
+    label reaching the core.
     """
     try:
         cycles, transient = dec
-        cycles = tuple(map(tuple, cycles))
+        orbits = tuple(cycles)
+        cycles = tuple(map(tuple, orbits))
     except (TypeError, ValueError):  # no pair, or cycles that are no iterable of iterables
         transient = None
     if not isinstance(transient, dict):
         raise MalformedDecomposition("expected a pair (cycles, transient) of orbits and a dict")
+    _require_ordered(orbits)
     _union_of_orbits(cycles)
     image = {x: y for orbit in cycles for x, y in zip(orbit, orbit[1:] + orbit[:1])}
     on_cycles = sorted(image.keys() & require_ints(tuple(transient), "label"))

@@ -30,6 +30,7 @@ from .deloopings import (
     CENSUS_BOUND,
     CONSTRUCTIONS,
     Orientation,
+    RecognitionReport,
     TwoElementFamily,
     all_orientations,
     alternating_kernel,
@@ -311,14 +312,20 @@ def _witness_judge(
     return lambda Q: (True, passing) if (w := find(Q)) is None else (False, failure(w))
 
 
-def _covaries(k: int, trivial: bool, group: tuple, signs: tuple, Q: TwoElementFamily) -> str | None:
+def _mutant(Q: TwoElementFamily, trivial: bool) -> TwoElementFamily:
+    """The row's mutant of Q: Q itself, or its trivial action."""
+    if not trivial:
+        return Q
+    return TwoElementFamily(f"{Q.name}/mutant[trivial]", Q.arity, lambda e: PLUS, Q.base_point)
+
+
+def _covaries(k: int, trivial: bool, report: RecognitionReport, Q: TwoElementFamily) -> str | None:
+    """None when mutant #k of Q, recognized as report, has co-varying
+    booleans, else the row's failure detail."""
+    if report.consistent:
+        return None
     name = f"{Q.name}/mutant[{'trivial' if trivial else 'none'}]"
-    if trivial:
-        Q = TwoElementFamily(name, Q.arity, lambda e: PLUS, Q.base_point)
-    report = check_recognition(Q, group, signs)
-    if not report.consistent:
-        return f"mutant #{k} ({name}) booleans {report.booleans!r}"
-    return None
+    return f"mutant #{k} ({name}) booleans {report.booleans!r}"
 
 
 def recognition_covariance(rng: Random, group: tuple, signs: tuple) -> Judge:
@@ -326,13 +333,19 @@ def recognition_covariance(rng: Random, group: tuple, signs: tuple) -> Judge:
 
     Recognition reads neither the base point nor any action off fin(n), so
     to it a deformed family is the family itself or its trivial action:
-    each mutant draws that one bit.
+    each mutant draws that one bit.  Both mutants act deterministically,
+    the trivial one by a constant and Q through its own actions, so the
+    judge recognizes each the first time a coin draws it and judges every
+    later coin on the same report.
     """
     trivial = [rng.random() < 0.4 for _ in range(50)]
 
     def judge(Q: TwoElementFamily) -> tuple[bool, str]:
+        reports: dict[bool, RecognitionReport] = {}
         for k, t in enumerate(trivial):
-            if (failure := _covaries(k, t, group, signs, Q)) is not None:
+            if t not in reports:
+                reports[t] = check_recognition(_mutant(Q, t), group, signs)
+            if (failure := _covaries(k, t, reports[t], Q)) is not None:
                 return False, failure
         return True, f"booleans co-vary on {len(trivial)} mutants"
 

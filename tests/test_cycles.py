@@ -96,6 +96,22 @@ class TestDecompositionContracts:
         assert_both_constructors_reject(((0, 1), (1, 2)))
         assert_both_constructors_reject(((0,), (0,)))
 
+    @pytest.mark.parametrize(
+        "orbit", [frozenset({0, 1, 2}), {2, 5, 9}, {0, 1, 2}, {4}], ids=repr
+    )
+    def test_rejects_an_unordered_orbit(self, orbit):
+        # A set lists no cycle order, however its hash order happens to read.
+        for build in (CycleDecomposition, endo_without_transients):
+            with pytest.raises(MalformedDecomposition, match="an orbit must be ordered"):
+                build([orbit])
+            with pytest.raises(MalformedDecomposition, match="an orbit must be ordered"):
+                build(((7,), orbit))
+
+    def test_ordered_orbits_of_any_sequence_type(self):
+        for orbit in ((2, 9, 3), [2, 9, 3], iter([2, 9, 3])):
+            assert CycleDecomposition([orbit]).cycles == ((2, 9, 3),)
+        assert endo_without_transients([[2, 9, 3]]) == {2: 9, 9: 3, 3: 2}
+
     @pytest.mark.parametrize("label", [True, 1.0, "1", None])
     def test_rejects_a_non_int_label(self, label):
         assert_both_constructors_reject(((0, label),), ContractError)
@@ -315,6 +331,10 @@ class TestRecomposeEndofunctionChecks:
     def test_rejects_malformed_cycles(self, cycles, message):
         with pytest.raises(MalformedDecomposition, match=message):
             recompose_endofunction((cycles, {1: 0}))
+
+    def test_rejects_a_set_as_an_orbit(self):
+        with pytest.raises(MalformedDecomposition, match="an orbit must be ordered"):
+            recompose_endofunction(([{0, 1, 2}], {}))
 
     @pytest.mark.parametrize("label", [True, 0.0, "0"])
     def test_rejects_a_non_int_cycle_label(self, label):

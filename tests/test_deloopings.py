@@ -180,6 +180,33 @@ class TestOrientation:
                 u = Orientation(A, rng.getrandbits(width))
                 assert orientation_action(e, u).bits == naive_orientation_transport(e, u)
 
+    def test_action_matches_the_oracle_on_a_cold_and_a_warm_cache(self):
+        # The transport is cached on positions and bits alone: a cached
+        # result still lands over the map's own codomain.
+        rng = Random(5)
+        X, Y = random_labeled_set(rng, 5), random_labeled_set(rng, 5)
+        cases = []
+        for _ in range(20):
+            e = random_bijection(rng, X, Y)
+            twin = Bijection(fin(5), fin(5), e.positions)  # the same positions
+            u = rng.getrandbits(10)
+            cases += [(e, Orientation(X, u)), (twin, Orientation(fin(5), u))]
+        deloopings._transported_bits.cache_clear()
+        for _ in range(2):  # cold, then warm
+            for e, u in cases:
+                moved = orientation_action(e, u)
+                assert moved.carrier is e.codomain
+                assert moved.bits == naive_orientation_transport(e, u)
+        assert deloopings._transported_bits.cache_info().hits >= len(cases)
+
+    def test_large_transports_bypass_the_cache(self):
+        rng = Random(40)
+        X, Y = random_labeled_set(rng, 40), random_labeled_set(rng, 40)
+        e, u = random_bijection(rng, X, Y), Orientation(X, rng.getrandbits(math.comb(40, 2)))
+        before = deloopings._transported_bits.cache_info()
+        assert orientation_action(e, u).bits == naive_orientation_transport(e, u)
+        assert deloopings._transported_bits.cache_info() == before
+
     @given(bijection_chains(length=2, min_size=2, max_size=5), st.integers(0, 1023))
     def test_action_functorial(self, chain, seed_bits):
         e, f = chain
@@ -1001,6 +1028,44 @@ class TestActionTable:
         with pytest.raises(RuntimeError):
             cartier_delooping(3).action(perms_of(3)[0])
         assert [warm.action(e) for e in perms_of(3)] == expected
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_representatives_are_rebuilt_for_each_new_domain(self, name):
+        # Carriers X, X, Y, X, then X' equal to X but another object: the
+        # representatives are built again exactly when the domain changes.
+        C = CONSTRUCTIONS[name](4).construction
+        built = []
+        counting = dataclasses.replace(
+            C, representative=lambda X, s: built.append(X) or C.representative(X, s)
+        )
+        Q, rng = counting(4), Random(name)
+        X, Y, Z = (random_labeled_set(rng, 4) for _ in range(3))
+        Xp = LabeledSet(X.elements)
+        assert Xp == X and Xp is not X
+        domains = (X, X, Y, X, Xp)
+        for A in domains:
+            for _ in range(3):
+                e = random_bijection(rng, A, Z)
+                assert Q.action(e) is C(4).action(e), (A.elements, e.images)
+        rebuilt = [X, X, Y, Y, X, X, Xp, Xp]
+        assert len(built) == len(rebuilt)
+        assert all(got is want for got, want in zip(built, rebuilt))
+
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_a_rebound_transport_fails_cartier_through_warm_caches(self, monkeypatch, n):
+        # Warm the transport cache, then flip bit 0 of every transport with
+        # an end other than fin(n): cartier's functor laws must fail.
+        assert all(r.passed for r in run_verification(n, "cartier", 0))
+        real = deloopings.orientation_action
+
+        def faulty(e, u):
+            moved = real(e, u)
+            return moved if e.domain == e.codomain == fin(n) else moved.flip(0)
+
+        monkeypatch.setattr(deloopings, "orientation_action", faulty)
+        (_, cartier) = run_verification(n, "cartier", 0)
+        (laws,) = [c for c in cartier.checks if c.name == "functor-laws"]
+        assert not laws.passed
 
     @staticmethod
     def stub_out_the_sign(monkeypatch):

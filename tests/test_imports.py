@@ -383,6 +383,9 @@ ALLOWED_CACHES = {
     "finite.fin": "one small set per size, shared by every carrier of that size",
     "perms.transposition": "at most C(8, 2) = 28 small transpositions, built once each",
     "perms._sign_of_images": "a pure parity memo under chart_sign, keyed by positions",
+    "deloopings._transported_bits": (
+        "a pure bit transport memo under orientation_action, keyed by positions and bits"
+    ),
     "deloopings._naturality_signs": "keyed by the run's own families, so no later run hits it",
 }
 

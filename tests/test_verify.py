@@ -271,28 +271,53 @@ class TestOracles:
 
 class TestRecognitionCovariance:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_recognition_sees_each_deformation_as_the_rows_mutant(self, monkeypatch, n):
+    def test_recognition_sees_each_deformation_as_the_rows_mutant(self, n):
         # Recognition reads actions only on permutations of fin(n), where a
         # twist cancels, and never reads the base point: a deformed family
         # gets the very report of the row's mutant with its trivialize bit.
-        reports = []
         signed = listing(n)
-
-        def recognized(Q, *scanned):
-            reports.append(check_recognition(Q, *scanned))
-            return reports[-1]
-
-        monkeypatch.setattr(verify, "check_recognition", recognized)
+        compared = 0
         drawn = set()
         for name, build in CONSTRUCTIONS.items():
             Q, rng = build(n), Random(f"{name}/{n}")
             for k in range(50):
                 mutation = Mutation.draw(rng)
                 drawn.add(mutation.apply(Q).name.split("/")[1])
-                assert verify._covaries(k, mutation.trivialize, *signed, Q) is None
-                assert reports[-1] == check_recognition(mutation.apply(Q), *signed), mutation
-        assert len(reports) == 4 * 50
+                report = check_recognition(verify._mutant(Q, mutation.trivialize), *signed)
+                assert verify._covaries(k, mutation.trivialize, report, Q) is None
+                assert report == check_recognition(mutation.apply(Q), *signed), mutation
+                compared += 1
+        assert compared == 4 * 50
         assert {"mutant[none]", "mutant[trivial]", "mutant[twist,flip]"} <= drawn
+
+    def test_mutants(self):
+        Q = CONSTRUCTIONS["orbit"](4)
+        assert verify._mutant(Q, False) is Q
+        trivial = verify._mutant(Q, True)
+        assert trivial.name == "orbit/mutant[trivial]"
+        assert (trivial.arity, trivial.base_point) == (4, Q.base_point)
+        assert {trivial.action(e) for e in listing(4)[0]} == {PLUS}
+
+    def test_each_distinct_mutant_is_recognized_once(self, monkeypatch):
+        # Every family still draws its 50 coins, and the row recognizes the
+        # family and its trivial action each the first time a coin draws it.
+        recorder = DrawRecorder(monkeypatch)
+        recognized = defaultdict(list)
+        real = verify.check_recognition
+
+        def counted(Q, *scanned):
+            if recorder.row == "recognition-covariance":
+                recognized[Q.name.split("/")[0]].append(Q.name)
+            return real(Q, *scanned)
+
+        monkeypatch.setattr(verify, "check_recognition", counted)
+        assert all(r.passed for r in run_verification(5, "all", 0))
+        assert list(recognized) == list(CONSTRUCTIONS)
+        for name in CONSTRUCTIONS:
+            coins = recorder.rows[name]["recognition-covariance"]
+            assert len(coins) == 50 and set(coins) == {True, False}
+            first = dict.fromkeys(coins)  # each coin value at its first draw
+            assert recognized[name] == [f"{name}/mutant[trivial]" if t else name for t in first]
 
     def test_a_family_negated_on_a_three_cycle_fails_the_row(self):
         # Transpositions still swap, so conditions 3 and 4 hold and 5 fails:
