@@ -283,7 +283,7 @@ class TwoElementFamily:
     multiplication, PLUS keeping each class and MINUS swapping them;
     base_point is the class over fin(arity) charted to +1, so the chart is
     multiplication by it; construction is the record the family was built
-    from, None for hand-built families, verify's trivial mutants among them.
+    from, None for hand-built families, verify's trivial action among them.
     """
 
     name: str

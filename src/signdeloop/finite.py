@@ -172,7 +172,10 @@ class LabeledSet(Frozen):
 @lru_cache(maxsize=None)
 def fin(n: int) -> LabeledSet:
     """The canonical n-element set {0, ..., n-1}."""
-    return LabeledSet(tuple(range(require_natural(n, "fin size"))))
+    try:
+        return LabeledSet(tuple(range(require_natural(n, "fin size"))))
+    except OverflowError:  # more elements than a tuple can index
+        raise SizeGuard(f"fin({n}) is too large to list") from None
 
 
 class Bijection(Frozen):

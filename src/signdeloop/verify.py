@@ -312,13 +312,6 @@ def _witness_judge(
     return lambda Q: (True, passing) if (w := find(Q)) is None else (False, failure(w))
 
 
-def _mutant(Q: TwoElementFamily, trivial: bool) -> TwoElementFamily:
-    """The row's mutant of Q: Q itself, or its trivial action."""
-    if not trivial:
-        return Q
-    return TwoElementFamily(f"{Q.name}/mutant[trivial]", Q.arity, lambda e: PLUS, Q.base_point)
-
-
 def _covaries(k: int, trivial: bool, report: RecognitionReport, Q: TwoElementFamily) -> str | None:
     """None when mutant #k of Q, recognized as report, has co-varying
     booleans, else the row's failure detail."""
@@ -328,24 +321,21 @@ def _covaries(k: int, trivial: bool, report: RecognitionReport, Q: TwoElementFam
     return f"mutant #{k} ({name}) booleans {report.booleans!r}"
 
 
-def recognition_covariance(rng: Random, group: tuple, signs: tuple) -> Judge:
+def recognition_covariance(s: Scope) -> Judge:
     """The recognition booleans co-vary on 50 seeded mutants of each family.
 
     Recognition reads neither the base point nor any action off fin(n), so
-    to it a deformed family is the family itself or its trivial action:
-    each mutant draws that one bit.  Both mutants act deterministically,
-    the trivial one by a constant and Q through its own actions, so the
-    judge recognizes each the first time a coin draws it and judges every
-    later coin on the same report.
+    to it a deformed family is the family itself or a trivial action: each
+    mutant draws that one bit.  A family's mutants read the run's report of
+    the family, its trivial mutants the report of the one trivial action
+    the row builds, each recognized once per run by Scope.recognition.
     """
-    trivial = [rng.random() < 0.4 for _ in range(50)]
+    trivial = [s.family_rng.random() < 0.4 for _ in range(50)]
+    constant = TwoElementFamily("trivial", s.n, lambda e: PLUS, PLUS)
 
     def judge(Q: TwoElementFamily) -> tuple[bool, str]:
-        reports: dict[bool, RecognitionReport] = {}
         for k, t in enumerate(trivial):
-            if t not in reports:
-                reports[t] = check_recognition(_mutant(Q, t), group, signs)
-            if (failure := _covaries(k, t, reports[t], Q)) is not None:
+            if (failure := _covaries(k, t, s.recognition(constant if t else Q), Q)) is not None:
                 return False, failure
         return True, f"booleans co-vary on {len(trivial)} mutants"
 
@@ -427,8 +417,9 @@ def fixed_equivariance(n: int, group: tuple, walk: tuple) -> tuple[bool, str]:
     for every adjacent swap s_i.  The swaps generate S_n and the sign is
     multiplicative (sign_homomorphism's walk proves both in the same run),
     so a is a word in the s_i whose length has the parity of sign(a).  walk
-    is the run's Scope.walk, the one sign_homomorphism reads, and a failure
-    names the first broken edge in walk order.
+    is the run's Scope.walk, the one sign_homomorphism reads; a failure
+    names the first broken edge in walk order, else the walk's share of the
+    edges when it does not reach the whole listing.
     """
     base = fin(n)
     # Through the family, as for every record: see CONSTRUCTIONS.
@@ -439,6 +430,9 @@ def fixed_equivariance(n: int, group: tuple, walk: tuple) -> tuple[bool, str]:
             if value[q] is not -value[h]:
                 chart = group[h].positions
                 return False, f"equivariance fails at chart {chart!r}, swap ({i}, {i + 1})"
+    if len(walk[1]) != len(group):  # as sign_homomorphism words it
+        swaps = len(walk[0])
+        return False, f"walk takes {len(walk[1]) * swaps} of {len(group) * swaps} edges"
     return True, "both elements are equivariant"
 
 
@@ -611,12 +605,21 @@ class Scope:
     it.  group lists S_n, signs the sign_inversions of its permutations and
     walk their cayley_walk under the adjacent swaps, each on first read: a
     run whose rows all sample lists and walks nothing, and a sign reader
-    that raises fails the rows reading signs, not the run.
+    that raises fails the rows reading signs, not the run.  recognition(Q)
+    is Q's check_recognition over group and signs, made once per family
+    object and kept until the run ends: the recognition row and
+    recognition-covariance read the same report.
     """
 
     def __init__(self, n: int, seed: int, families: Mapping[str, TwoElementFamily]):
         self.n, self.seed, self.families = n, seed, families
         self.rng, self.family_rng = Random(seed), Random(seed)
+        self._recognized: dict[TwoElementFamily, RecognitionReport] = {}
+
+    def recognition(self, Q: TwoElementFamily) -> RecognitionReport:
+        if Q not in self._recognized:  # a family hashes by identity
+            self._recognized[Q] = check_recognition(Q, self.group, self.signs)
+        return self._recognized[Q]
 
     @cached_property
     def group(self) -> tuple[Bijection, ...]:
@@ -688,12 +691,11 @@ CHECKS: tuple[Check, ...] = (
     # Calls sign-agreement's scan as condition 5, but stays its own row:
     # each row is reported, and gated by the benchmark, on its own.
     Check("recognition", "family", lambda s: _witness_judge(
-        lambda Q: None if (r := check_recognition(Q, s.group, s.signs)).is_delooping else r,
+        lambda Q: None if (r := s.recognition(Q)).is_delooping else r,
         lambda r: f"booleans {r.booleans!r}, counterexample {r.counterexample.images!r}",
         "all three conditions hold",
     ), max_n=6),
-    Check("recognition-covariance", "family",
-          lambda s: recognition_covariance(s.family_rng, s.group, s.signs), max_n=6),
+    Check("recognition-covariance", "family", lambda s: recognition_covariance(s), max_n=6),
     Check("label-independence", "family", lambda s: label_independence(s.n, s.family_rng)),
     Check("quotient-naturality", "family", lambda s: quotient_naturality(s.n, s.family_rng),
           max_n=6),
@@ -736,7 +738,8 @@ def run_verification(
     exhaustive_fixed: bool = False,
 ) -> list[VerifyReport]:
     if construction not in ("all", *CONSTRUCTIONS):  # by equality: nothing is hashed
-        raise ContractError(f"unknown construction {construction!r}")
+        choices = ", ".join(map(repr, ("all", *CONSTRUCTIONS)))
+        raise ContractError(f"unknown construction {construction!r} (choose from {choices})")
     if require_int(n, "arity") > VERIFY_BOUND:
         raise SizeGuard(f"verify runs up to n = {VERIFY_BOUND}, got {n}")
     every = construction == "all"

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signdeloop.cli import (
-    build_parser,
     format_permutation,
     parse_permutation,
     run_command,
@@ -300,16 +299,17 @@ class TestReadme:
 
 class TestConstructionChoices:
     def test_choices_follow_the_registry(self, monkeypatch, capsys):
-        def parse(name):
-            argv = ["verify", "--n", "2", "--construction", name]
-            return build_parser().parse_args(argv).construction
-
+        # Names are checked once, by the run, against the registry it reads.
+        assert run_command(["verify", "--n", "3", "--construction", "nope"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown construction 'nope' "
+            "(choose from 'all', 'fixed', 'orbit', 'simpson', 'cartier')\n"
+        )
         monkeypatch.setitem(CONSTRUCTIONS, "mirror", CONSTRUCTIONS["cartier"])
-        for name in ["all", *CONSTRUCTIONS]:
-            assert parse(name) == name
-        with pytest.raises(SystemExit):
-            parse("nope")
-        capsys.readouterr()
+        assert run_command(["verify", "--n", "2", "--construction", "mirror"]) == 0
+        assert "[mirror] n=2 seed=0\n" in capsys.readouterr().out
+        assert run_command(["verify", "--n", "2", "--construction", "nope"]) == 2
+        assert "'cartier', 'mirror')" in capsys.readouterr().err
 
 
 class TestExitCodes:

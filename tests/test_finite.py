@@ -380,6 +380,15 @@ class TestSymmetricGroup:
             symmetric_group(9)
 
 
+@pytest.mark.parametrize(
+    "build", [fin, symmetric_group, cartier_delooping], ids=["fin", "symmetric_group", "cartier"]
+)
+def test_sizes_past_a_tuple_index_are_size_guards(build):
+    # range(2**70) has no length a tuple can hold: refused before any listing.
+    with pytest.raises(SizeGuard):
+        build(2**70)
+
+
 class TestRandomLabeledSet:
     @pytest.mark.parametrize("size", [0, 1, 5, 40])
     def test_is_a_validated_sorted_sample(self, size):

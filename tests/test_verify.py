@@ -274,50 +274,40 @@ class TestRecognitionCovariance:
     def test_recognition_sees_each_deformation_as_the_rows_mutant(self, n):
         # Recognition reads actions only on permutations of fin(n), where a
         # twist cancels, and never reads the base point: a deformed family
-        # gets the very report of the row's mutant with its trivialize bit.
+        # gets the very report of the family, or of the row's trivial action
+        # when its trivialize bit is set.
         signed = listing(n)
+        trivial = check_recognition(TwoElementFamily("trivial", n, lambda e: PLUS, PLUS), *signed)
         compared = 0
         drawn = set()
         for name, build in CONSTRUCTIONS.items():
             Q, rng = build(n), Random(f"{name}/{n}")
+            own = check_recognition(Q, *signed)
             for k in range(50):
                 mutation = Mutation.draw(rng)
                 drawn.add(mutation.apply(Q).name.split("/")[1])
-                report = check_recognition(verify._mutant(Q, mutation.trivialize), *signed)
+                report = trivial if mutation.trivialize else own
                 assert verify._covaries(k, mutation.trivialize, report, Q) is None
                 assert report == check_recognition(mutation.apply(Q), *signed), mutation
                 compared += 1
         assert compared == 4 * 50
         assert {"mutant[none]", "mutant[trivial]", "mutant[twist,flip]"} <= drawn
 
-    def test_mutants(self):
-        Q = CONSTRUCTIONS["orbit"](4)
-        assert verify._mutant(Q, False) is Q
-        trivial = verify._mutant(Q, True)
-        assert trivial.name == "orbit/mutant[trivial]"
-        assert (trivial.arity, trivial.base_point) == (4, Q.base_point)
-        assert {trivial.action(e) for e in listing(4)[0]} == {PLUS}
-
-    def test_each_distinct_mutant_is_recognized_once(self, monkeypatch):
-        # Every family still draws its 50 coins, and the row recognizes the
-        # family and its trivial action each the first time a coin draws it.
+    def test_a_run_recognizes_each_family_once(self, monkeypatch):
+        # The recognition row and the 50 coins of each family read one report
+        # per family object, the trivial coins that of the row's one trivial
+        # action: 5 recognitions, while every family still draws its coins.
         recorder = DrawRecorder(monkeypatch)
-        recognized = defaultdict(list)
-        real = verify.check_recognition
-
-        def counted(Q, *scanned):
-            if recorder.row == "recognition-covariance":
-                recognized[Q.name.split("/")[0]].append(Q.name)
-            return real(Q, *scanned)
-
-        monkeypatch.setattr(verify, "check_recognition", counted)
+        recognized, real = [], verify.check_recognition
+        monkeypatch.setattr(
+            verify, "check_recognition", lambda Q, *signed: recognized.append(Q) or real(Q, *signed)
+        )
         assert all(r.passed for r in run_verification(5, "all", 0))
-        assert list(recognized) == list(CONSTRUCTIONS)
+        assert len({id(Q) for Q in recognized}) == len(recognized) == 5
+        assert sorted(Q.name for Q in recognized) == sorted([*CONSTRUCTIONS, "trivial"])
         for name in CONSTRUCTIONS:
             coins = recorder.rows[name]["recognition-covariance"]
             assert len(coins) == 50 and set(coins) == {True, False}
-            first = dict.fromkeys(coins)  # each coin value at its first draw
-            assert recognized[name] == [f"{name}/mutant[trivial]" if t else name for t in first]
 
     def test_a_family_negated_on_a_three_cycle_fails_the_row(self):
         # Transpositions still swap, so conditions 3 and 4 hold and 5 fails:
@@ -417,15 +407,18 @@ class TestCayleyWalk:
 
     def test_a_dropped_swap_fails_the_sign_row(self, monkeypatch):
         # <0 1>, <1 2> and <2 3> generate only S_4 inside S_5: the walk
-        # takes 24 * 3 of the 120 * 3 edges.
+        # takes 24 * 3 of the 120 * 3 edges, every one of them equivariant,
+        # so fixed's equivariance row fails on the walk's reach as well.
         real, swaps = verify.cayley_walk, images(adjacent_swaps(5))
         monkeypatch.setattr(
             verify,
             "cayley_walk",
             lambda listed, moves: real(listed, moves[:-1] if moves == swaps else moves),
         )
-        (row,) = [c for c in run_verification(5)[0].checks if c.name == "sign-homomorphism"]
-        assert (row.passed, row.detail) == (False, "walk takes 72 of 360 edges")
+        reports = {r.construction: r for r in run_verification(5)}
+        for report, name in [("core", "sign-homomorphism"), ("fixed", "equivariance")]:
+            (row,) = [c for c in reports[report].checks if c.name == name]
+            assert (row.passed, row.detail) == (False, "walk takes 72 of 360 edges"), name
 
 
 class TestSignHomomorphism:
