@@ -311,17 +311,10 @@ class Construction:
     class the PLUS representative lands in, and the MINUS representative
     must land in the other class, else ContractError.
 
-    Each family keeps its own table of actions over fin(n), keyed by the
-    position tuple of the permutation; a bijection with another domain or
-    codomain is computed afresh every time.  It also keeps the last carrier
-    it transported from, by identity, with its two representatives, and
-    builds them anew only when a bijection's domain is another object.
-    Both are sound because an action is a pure function of e: transport,
-    representative and classify compute from their arguments alone, so a
-    permutation of fin(n) acts the same way on every call, and a
-    representative is an immutable value.  Both belong to one family: a
-    family built after a function is rebound, such as cartier's
-    orientation_action, starts with an empty table.
+    Each family keeps the last carrier it transported from, by identity,
+    with its two representatives, and builds them anew only when a
+    bijection's domain is another object: sound, as a representative is an
+    immutable value computed from its carrier alone.
     """
 
     name: str
@@ -334,26 +327,19 @@ class Construction:
         if require_int(n, "arity") < 2:
             raise ArityTooSmall(f"{self.name} family needs arity >= 2")
 
-        base = fin(n)
-        table: dict[tuple[int, ...], Sign] = {}
+        fin(n)  # refuses an arity no tuple can index
         held: list = [None, None, None]  # the last domain, its PLUS and MINUS representatives
 
         def action(e: Bijection) -> Sign:
-            X, Y = e.domain, e.codomain
-            over_base = (X is base or X == base) and (Y is base or Y == base)
-            acted = table.get(e.positions) if over_base else None
-            if acted is None:
-                # A Bijection has as many positions as its domain and codomain have labels.
-                if (size := len(e.positions)) != n:
-                    raise ArityMismatch(f"expected a {n}-element set, got {size} elements")
-                if held[0] is not X:
-                    held[:] = X, self.representative(X, PLUS), self.representative(X, MINUS)
-                acted = self.classify(self.transport(e, held[1]))
-                swapped = self.classify(self.transport(e, held[2]))
-                if swapped is not -_require_sign(acted):
-                    raise ContractError(f"the classes land in {acted!r} and {swapped!r}")
-                if over_base:
-                    table[e.positions] = acted
+            # A Bijection has as many positions as its domain and codomain have labels.
+            if (size := len(e.positions)) != n:
+                raise ArityMismatch(f"expected a {n}-element set, got {size} elements")
+            if held[0] is not (X := e.domain):
+                held[:] = X, self.representative(X, PLUS), self.representative(X, MINUS)
+            acted = self.classify(self.transport(e, held[1]))
+            swapped = self.classify(self.transport(e, held[2]))
+            if swapped is not -_require_sign(acted):
+                raise ContractError(f"the classes land in {acted!r} and {swapped!r}")
             return acted
 
         return TwoElementFamily(self.name, n, action, base_point=PLUS, construction=self)
@@ -376,7 +362,7 @@ cartier_delooping = Construction(
     all_orientations,
     orientation_representative,
     # Looked up by name at call time, so a rebound orientation_action is used
-    # for every action not yet in the family's table.
+    # by every family, however early it was built.
     lambda e, u: orientation_action(e, u),
     orientation_class,
 )

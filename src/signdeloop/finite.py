@@ -169,11 +169,17 @@ class LabeledSet(Frozen):
         return (type(label) is int or _is_int(label)) and label in self._pos
 
 
-@lru_cache(maxsize=None)
 def fin(n: int) -> LabeledSet:
-    """The canonical n-element set {0, ..., n-1}."""
+    """The canonical n-element set {0, ..., n-1}, one object per size."""
+    if type(n) is not int or n < 0:  # checked before the cache hashes n
+        require_natural(n, "fin size")
+    return _fin(n)
+
+
+@lru_cache(maxsize=None)
+def _fin(n: int) -> LabeledSet:
     try:
-        return LabeledSet(tuple(range(require_natural(n, "fin size"))))
+        return LabeledSet(tuple(range(n)))
     except OverflowError:  # more elements than a tuple can index
         raise SizeGuard(f"fin({n}) is too large to list") from None
 
@@ -300,7 +306,8 @@ def symmetric_group(n: int) -> tuple[Bijection, ...]:
 
 def k_subsets(X: LabeledSet, k: int) -> tuple[tuple[Label, ...], ...]:
     """All k-element subsets of X as sorted label tuples, lexicographically."""
-    require_natural(k, "subset size")
+    if require_natural(k, "subset size") > len(X.elements):
+        return ()  # also for a k past what combinations accepts
     return tuple(itertools.combinations(X.elements, k))
 
 

@@ -131,6 +131,8 @@ def disjoint_chains(draw):
 @example(value=True)
 @example(value=2.5)
 @example(value="1")
+@example(value=[1])  # unhashable: checked before anything, a cache too, hashes it
+@example(value={1: 2})
 def test_non_integer_labels_and_sizes_are_contract_errors(name, value):
     with pytest.raises(ContractError, match="must be an integer"):
         NON_INTEGER_ENTRY_POINTS[name](value)
@@ -378,6 +380,11 @@ class TestSymmetricGroup:
     def test_size_guard(self):
         with pytest.raises(SizeGuard):
             symmetric_group(9)
+
+
+def test_subsets_larger_than_the_set_are_none():
+    # 2**70 is past what itertools.combinations accepts as a size.
+    assert k_subsets(fin(3), 4) == k_subsets(fin(3), 2**70) == ()
 
 
 @pytest.mark.parametrize(

@@ -380,7 +380,7 @@ def test_detects_a_hash_call_outside_hash_methods():
 # The module-level caches the package may keep, and why each outlives a run
 # harmlessly.  A listing of S_n, or its signs, belongs to the run that made it.
 ALLOWED_CACHES = {
-    "finite.fin": "one small set per size, shared by every carrier of that size",
+    "finite._fin": "one small set per size, shared by every carrier of that size",
     "perms.transposition": "at most C(8, 2) = 28 small transpositions, built once each",
     "perms._sign_of_images": "a pure parity memo under chart_sign, keyed by positions",
     "deloopings._transported_bits": (
