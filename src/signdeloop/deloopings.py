@@ -4,11 +4,11 @@ Four constructions each assign to every n-element labeled set a two-element
 fiber together with a transport bijection along any relabeling, and a chart
 identifying the fiber over fin(n) with {+1, -1}:
 
-* fixed_point_delooping - equivariant functions from charts to {+1, -1};
-  the twisted action fixes exactly two, and its elements are those two,
-  each held as its value at the order chart.
-* orbit_delooping - pairs (chart, sign) modulo simultaneous precomposition
-  and sign twist; exactly two orbits.
+* fixed_point_delooping - the sign-valued functions on charts that the
+  action twisted by the sign fixes: exactly two, each held as its value at
+  the order chart.
+* orbit_delooping - pairs (chart, sign) modulo precomposition twisted by
+  the sign; exactly two orbits.
 * simpson_delooping - charts modulo "even relative parity"; exactly two
   classes of equal size.
 * cartier_delooping - orientations of the complete graph modulo parity of
@@ -26,6 +26,8 @@ exactly when it acts as PLUS.
 Each construction is declared once, as a Construction record listing its
 elements, a representative per class, transport and classification; its
 family, class census and projection squares are all derived from that record.
+orbit and fixed are the recipes orbit_recipe(phi) and fixed_recipe(phi) of
+a homomorphism phi from charts to Signs, applied here at the sign, chart_sign.
 """
 
 from __future__ import annotations
@@ -226,11 +228,6 @@ def simpson_representative(X: LabeledSet, s: Sign) -> Bijection:
     return rep
 
 
-def orbit_class(h: Bijection, s: Sign) -> Sign:
-    """Orbit class of a (chart, sign) pair under twisted precomposition."""
-    return chart_sign(h) * s
-
-
 def orbit_representative(X: LabeledSet, s: Sign) -> tuple[Bijection, Sign]:
     return order_bijection(X), _require_sign(s)
 
@@ -240,9 +237,9 @@ def orbit_representative(X: LabeledSet, s: Sign) -> tuple[Bijection, Sign]:
 
 @dataclass(frozen=True)
 class FixedPointElement:
-    """An equivariant function from charts fin(n) = X to {+1, -1}, one of
-    the two the twisted action fixes, stored as its carrier and its value
-    at the order chart: at a chart h it is chart_sign(h) * value.  The
+    """A function from charts fin(n) = X to {+1, -1}, one of the two that
+    fixed_recipe(phi) fixes, stored as its carrier and its value at the order
+    chart: at a chart h it is phi(h) * value, its transport's along h.  The
     constructor checks that carrier is a LabeledSet and value a Sign.
     """
 
@@ -253,22 +250,6 @@ class FixedPointElement:
         if not isinstance(self.carrier, LabeledSet):
             raise ContractError(f"carrier must be a LabeledSet, got {self.carrier!r}")
         _require_sign(self.value, "value at the order chart")
-
-    def value_at(self, h: Bijection) -> Sign:
-        if (h.domain, h.codomain) != (fin(len(self.carrier)), self.carrier):
-            raise CarrierMismatch("not a chart of the element's carrier")
-        return chart_sign(h) * self.value
-
-
-def fixed_point_transport(e: Bijection, f: FixedPointElement) -> FixedPointElement:
-    """Push f forward along a bijection e: X -> Y, to f o e^-1.
-
-    f o e^-1 at Y's order chart is f at a chart of X whose chart_sign is
-    that of e^-1, which equals that of e.
-    """
-    if e.domain is not (X := f.carrier) and e.domain != X:
-        raise CarrierMismatch("element does not live over the domain of the map")
-    return FixedPointElement(e.codomain, chart_sign(e) * f.value)
 
 
 # --------------------------------------------------------------------------
@@ -283,7 +264,7 @@ class TwoElementFamily:
     multiplication, PLUS keeping each class and MINUS swapping them;
     base_point is the class over fin(arity) charted to +1, so the chart is
     multiplication by it; construction is the record the family was built
-    from, None for hand-built families, verify's trivial action among them.
+    from, None for hand-built families, such as the tests' deformations.
     """
 
     name: str
@@ -376,23 +357,39 @@ simpson_delooping = Construction(
     chart_sign,
 )
 
-# (chart, sign) pairs modulo the twisted precomposition action.
-orbit_delooping = Construction(
-    "orbit",
-    lambda X: ((h, s) for h in _charts(X) for s in (PLUS, MINUS)),
-    orbit_representative,
-    lambda e, pair: (pair[0].then(e), pair[1]),
-    lambda pair: orbit_class(*pair),
-)
+def orbit_recipe(phi: Callable[[Bijection], Sign]) -> Construction:
+    """(chart, sign) pairs modulo precomposition twisted by phi: the pair
+    (h, s) is in the class phi(h) * s."""
+    return Construction(
+        "orbit",
+        lambda X: ((h, s) for h in _charts(X) for s in (PLUS, MINUS)),
+        orbit_representative,
+        lambda e, pair: (pair[0].then(e), pair[1]),
+        lambda pair: phi(pair[0]) * pair[1],
+    )
 
-# The two equivariant sign-valued functions on charts.
-fixed_point_delooping = Construction(
-    "fixed",
-    lambda X: (FixedPointElement(X, PLUS), FixedPointElement(X, MINUS)),
-    FixedPointElement,
-    fixed_point_transport,
-    lambda f: f.value,
-)
+
+def fixed_recipe(phi: Callable[[Bijection], Sign]) -> Construction:
+    """The two sign-valued functions on charts that the action twisted by
+    phi fixes.  Transport along e: X -> Y pushes f to f o e^-1, whose value
+    at Y's order chart is f's at a chart that phi sends to phi(e^-1) = phi(e)."""
+
+    def transport(e: Bijection, f: FixedPointElement) -> FixedPointElement:
+        if e.domain is not (X := f.carrier) and e.domain != X:
+            raise CarrierMismatch("element does not live over the domain of the map")
+        return FixedPointElement(e.codomain, phi(e) * f.value)
+
+    return Construction(
+        "fixed",
+        lambda X: (FixedPointElement(X, PLUS), FixedPointElement(X, MINUS)),
+        FixedPointElement,
+        transport,
+        lambda f: f.value,
+    )
+
+
+orbit_delooping = orbit_recipe(chart_sign)
+fixed_point_delooping = fixed_recipe(chart_sign)
 
 # The benchmark's tracer swaps these values for plain wrapper functions, so
 # callers only call them with n and reach the record via family.construction.
@@ -558,25 +555,22 @@ def check_recognition(Q: TwoElementFamily, group: tuple, signs: tuple) -> Recogn
 
 @lru_cache(maxsize=len(CONSTRUCTIONS))
 def _naturality_signs(
-    Q: TwoElementFamily, squares: int, state: tuple
+    Q: TwoElementFamily, squares: int, seed: int
 ) -> tuple[tuple[tuple[LabeledSet, LabeledSet, Bijection], ...], tuple[Sign, ...]]:
     """Recognize Q over its own listing of S_arity, then draw `squares`
-    squares (X, Y, e) from a Random in `state` and sign each
+    squares (X, Y, e) from Random(seed) and sign each
     Q(e) * Q(h_X) * Q(h_Y), h_Z being Z's order chart.
 
     Kept per family for as many families as there are constructions, so
     verify's 16 natural isomorphisms list, recognize and square each of its
-    4 families once; a later run's families are new keys.  The key holds
-    the generator state, not the seed, so that every seed Random takes
-    (None and bytearray too) names exactly the squares it draws.
+    4 families once; a later run's families are new keys.
     """
     n = Q.arity
     group = symmetric_group(n)
     if not check_recognition(Q, group, tuple(map(sign_inversions, group))).is_delooping:
         raise NotADelooping(f"{Q.name} fails recognition")
     base = fin(n)
-    rng = Random()
-    rng.setstate(state)
+    rng = Random(seed)
 
     def sample_set() -> LabeledSet:
         return base if rng.random() < 0.25 else random_labeled_set(rng, n)
@@ -620,9 +614,9 @@ def natural_isomorphism(
     require_natural(squares, "square count")
     if Q.arity != Qp.arity:
         raise ArityMismatch("families have different arities")
-    state = Random(seed).getstate()
-    drawn, left = _naturality_signs(Q, squares, state)
-    right = _naturality_signs(Qp, squares, state)[1]
+    require_int(seed, "seed")  # a NaturalityFailure's square must replay
+    drawn, left = _naturality_signs(Q, squares, seed)
+    right = _naturality_signs(Qp, squares, seed)[1]
     if left != right:
         k = next(k for k, (s, t) in enumerate(zip(left, right)) if s is not t)
         raise NaturalityFailure("family is not natural", square=drawn[k])

@@ -39,9 +39,10 @@ from .deloopings import (
     check_recognition,
     exhaustive_fixed_points,
     fixed_point_delooping,
+    fixed_recipe,
     natural_isomorphism,
+    orbit_delooping,
     orientation_action,
-    orbit_class,
     relative_inversions,
     sign_mismatch,
     unswapped_transposition,
@@ -331,11 +332,12 @@ def recognition_covariance(s: Scope) -> Judge:
     Recognition reads neither the base point nor any action off fin(n), so
     to it a deformed family is the family itself or a trivial action: each
     mutant draws that one bit.  A family's mutants read the run's report of
-    the family, its trivial mutants the report of the one trivial action
-    the row builds, each recognized once per run by Scope.recognition.
+    the family, its trivial mutants the report of the row's one trivial
+    action, fixed_recipe at the constant PLUS, each recognized once per run
+    by Scope.recognition.
     """
     trivial = [s.family_rng.random() < 0.4 for _ in range(50)]
-    constant = TwoElementFamily("trivial", s.n, lambda e: PLUS, PLUS)
+    constant = fixed_recipe(lambda e: PLUS)(s.n)
 
     def judge(Q: TwoElementFamily) -> tuple[bool, str]:
         for k, t in enumerate(trivial):
@@ -405,8 +407,10 @@ def orbit_structure(n: int, group: tuple) -> tuple[bool, str]:
     if sizes != [math.factorial(n)] * 2:
         return False, f"orbit sizes {sizes!r}"
     labels = []
+    # Through the family, as for every record: see CONSTRUCTIONS.
+    classify = orbit_delooping(n).construction.classify
     for orbit in orbits:
-        got = {orbit_class(h, s) for h, s in orbit}
+        got = set(map(classify, orbit))
         if len(got) != 1:
             return False, "class label is not constant on an orbit"
         labels.append(got.pop())
@@ -427,9 +431,9 @@ def fixed_equivariance(n: int, group: tuple, walk: tuple) -> tuple[bool, str]:
     """
     base = fin(n)
     # Through the family, as for every record: see CONSTRUCTIONS.
-    representative = fixed_point_delooping(n).construction.representative
-    for elem in (representative(base, s) for s in (PLUS, MINUS)):
-        value = list(map(elem.value_at, group))  # one read per chart
+    C = fixed_point_delooping(n).construction
+    for elem in (C.representative(base, s) for s in (PLUS, MINUS)):
+        value = [C.transport(h, elem).value for h in group]  # its value at each chart
         for h, i, q in cayley_edges(walk):
             if value[q] is not -value[h]:
                 chart = group[h].positions

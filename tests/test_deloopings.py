@@ -50,10 +50,10 @@ from signdeloop.deloopings import (
     check_recognition,
     exhaustive_fixed_points,
     fixed_point_delooping,
-    fixed_point_transport,
+    fixed_recipe,
     natural_isomorphism,
-    orbit_class,
     orbit_delooping,
+    orbit_recipe,
     orbit_representative,
     orientation_action,
     orientation_class,
@@ -269,8 +269,7 @@ class TestOrbit:
     def test_representatives(self):
         X = LabeledSet.of([4, 6, 9])
         for label in (PLUS, MINUS):
-            h, s = orbit_representative(X, label)
-            assert orbit_class(h, s) is label
+            assert orbit_delooping.classify(orbit_representative(X, label)) is label
         with pytest.raises(ContractError):
             orbit_representative(X, -3)
 
@@ -278,17 +277,18 @@ class TestOrbit:
         # precomposing the chart with p while multiplying the sign by
         # sign(p) stays in the same orbit
         X = LabeledSet.of([4, 6, 9])
+        classify = orbit_delooping.classify
         for h in enumerate_bijections(fin(3), X):
             for s in (PLUS, MINUS):
                 for p in perms_of(3):
-                    assert orbit_class(p.then(h), sign_inversions(p) * s) is orbit_class(h, s)
+                    assert classify((p.then(h), sign_inversions(p) * s)) is classify((h, s))
 
     def test_class_census(self):
         X = LabeledSet.of([4, 6, 9])
         counts = [0, 0]
         for h in enumerate_bijections(fin(3), X):
             for s in (PLUS, MINUS):
-                counts[orbit_class(h, s) is MINUS] += 1
+                counts[orbit_delooping.classify((h, s)) is MINUS] += 1
         assert counts == [6, 6]
 
 
@@ -297,12 +297,18 @@ def fixed_point_elements(X):
     return tuple(fixed_point_delooping.representative(X, s) for s in (PLUS, MINUS))
 
 
+def value_at(f, h):
+    """f's value at a chart h: fin(n) -> f.carrier, which is the value of
+    f o h, its transport along h^-1, at the order chart of fin(n)."""
+    return fixed_point_delooping.transport(h.inverse(), f).value
+
+
 class TestFixedPointElements:
     def test_value_at_the_order_chart(self):
         X = LabeledSet.of([2, 7, 8])
         plus, minus = fixed_point_elements(X)
         h0 = order_bijection(X)
-        assert plus.value_at(h0) == PLUS and minus.value_at(h0) == MINUS
+        assert value_at(plus, h0) == PLUS and value_at(minus, h0) == MINUS
         classify = fixed_point_delooping.classify
         assert classify(plus) is PLUS and classify(minus) is MINUS
 
@@ -311,20 +317,20 @@ class TestFixedPointElements:
         plus, _ = fixed_point_elements(X)
         for h in enumerate_bijections(fin(3), X):
             for p in perms_of(3):
-                assert plus.value_at(p.then(h)) == sign_inversions(p) * plus.value_at(h)
+                assert value_at(plus, p.then(h)) == sign_inversions(p) * value_at(plus, h)
 
     def test_transport(self):
         X, Y = LabeledSet.of([2, 7, 8]), LabeledSet.of([1, 3, 5])
         plus, _ = fixed_point_elements(X)
         e = Bijection(X, Y, (3, 1, 5))
-        moved = fixed_point_transport(e, plus)
+        moved = fixed_point_delooping.transport(e, plus)
         for h in enumerate_bijections(fin(3), X):
-            assert moved.value_at(h.then(e)) == plus.value_at(h)
+            assert value_at(moved, h.then(e)) == value_at(plus, h)
 
     def test_transport_carrier_checked(self):
         plus, _ = fixed_point_elements(fin(3))
         with pytest.raises(CarrierMismatch):
-            fixed_point_transport(identity(fin(4)), plus)
+            fixed_point_delooping.transport(identity(fin(4)), plus)
 
     @pytest.mark.parametrize(
         "carrier, value",
@@ -356,24 +362,47 @@ class TestFixedPointElements:
         assert fixed_point_delooping.census(X) == [1, 1]
         for f, s in zip(elements, (PLUS, MINUS)):
             for h in enumerate_bijections(fin(n), X):
-                assert f.value_at(h) is s * sign_inversions(Bijection(fin(n), fin(n), h.positions))
+                assert value_at(f, h) is s * sign_inversions(Bijection(fin(n), fin(n), h.positions))
         Y = random_labeled_set(rng, n)
         e = random_bijection(rng, X, Y)
         evens = [t for t in enumerate_bijections(X, X) if sign_inversions(t) is PLUS]
+        transport = fixed_point_delooping.transport
         for f in elements:
-            moved = fixed_point_transport(e, f)
+            moved = transport(e, f)
             assert moved in fixed_point_delooping.elements(Y)
             for t in evens:
-                assert fixed_point_transport(t.then(e), f) == moved
+                assert transport(t.then(e), f) == moved
 
-    def test_value_at_reads_only_charts_of_its_carrier(self):
-        # The value is read off the two charts' own signs, so a bijection
-        # with either end elsewhere must be refused rather than read.
-        X, Y = LabeledSet.of([2, 7, 8]), LabeledSet.of([1, 3, 5])
-        plus, _ = fixed_point_elements(X)
-        for h in (order_bijection(Y), Bijection(Y, X, X.elements), identity(X)):
-            with pytest.raises(CarrierMismatch):
-                plus.value_at(h)
+
+def trivial_homomorphism(h):
+    return PLUS
+
+
+RECIPES = pytest.mark.parametrize("recipe", [orbit_recipe, fixed_recipe], ids=["orbit", "fixed"])
+
+
+class TestRecipes:
+    """orbit and fixed are recipes of a homomorphism phi from charts to
+    Signs: at the sign they deloop it, and at the trivial homomorphism they
+    give the trivial action, which fails all three conditions."""
+
+    @RECIPES
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_recognition_tells_the_two_homomorphisms_apart(self, recipe, n):
+        signed = listing(n)
+        trivial = check_recognition(recipe(trivial_homomorphism)(n), *signed)
+        assert trivial.booleans == (False, False, False)
+        assert check_recognition(recipe(chart_sign)(n), *signed).booleans == (True, True, True)
+
+    @RECIPES
+    def test_the_trivial_homomorphism_acts_as_plus(self, recipe):
+        rng = Random(5)
+        for n in range(2, 7):
+            Q = recipe(trivial_homomorphism)(n)
+            assert Q.base_point is PLUS
+            for _ in range(20):
+                X, Y = random_labeled_set(rng, n), random_labeled_set(rng, n)
+                assert Q.action(random_bijection(rng, X, Y)) is PLUS
 
 
 def per_table_scan(n):
@@ -883,7 +912,7 @@ class TestNaturalIsomorphism:
         assert e.domain == X and e.codomain == Y
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    @pytest.mark.parametrize("seed", [0, 5, 2027])
+    @pytest.mark.parametrize("seed", [0, 5, 2027, 1 << 70])
     def test_every_pair_verdict_matches_a_square_by_square_oracle(self, n, seed):
         # Every ordered pair of the constructions, a family broken off
         # fin(n), a twisted mutant and a non-delooping, against naturality
@@ -952,30 +981,16 @@ class TestNaturalIsomorphism:
 
     @pytest.mark.parametrize("seed", [None, bytearray(b"seed"), b"seed", "seed", 2.5, -3])
     def test_takes_every_seed_random_takes(self, seed):
+        # Only an int seed is taken, so the square a NaturalityFailure names
+        # replays from its seed; any other seed Random takes is refused.
         Q, Qp = cartier_delooping(3), fixed_point_delooping(3)
+        if seed != -3:
+            with pytest.raises(ContractError, match="seed must be an integer"):
+                natural_isomorphism(Q, Qp, squares=14, seed=seed)
+            return
         assert natural_isomorphism(Q, Qp, squares=14, seed=seed)(fin(3)) is PLUS
         with pytest.raises(NaturalityFailure):
             natural_isomorphism(Q, off_base_family(3), squares=24, seed=seed)
-
-    def test_equal_seeds_of_other_types_draw_their_own_squares(self):
-        # 2^70 and float(2^70) compare equal but seed Random differently;
-        # each call still checks the squares its own seed draws.
-        big = 1 << 70
-        Q, Qp = simpson_delooping(4), off_base_family(4)
-
-        def verdict(seed):
-            try:
-                natural_isomorphism(Q, Qp, squares=3, seed=seed)
-            except NaturalityFailure as exc:
-                return exc.square
-            return None
-
-        fresh = []
-        for seed in (big, float(big)):
-            deloopings._naturality_signs.cache_clear()
-            fresh.append(verdict(seed))
-        assert fresh[0] != fresh[1]
-        assert [verdict(seed) for seed in (big, float(big), big, float(big))] == fresh * 2
 
 
 class TestActionTable:

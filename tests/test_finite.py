@@ -101,12 +101,12 @@ def test_non_iterables_are_contract_errors(name, value):
         NON_ITERABLE_ENTRY_POINTS[name](value)
 
 
-@pytest.mark.parametrize("seed", [[0], {}, {0: 1}, set(), object()])
+@pytest.mark.parametrize("seed", [[0], {}, {0: 1}, set(), object(), None, 1.5, "x", True])
 def test_natural_isomorphism_refuses_what_random_refuses(seed):
-    # A seed Random refuses, hashable or not, fails as Random fails, and only
-    # after the arity check.
+    # A seed that is not an int, hashable or not, Random's or not, is a
+    # ContractError, and only after the arity check.
     Q = cartier_delooping(3)
-    with pytest.raises(TypeError, match="supported seed types"):
+    with pytest.raises(ContractError, match="seed must be an integer"):
         natural_isomorphism(Q, Q, squares=3, seed=seed)
     with pytest.raises(ArityMismatch):
         natural_isomorphism(Q, cartier_delooping(4), squares=3, seed=seed)

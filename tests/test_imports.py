@@ -221,6 +221,32 @@ def test_the_sign_oracle_reaches_no_family_reader():
     assert readers <= reachable(mutant, [module_function(mutant, "perms", "sign_inversions")])
 
 
+def recipe_parity(trees: dict[str, ast.Module]) -> set[str]:
+    """The parity definitions that the orbit and fixed recipes reach."""
+    recipes = [module_function(trees, "deloopings", f"{r}_recipe") for r in ("orbit", "fixed")]
+    return reachable(trees, recipes) & PARITY_DEFINITIONS
+
+
+def test_the_recipes_read_parity_only_through_their_homomorphism():
+    # orbit and fixed read the sign only as the phi they are given, and the
+    # registry gives it: chart_sign is read, in deloopings, by the orbit and
+    # fixed registry lines and simpson's record alone.
+    trees = parse_package()
+    assert recipe_parity(trees) == set()
+    sign_readers = {r for r in readers(trees, {"chart_sign"}) if r.startswith("deloopings.")}
+    assert sign_readers == {
+        "deloopings.orbit_delooping",
+        "deloopings.fixed_point_delooping",
+        "deloopings.simpson_delooping",
+    }
+
+
+def test_a_recipe_that_reads_a_sign_is_flagged():
+    line = "        lambda pair: phi(pair[0]) * pair[1],"
+    mutant = parse_package(replace=(line, line.replace("phi(", "chart_sign(")))
+    assert recipe_parity(mutant) == PARITY_DEFINITIONS - {"perms.sign_inversions"}
+
+
 def walk_parity(trees: dict[str, ast.Module]) -> set[str]:
     """The parity definitions that verify's Cayley walk reaches."""
     return reachable(trees, [module_function(trees, "verify", "cayley_walk")]) & PARITY_DEFINITIONS
@@ -310,9 +336,9 @@ def test_each_test_only_engine_is_read_by_its_own_row_alone():
     trees = parse_package()
     for engine, row in ENGINE_ROWS.items():
         assert readers(trees, {engine}) == {row}
-        line = "    lambda pair: orbit_class(*pair),"
-        mutant = parse_package(replace=(line, line.replace("*pair", f"*{engine}(pair)")))
-        assert readers(mutant, {engine}) == {row, "deloopings.orbit_delooping"}
+        line = "        lambda pair: phi(pair[0]) * pair[1],"
+        mutant = parse_package(replace=(line, line.replace("pair[1]", f"{engine}(pair)[1]")))
+        assert readers(mutant, {engine}) == {row, "deloopings.orbit_recipe"}
 
 
 # recompose_endofunction validates a caller's (cycles, transient) by its

@@ -17,17 +17,17 @@ from signdeloop.errors import ContractError, SizeGuard
 from signdeloop.deloopings import (
     CONSTRUCTIONS,
     Construction,
-    FixedPointElement,
     Orientation,
     TwoElementFamily,
     all_orientations,
     alternating_kernel,
     cartier_delooping,
     check_recognition,
-    orbit_class,
+    fixed_recipe,
+    orbit_delooping,
 )
 from signdeloop.finite import Bijection, LabeledSet, enumerate_bijections, fin
-from signdeloop.perms import MINUS, PLUS, permutation, sign_inversions, transposition
+from signdeloop.perms import MINUS, PLUS, chart_sign, permutation, sign_inversions, transposition
 from signdeloop.verify import (
     CHECKS,
     Scope,
@@ -72,11 +72,12 @@ class TestOracles:
 
     def test_expand_orbits_match_class_labels(self):
         group = listing(3)[0]
+        classify = orbit_delooping.classify
         for orbit in expand_orbits(group):
-            assert len({orbit_class(h, s) for h, s in orbit}) == 1
+            assert len(set(map(classify, orbit))) == 1
             # The orbits hold the listing's own permutations.
             assert all(any(h is e for e in group) for h, _ in orbit)
-        all_labels = {orbit_class(h, s) for orbit in expand_orbits(group) for h, s in orbit}
+        all_labels = {classify(pair) for orbit in expand_orbits(group) for pair in orbit}
         assert all_labels == {PLUS, MINUS}
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -99,22 +100,21 @@ class TestOracles:
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("both_ends", [False, True], ids=["chart", "swap-0-edge"])
     def test_fixed_equivariance_names_a_mis_signed_chart(self, monkeypatch, n, both_ends):
-        # Flipping the value at the reversal breaks the edge law on the
-        # edges into and out of it.  Flipping it at both ends of its (0 1)
-        # edge as well keeps that edge's law, so only the other swaps see
-        # the fault.  The first broken edge in walk order, breadth-first
-        # from the identity with the swaps in order, found here by
-        # composing Bijections, is the one reported.
+        # A phi mis-signed at the reversal flips the value there, which
+        # breaks the edge law on the edges into and out of it.  Mis-signing
+        # it at both ends of its (0 1) edge as well keeps that edge's law,
+        # so only the other swaps see the fault.  The first broken edge in
+        # walk order, breadth-first from the identity with the swaps in
+        # order, found here by composing Bijections, is the one reported.
         reversal = permutation(tuple(reversed(range(n))))
         bad = {reversal.images}
         if both_ends:
             bad.add(transposition(n, 0, 1).then(reversal).images)
-        real = FixedPointElement.value_at
 
-        def flipped(elem, h):
-            return -real(elem, h) if h.images in bad else real(elem, h)
+        def flipped(h):
+            return -chart_sign(h) if h.images in bad else chart_sign(h)
 
-        monkeypatch.setattr(FixedPointElement, "value_at", flipped)
+        monkeypatch.setattr(verify, "fixed_point_delooping", fixed_recipe(flipped))
         h, i = next(
             (h.images, i)
             for h, i, q in composed_walk(n, adjacent_swaps(n))
@@ -277,7 +277,7 @@ class TestRecognitionCovariance:
         # gets the very report of the family, or of the row's trivial action
         # when its trivialize bit is set.
         signed = listing(n)
-        trivial = check_recognition(TwoElementFamily("trivial", n, lambda e: PLUS, PLUS), *signed)
+        trivial = check_recognition(fixed_recipe(lambda e: PLUS)(n), *signed)
         compared = 0
         drawn = set()
         for name, build in CONSTRUCTIONS.items():
@@ -296,7 +296,9 @@ class TestRecognitionCovariance:
     def test_a_run_recognizes_each_family_once(self, monkeypatch):
         # The recognition row and the 50 coins of each family read one report
         # per family object, the trivial coins that of the row's one trivial
-        # action: 5 recognitions, while every family still draws its coins.
+        # action, a family of no registry record: 5 recognitions, while every
+        # family still draws its coins.
+        records = list(CONSTRUCTIONS.values())  # before the recorder wraps them
         recorder = DrawRecorder(monkeypatch)
         recognized, real = [], verify.check_recognition
         monkeypatch.setattr(
@@ -304,7 +306,10 @@ class TestRecognitionCovariance:
         )
         assert all(r.passed for r in run_verification(5, "all", 0))
         assert len({id(Q) for Q in recognized}) == len(recognized) == 5
-        assert sorted(Q.name for Q in recognized) == sorted([*CONSTRUCTIONS, "trivial"])
+        registry = [Q.construction for Q in recognized if Q.construction in records]
+        assert sorted(C.name for C in registry) == sorted(CONSTRUCTIONS)
+        (trivial,) = [Q for Q in recognized if Q.construction not in records]
+        assert trivial.name in CONSTRUCTIONS  # a recipe's family, named as the recipe
         for name in CONSTRUCTIONS:
             coins = recorder.rows[name]["recognition-covariance"]
             assert len(coins) == 50 and set(coins) == {True, False}
